@@ -127,7 +127,7 @@ def ds_transform(series, rs, level=None):
 # ---------------------------------------------------------------------------
 
 VERMA, SIMPLE, DUAL_VERMA = "verma", "simple", "dual_verma"
-KAC_MOODY, BABY_WHITTAKER, W_ALGEBRA = "kac_moody", "baby_whittaker", "w_algebra"
+KAC_MOODY, W_ALGEBRA = "kac_moody", "w_algebra"
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class ModuleLabel:
     def __post_init__(self):
         if self.kind not in (VERMA, SIMPLE, DUAL_VERMA):
             raise DomainError("unknown module kind %r" % (self.kind,))
-        if self.side not in (KAC_MOODY, BABY_WHITTAKER, W_ALGEBRA):
+        if self.side not in (KAC_MOODY, W_ALGEBRA):
             raise DomainError("unknown side %r" % (self.side,))
         if self.side == W_ALGEBRA and not isinstance(self.parameter,
                                                      CentralCharLabel):

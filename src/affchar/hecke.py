@@ -14,10 +14,13 @@ of a generalized Cartan matrix chosen per bond label (2, 3, 4, 6, or
 infinity, encoded as 0).  Group elements are keyed by their exact integer
 matrix, which is a faithful invariant.
 
-Two independent routes are provided for every canonical-basis quantity:
-the mu-recursion (production) and a dense linear solve of the
-bar-invariance plus degree-bound system (oracle).  Tests require them to
-agree.
+``ParabolicModule`` is the one canonical-basis engine: one right Hecke
+action, one bar expansion of the standard basis.  With empty J it is
+the regular module H itself, so its canonical basis is the Kazhdan-Lusztig
+basis and ``kl_polynomial`` reads P_{x,y} off b_y.  Two independent routes
+reach every canonical basis: the mu-correction recursion from the top
+down (production) and a dense linear solve of the bar-invariance plus
+degree-bound system (oracle).  Tests require them to agree.
 """
 
 from fractions import Fraction
@@ -250,32 +253,12 @@ class BruhatBall:
             raise BallExhausted("right multiplication left the ball")
         return got
 
-    def inverse(self, el):
-        mat = self._id
-        for i in reversed(el.word):
-            mat = self._matmul(mat, self._gens[i])
-        got = self.elements.get(mat)
-        if got is None:
-            raise BallExhausted("inverse left the ball")
-        return got
-
     def left_longer(self, i, el):
         """True iff l(s_i el) > l(el).  Sound at the ball boundary: a
         product missing from the ball must be the longer neighbor."""
         mat = self._matmul(self._gens[i], el.mat)
         got = self.elements.get(mat)
         return got is None or got.length > el.length
-
-    def right_longer(self, el, i):
-        mat = self._matmul(el.mat, self._gens[i])
-        got = self.elements.get(mat)
-        return got is None or got.length > el.length
-
-    def left_descents(self, el):
-        return [i for i in range(self.n_gens) if not self.left_longer(i, el)]
-
-    def right_descents(self, el):
-        return [i for i in range(self.n_gens) if not self.right_longer(el, i)]
 
     # -- Bruhat order -------------------------------------------------------
 
@@ -325,125 +308,7 @@ def build_ball(coxeter_matrix, length_bound):
 
 
 # ---------------------------------------------------------------------------
-# Hecke algebra elements: dict key -> LaurentPoly in v
-# ---------------------------------------------------------------------------
-
-def _hecke_right_mult_gen(ball, h, i):
-    """(sum c_x H_x) * H_s exactly."""
-    out = {}
-    for key, poly in h.items():
-        if poly.is_zero:
-            continue
-        x = ball.elements[key]
-        xs = ball.right_mult(x, i)
-        if xs.length > x.length:
-            out[xs.key] = out.get(xs.key, _ZERO) + poly
-        else:
-            out[xs.key] = out.get(xs.key, _ZERO) + poly
-            extra = poly * LaurentPoly({-1: 1, 1: -1})  # (v^{-1} - v)
-            out[key] = out.get(key, _ZERO) + extra
-    return {k: p for k, p in out.items() if not p.is_zero}
-
-
-def bar_standard_basis(ball, w):
-    """Expansion of bar(H_w) in the standard basis, as {key: poly}."""
-    shift = LaurentPoly({1: 1, -1: -1})  # (v - v^{-1})
-    h = {ball.elements[ball._id].key: _ONE}
-    for i in w.word:
-        # multiply by bar(H_s) = H_s + (v - v^{-1})
-        a = _hecke_right_mult_gen(ball, h, i)
-        for key, poly in h.items():
-            a[key] = a.get(key, _ZERO) + poly * shift
-        h = {k: p for k, p in a.items() if not p.is_zero}
-    return h
-
-
-# ---------------------------------------------------------------------------
-# Kazhdan-Lusztig polynomials: mu-recursion (production path)
-# ---------------------------------------------------------------------------
-
-class KLContext:
-    """Memoized classical KL recursion over a fixed ball.
-
-    Polynomials are returned in the variable q.  The cache is a plain
-    dict: entries are immutable and recomputation is idempotent, so
-    concurrent duplicate computation under the interpreter lock is
-    harmless (single-atomic-map semantics).
-    """
-
-    def __init__(self, ball):
-        self.ball = ball
-        self._p = {}
-
-    def polynomial(self, x, y):
-        if x.key not in self.ball.elements or y.key not in self.ball.elements:
-            raise BallExhausted("KL recursion requires both elements in the ball")
-        return self._pol(x, y)
-
-    def _pol(self, x, y):
-        if not self.ball.leq(x, y):
-            return _ZERO
-        if x.key == y.key:
-            return _ONE
-        key = (x.key, y.key)
-        got = self._p.get(key)
-        if got is not None:
-            return got
-        ball = self.ball
-        s = y.word[0]
-        sy = ball.left_mult(s, y)
-        sx = ball.left_mult(s, x)
-        if sx.length > x.length:
-            res = self._pol(sx, y)
-        else:
-            res = self._pol(sx, sy) + LaurentPoly({1: 1}) * self._pol(x, sy)
-            for z in ball.interval_below(sy):
-                if z.length >= y.length:
-                    continue
-                if ball.left_mult(s, z).length > z.length:
-                    continue
-                if not ball.leq(x, z):
-                    continue
-                mu = self.mu(z, sy)
-                if mu == 0:
-                    continue
-                d2 = y.length - z.length
-                if d2 % 2 != 0:
-                    raise AssertionError("odd exponent in KL recursion")
-                res = res - LaurentPoly({d2 // 2: mu}) * self._pol(x, z)
-        self._p[key] = res
-        return res
-
-    def mu(self, z, w):
-        """Coefficient of q^{(l(w)-l(z)-1)/2} in P_{z,w}; 0 for even gaps."""
-        d = w.length - z.length
-        if d <= 0 or d % 2 == 0:
-            return 0
-        return self._pol(z, w).coeff((d - 1) // 2)
-
-
-def kl_polynomial(ball, x, y):
-    """P_{x,y} as a polynomial in q, via the mu-recursion."""
-    if isinstance(x, tuple):
-        x = ball.element_by_word(x)
-    if isinstance(y, tuple):
-        y = ball.element_by_word(y)
-    ctx = getattr(ball, "_kl_ctx", None)
-    if ctx is None:
-        ctx = KLContext(ball)
-        ball._kl_ctx = ctx
-    if not ball.leq(x, y):
-        raise DomainError("kl_polynomial requires x <= y in Bruhat order")
-    return ctx.polynomial(x, y)
-
-
-def kl_degree_bound_ok(ball, x, y, poly):
-    d = (y.length - x.length - 1) // 2 if y.length > x.length else 0
-    return poly.max_power() <= max(d, 0)
-
-
-# ---------------------------------------------------------------------------
-# Bar-involution linear-solve oracle for the canonical basis of H
+# Exact linear solve behind the bar-invariance oracle
 # ---------------------------------------------------------------------------
 
 def _solve_fraction_system(rows, rhs):
@@ -479,73 +344,6 @@ def _solve_fraction_system(rows, rhs):
         sol[c] = m[i][ncols]
     return sol
 
-def canonical_basis_via_solve(ball, w):
-    """b_w = H_w + sum_{y<w} c_y H_y with c_y in vZ[v], solved directly
-    from bar-invariance.  Independent of the mu-recursion."""
-    below = [z for z in ball.interval_below(w) if z.key != w.key]
-    bars = {z.key: bar_standard_basis(ball, z) for z in below + [w]}
-    # unknowns: t[(y, d)] = coefficient of v^d in c_y, 1 <= d <= l(w)-l(y)
-    unknowns = []
-    for y in below:
-        for d in range(1, w.length - y.length + 1):
-            unknowns.append((y.key, d))
-    index = {u: i for i, u in enumerate(unknowns)}
-    ncol = len(unknowns)
-    # bar(b_w) - b_w = 0: collect coefficients per (basis key, power of v)
-    eq = {}
-
-    def add(key, power, col, val):
-        row = eq.setdefault((key, power), [F(0)] * (ncol + 1))
-        row[col] += val
-    # contribution of H_w (coefficient 1)
-    for key, poly in bars[w.key].items():
-        for p, a in poly.c.items():
-            add(key, p, ncol, F(a))
-    for key2, poly in {w.key: _ONE}.items():
-        for p, a in poly.c.items():
-            add(key2, p, ncol, F(-a))
-    for y in below:
-        for d in range(1, w.length - y.length + 1):
-            col = index[(y.key, d)]
-            # bar(c_y) bar(H_y): c_y has v^d -> bar gives v^{-d}
-            for key, poly in bars[y.key].items():
-                for p, a in poly.c.items():
-                    add(key, p - d, col, F(a))
-            add(y.key, d, col, F(-1))
-    rows = []
-    rhs = []
-    for (key, p), coeffs in sorted(eq.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-        rows.append(coeffs[:ncol])
-        rhs.append(-coeffs[ncol])
-    sol = _solve_fraction_system(rows, rhs)
-    out = {w.key: _ONE}
-    for (ykey, d), i in index.items():
-        val = sol[i]
-        if val != 0:
-            if val.denominator != 1:
-                raise DomainError("non-integer canonical basis coefficient")
-            out[ykey] = out.get(ykey, _ZERO) + LaurentPoly({d: int(val)})
-    return out
-
-
-def kl_polynomial_via_solve(ball, x, y):
-    """P_{x,y} in q extracted from the linear-solve canonical basis."""
-    if isinstance(x, tuple):
-        x = ball.element_by_word(x)
-    if isinstance(y, tuple):
-        y = ball.element_by_word(y)
-    basis = canonical_basis_via_solve(ball, y)
-    h = basis.get(x.key, _ZERO)
-    # h_{x,y}(v) = v^{l(y)-l(x)} P(v^{-2})
-    out = {}
-    base = y.length - x.length
-    for p, a in h.c.items():
-        rel = base - p
-        if rel % 2 != 0 or rel < 0:
-            raise DomainError("canonical basis coefficient violates parity")
-        out[rel // 2] = a
-    return LaurentPoly(out)
-
 
 # ---------------------------------------------------------------------------
 # Antispherical / parabolic module
@@ -563,7 +361,8 @@ class ParabolicModule:
     * ``"-1"``: H_s acts by -v.
 
     Both are implemented; callers pin the one their multiplicity
-    convention requires.
+    convention requires.  With no parabolic generators the module is H
+    itself and ``param`` plays no role.
     """
 
     def __init__(self, ball, parabolic_gens, param="q"):
@@ -731,6 +530,63 @@ def antispherical_basis(ball, parabolic_gens, w, param="q"):
         w = ball.element_by_word(w)
     n = mod.canonical_basis(w)
     return {ball.elements[key]: poly for key, poly in n.items()}
+
+
+# ---------------------------------------------------------------------------
+# Kazhdan-Lusztig polynomials: the canonical basis of ParabolicModule(ball, ())
+# ---------------------------------------------------------------------------
+
+def _kl_module(ball):
+    """H as ParabolicModule(ball, ()), kept on the ball so every
+    canonical-basis element is computed once per ball."""
+    mod = getattr(ball, "_kl_module", None)
+    if mod is None:
+        mod = ParabolicModule(ball, ())
+        ball._kl_module = mod
+    return mod
+
+
+def _p_from_h(h, x, y):
+    """P_{x,y}(q) from h_{x,y}(v) = v^{l(y)-l(x)} P_{x,y}(v^{-2})."""
+    out = {}
+    base = y.length - x.length
+    for p, a in h.c.items():
+        rel = base - p
+        if rel % 2 != 0 or rel < 0:
+            raise DomainError("canonical basis coefficient violates parity")
+        out[rel // 2] = a
+    return LaurentPoly(out)
+
+
+def kl_polynomial(ball, x, y):
+    """P_{x,y} as a polynomial in q, from b_y built by the mu-correction
+    recursion."""
+    if isinstance(x, tuple):
+        x = ball.element_by_word(x)
+    if isinstance(y, tuple):
+        y = ball.element_by_word(y)
+    if not ball.leq(x, y):
+        raise DomainError("kl_polynomial requires x <= y in Bruhat order")
+    if x.key not in ball.elements or y.key not in ball.elements:
+        raise BallExhausted("KL recursion requires both elements in the ball")
+    basis = _kl_module(ball).canonical_basis(y)
+    return _p_from_h(basis[x.key], x, y)
+
+
+def kl_polynomial_via_solve(ball, x, y):
+    """P_{x,y} in q, from b_y solved directly from bar-invariance.
+    Independent of the mu-correction recursion."""
+    if isinstance(x, tuple):
+        x = ball.element_by_word(x)
+    if isinstance(y, tuple):
+        y = ball.element_by_word(y)
+    basis = ParabolicModule(ball, ()).canonical_basis_via_solve(y)
+    return _p_from_h(basis.get(x.key, _ZERO), x, y)
+
+
+def kl_degree_bound_ok(ball, x, y, poly):
+    d = (y.length - x.length - 1) // 2 if y.length > x.length else 0
+    return poly.max_power() <= max(d, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -212,13 +212,6 @@ class GradedModule:
         vec = {m: c for m, c in vec.items() if c != 0}
         return self._check_window(vec, word)
 
-    def apply_word_vec(self, word, vec):
-        out = {}
-        for mono, c in vec.items():
-            for m2, c2 in self.apply_word(word, mono).items():
-                out[m2] = out.get(m2, F(0)) + c * c2
-        return {m: c for m, c in out.items() if c != 0}
-
     # -- sampled bracket verification ----------------------------------------
 
     def verify_brackets(self, modes=(-1, 0, 1), letters=("e", "h", "f"),

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from affchar.cli import emit_report, main, parse_tsv, _flatten
 
@@ -148,6 +151,22 @@ def test_kl_table_dump(capsys):
     assert data["pairs"] == len(lines) - 1
     # every S3 entry is the constant polynomial 1
     assert all(line.split("\t")[2] == "0,1" for line in lines[1:])
+
+
+@pytest.mark.parametrize("matrix,pairs,sha256", [
+    ("[[1,3,3],[3,1,3],[3,3,1]]", 1969,
+     "83a82fa2995a2be24528ab89e6b99844de61c69f6f76d791acfa8e769da2feb0"),
+    ("[[1,6,2],[6,1,3],[2,3,1]]", 1313,
+     "8e14e3174baf50c024c14dd912aed9409af9636803072d554b039f2d714fd38f"),
+])
+def test_kl_table_digest(capsys, matrix, pairs, sha256):
+    # exact affine A2 and G2 tables, pinned byte for byte
+    code, out, _ = run_cli(capsys, "kl", "--coxeter-matrix", matrix,
+                           "--length-bound", "7")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pairs"] == pairs
+    assert hashlib.sha256(data["table_tsv"].encode()).hexdigest() == sha256
 
 
 def test_antispherical_cli(capsys):

@@ -1,9 +1,8 @@
 import pytest
 
 from affchar.errors import BallExhausted, DomainError
-from affchar.hecke import (LaurentPoly, ParabolicModule,
-                           antispherical_basis, bar_standard_basis,
-                           build_ball, canonical_basis_via_solve,
+from affchar.hecke import (INFINITE_BOND, LaurentPoly, ParabolicModule,
+                           antispherical_basis, build_ball,
                            inverse_multiplicity_matrix, kl_degree_bound_ok,
                            kl_polynomial, kl_polynomial_via_solve,
                            kl_table_tsv)
@@ -12,6 +11,9 @@ A1_TILDE = [[1, 0], [0, 1]]
 A2 = [[1, 3], [3, 1]]
 A3 = [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
 B2 = [[1, 4], [4, 1]]
+G2 = [[1, 6], [6, 1]]
+A2_TILDE = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
+G2_TILDE = [[1, 6, 2], [6, 1, 3], [2, 3, 1]]
 
 
 def _all_pairs(ball):
@@ -113,24 +115,77 @@ def test_infinite_dihedral_kl_trivial():
         assert kl_polynomial(ball, x, y) == LaurentPoly({0: 1})
 
 
+def _bar_invariant(mod, basis):
+    bard = {}
+    for key, poly in basis.items():
+        pb = poly.bar()
+        for key2, npoly in mod.bar_standard(mod.ball.elements[key]).items():
+            bard[key2] = bard.get(key2, LaurentPoly()) + pb * npoly
+    bard = {k: p for k, p in bard.items() if not p.is_zero}
+    return bard == basis
+
+
 def test_canonical_basis_bar_invariant():
     s4 = build_ball(A3, 8)
-    shiftless = []
+    mod = ParabolicModule(s4, ())
+    checked = 0
     for y in s4.all_elements():
         if y.length > 4:
             continue
-        basis = canonical_basis_via_solve(s4, y)
-        # apply the bar involution to the whole element and compare
-        bard = {}
-        for key, poly in basis.items():
-            pb = poly.bar()
-            for key2, hpoly in bar_standard_basis(s4, s4.elements[key]).items():
-                cur = bard.get(key2, LaurentPoly())
-                bard[key2] = cur + pb * hpoly
-        bard = {k: p for k, p in bard.items() if not p.is_zero}
-        assert bard == basis
-        shiftless.append(y)
-    assert len(shiftless) > 10
+        assert _bar_invariant(mod, mod.canonical_basis_via_solve(y))
+        checked += 1
+    assert checked > 10
+
+
+def _combine(*terms):
+    """sum of coeff * vec over (coeff, vec) pairs, zero terms dropped."""
+    out = {}
+    for coeff, vec in terms:
+        for key, poly in vec.items():
+            out[key] = out.get(key, LaurentPoly()) + coeff * poly
+    return {k: p for k, p in out.items() if not p.is_zero}
+
+
+def _act_word(mod, vec, word):
+    for i in word:
+        vec = mod.act_gen(vec, i)
+    return vec
+
+
+@pytest.mark.parametrize("matrix,parabolic,param,bonds", [
+    (A3, (), "q", {2, 3}),
+    (B2, (), "q", {4}),
+    (G2, (), "q", {6}),
+    (A2_TILDE, (), "q", {3}),
+    (A2_TILDE, (0,), "q", {3}),
+    (A2_TILDE, (0,), "-1", {3}),
+    (G2_TILDE, (0,), "q", {2, 3, 6}),
+    (G2_TILDE, (0,), "-1", {2, 3, 6}),
+])
+def test_act_gen_hecke_relations(matrix, parabolic, param, bonds):
+    # (H_s - v^{-1})(H_s + v) = 0 and the braid relations, on every
+    # standard basis vector whose products stay inside the ball
+    bound = 7
+    ball = build_ball(matrix, bound)
+    mod = ParabolicModule(ball, parabolic, param)
+    v_minus_inv = LaurentPoly({1: 1, -1: -1})
+    checked = set()
+    for y in mod.minimal_elements():
+        if y.length + 2 > bound:
+            continue
+        vec = {y.key: LaurentPoly({0: 1})}
+        for s in range(ball.n_gens):
+            hs = mod.act_gen(vec, s)
+            assert _combine((1, mod.act_gen(hs, s)), (v_minus_inv, hs),
+                            (-1, vec)) == {}
+            for t in range(s + 1, ball.n_gens):
+                m = ball.coxeter_matrix[s][t]
+                if m == INFINITE_BOND or y.length + m > bound:
+                    continue
+                assert (_act_word(mod, vec, ((s, t) * m)[:m])
+                        == _act_word(mod, vec, ((t, s) * m)[:m]))
+                checked.add(m)
+    assert checked == bonds
 
 
 def test_antispherical_degrees_and_normalization():
