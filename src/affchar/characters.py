@@ -260,9 +260,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
     if not mod.is_minimal(w_el):
         raise DomainError("w is not minimal in its finite coset")
 
-    ideal = [y for y in mod.minimal_elements()
-             if y.length <= w_el.length and ball.leq(y, w_el)]
-    ideal.sort(key=lambda e: (e.length, e.word))
+    ideal = [y for y in ball.interval_below(w_el) if mod.is_minimal(y)]
     pos = {y.key: i for i, y in enumerate(ideal)}
     n = len(ideal)
     mult = [[0] * n for _ in range(n)]

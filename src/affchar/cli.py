@@ -198,7 +198,7 @@ def _cmd_kl(job):
     if job.get("x") is None and job.get("y") is None:
         # full table dump of the ball
         els = ball.all_elements()
-        pairs = [(x, y) for y in els for x in els if ball.leq(x, y)]
+        pairs = [(x, y) for y in els for x in ball.interval_below(y)]
         return {"table_tsv": kl_table_tsv(ball, pairs),
                 "pairs": len(pairs)}
     x = ball.element_by_word(_word(job.get("x"), "x"))

@@ -11,8 +11,15 @@ h_{y,w}(v) = v^{l(w)-l(y)} P_{y,w}(v^{-2}), i.e. q = v^{-2}.
 
 Coxeter groups are realized through the integer reflection representation
 of a generalized Cartan matrix chosen per bond label (2, 3, 4, 6, or
-infinity, encoded as 0).  Group elements are keyed by their exact integer
-matrix, which is a faithful invariant.
+infinity, encoded as 0).  An element w is keyed by the integer vector
+w^{-1}(rho^v), with coordinates c_j = <alpha_j, w^{-1} rho^v>.  The key is
+faithful because rho^v lies in the open fundamental chamber of the Tits
+cone, whose points have trivial stabilizer (Humphreys, Reflection Groups
+and Coxeter Groups, 5.13).  Right multiplication is O(n):
+key(w s_i)_j = c_j - c_i gcm[i][j], and s_i is a right descent of w iff
+c_i < 0.  Bruhat order is read off the lower interval [e, y], built by the
+lifting property (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.2.7)
+from right multiplication alone and memoized per y.
 
 ``ParabolicModule`` is the one canonical-basis engine: one right Hecke
 action, one bar expansion of the standard basis.  With empty J it is
@@ -150,21 +157,20 @@ def _validate_coxeter_matrix(m):
 
 
 class BallElement:
-    __slots__ = ("word", "length", "mat", "key")
+    __slots__ = ("word", "length", "key")
 
-    def __init__(self, word, mat):
+    def __init__(self, word, key):
         self.word = word
         self.length = len(word)
-        self.mat = mat
-        self.key = mat
+        self.key = key
 
     def __repr__(self):
         return "w[%s]" % ("".join(str(i) for i in self.word) or "e")
 
 
 class BruhatBall:
-    """All elements of a Coxeter group up to a length bound, with Bruhat
-    order, built from an exact integer reflection representation."""
+    """All elements of a Coxeter group up to a length bound, in ShortLex
+    order, with Bruhat order read off memoized lower intervals."""
 
     def __init__(self, coxeter_matrix, length_bound):
         m = _validate_coxeter_matrix(coxeter_matrix)
@@ -179,51 +185,47 @@ class BruhatBall:
                 a, b = _BOND_TO_GCM[m[i][j]]
                 gcm[i][j], gcm[j][i] = a, b
         self.gcm = tuple(tuple(row) for row in gcm)
-        self._id = tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n))
+        self._id = (1,) * n
         self.elements = {}
+        self._below = {self._id: {self._id}}
         self._build()
-        self._leq_cache = {}
 
-    # reflection action: columns are images of the simple roots
-    def _gen_matrix(self, i):
-        n = self.n_gens
-        mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for j in range(n):
-            mat[i][j] -= self.gcm[i][j]
-        return tuple(tuple(row) for row in mat)
+    def _reflect(self, key, i):
+        """key(w s_i) from key(w): c_j - c_i gcm[i][j]."""
+        ci = key[i]
+        return tuple(c - ci * a for c, a in zip(key, self.gcm[i]))
 
-    @staticmethod
-    def _matmul(a, b):
-        n = len(a)
-        return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n))
-                           for c in range(n)) for r in range(n))
+    def _key_of(self, word):
+        key = self._id
+        for i in word:
+            if not 0 <= i < self.n_gens:
+                raise DomainError("generator index %r out of range" % (i,))
+            key = self._reflect(key, i)
+        return key
 
     def _build(self):
-        self._gens = [self._gen_matrix(i) for i in range(self.n_gens)]
+        # breadth first through ascents (c_i > 0); a ShortLex-sorted layer
+        # discovers the next layer in ShortLex order
         e = BallElement((), self._id)
         self.elements[self._id] = e
-        layer = [e]
+        layer, self._counts = [e], [1]
         for _ in range(self.length_bound):
             nxt = []
             for el in layer:
-                for i in range(self.n_gens):
-                    mat = self._matmul(el.mat, self._gens[i])
-                    if mat not in self.elements:
-                        new = BallElement(el.word + (i,), mat)
-                        self.elements[mat] = new
-                        nxt.append(new)
+                for i, ci in enumerate(el.key):
+                    if ci > 0:
+                        key = self._reflect(el.key, i)
+                        if key not in self.elements:
+                            new = BallElement(el.word + (i,), key)
+                            self.elements[key] = new
+                            nxt.append(new)
             layer = nxt
+            self._counts.append(len(nxt))
 
     # -- element access -------------------------------------------------------
 
     def element_by_word(self, word):
-        mat = self._id
-        for i in word:
-            if not 0 <= i < self.n_gens:
-                raise DomainError("generator index %r out of range" % (i,))
-            mat = self._matmul(mat, self._gens[i])
-        el = self.elements.get(mat)
+        el = self.elements.get(self._key_of(word))
         if el is None:
             raise BallExhausted(
                 "element of word %r lies outside the length-%d ball"
@@ -231,76 +233,49 @@ class BruhatBall:
         return el
 
     def all_elements(self):
-        return sorted(self.elements.values(), key=lambda e: (e.length, e.word))
+        return list(self.elements.values())
 
     def counts_by_length(self):
-        out = {}
-        for el in self.elements.values():
-            out[el.length] = out.get(el.length, 0) + 1
-        return [out.get(l, 0) for l in range(self.length_bound + 1)]
-
-    def left_mult(self, i, el):
-        mat = self._matmul(self._gens[i], el.mat)
-        got = self.elements.get(mat)
-        if got is None:
-            raise BallExhausted("left multiplication left the ball")
-        return got
+        return list(self._counts)
 
     def right_mult(self, el, i):
-        mat = self._matmul(el.mat, self._gens[i])
-        got = self.elements.get(mat)
+        got = self.elements.get(self._reflect(el.key, i))
         if got is None:
             raise BallExhausted("right multiplication left the ball")
         return got
 
     def left_longer(self, i, el):
-        """True iff l(s_i el) > l(el).  Sound at the ball boundary: a
-        product missing from the ball must be the longer neighbor."""
-        mat = self._matmul(self._gens[i], el.mat)
-        got = self.elements.get(mat)
-        return got is None or got.length > el.length
+        """True iff l(s_i el) > l(el), i.e. s_i is not a right descent of
+        el^{-1}, whose key reflects (1, ..., 1) through the reversed word.
+        Exact also when s_i el lies outside the ball."""
+        return self._key_of(reversed(el.word))[i] > 0
 
     # -- Bruhat order -------------------------------------------------------
 
+    def _lower(self, y):
+        """Keys of [e, y], memoized per y.  For a right descent s of y,
+        [e, y] = [e, ys] u [e, ys] s (lifting property)."""
+        got = self._below.get(y.key)
+        if got is None:
+            s = y.word[-1]
+            got = self._lower(self.right_mult(y, s))
+            got = self._below[y.key] = got | {self._reflect(k, s) for k in got}
+        return got
+
     def leq(self, x, y):
-        """Bruhat order, by the descent recursion."""
-        if x.length > y.length:
-            return False
-        if x.key == y.key:
-            return True
-        if y.length == 0:
-            return False
-        key = (x.key, y.key)
-        got = self._leq_cache.get(key)
-        if got is not None:
-            return got
-        # y.word[0] is a left descent since the word is reduced
-        s = y.word[0]
-        sy = self.left_mult(s, y)
-        if self.left_longer(s, x):
-            res = self.leq(x, sy)
-        else:
-            res = self.leq(self.left_mult(s, x), sy)
-        self._leq_cache[key] = res
-        return res
+        """Bruhat order: x lies in [e, y]."""
+        return x.key in self._lower(y)
+
+    def interval_below(self, y):
+        """[e, y] in ShortLex order."""
+        return sorted((self.elements[k] for k in self._lower(y)),
+                      key=lambda e: (e.length, e.word))
 
     def covers(self):
         """All Bruhat covering pairs (x, y) with l(y) = l(x) + 1 inside
         the ball."""
-        by_len = {}
-        for el in self.elements.values():
-            by_len.setdefault(el.length, []).append(el)
-        out = []
-        for l, xs in sorted(by_len.items()):
-            for y in by_len.get(l + 1, []):
-                for x in xs:
-                    if self.leq(x, y):
-                        out.append((x, y))
-        return out
-
-    def interval_below(self, y):
-        return [z for z in self.all_elements()
-                if z.length <= y.length and self.leq(z, y)]
+        return [(x, y) for y in self.elements.values()
+                for x in self.interval_below(y) if x.length == y.length - 1]
 
 
 def build_ball(coxeter_matrix, length_bound):
@@ -376,7 +351,8 @@ class ParabolicModule:
         self.param = param
         self._eps = (LaurentPoly({-1: 1}) if param == "q"
                      else LaurentPoly({1: -1}))
-        self._nbasis = {}
+        self._nbasis = {ball._id: {ball._id: _ONE}}
+        self._solved = {}
 
     def is_minimal(self, el):
         return all(self.ball.left_longer(i, el) for i in self.parabolic)
@@ -415,7 +391,7 @@ class ParabolicModule:
     def bar_standard(self, y):
         """bar(N_y) expanded over the standard basis N_z."""
         shift = LaurentPoly({1: 1, -1: -1})
-        vec = {self.ball.elements[self.ball._id].key: _ONE}
+        vec = {self.ball._id: _ONE}
         for i in y.word:
             a = self.act_gen(vec, i)
             for key, poly in vec.items():
@@ -435,10 +411,6 @@ class ParabolicModule:
         got = self._nbasis.get(w.key)
         if got is not None:
             return got
-        if w.length == 0:
-            res = {w.key: _ONE}
-            self._nbasis[w.key] = res
-            return res
         # peel a right descent keeping minimality
         i = next(i for i in w.word[::-1]
                  if self.ball.right_mult(w, i).length < w.length
@@ -467,13 +439,19 @@ class ParabolicModule:
     # -- canonical basis: direct bar-invariance solve (oracle) -------------
 
     def canonical_basis_via_solve(self, w):
+        """n_w solved once per w, in a memo apart from the recursion's."""
         if isinstance(w, tuple):
             w = self.ball.element_by_word(w)
         if not self.is_minimal(w):
             raise DomainError("w is not minimal in its coset")
-        below = [z for z in self.minimal_elements()
-                 if z.length <= w.length and self.ball.leq(z, w)
-                 and z.key != w.key]
+        got = self._solved.get(w.key)
+        if got is None:
+            got = self._solved[w.key] = self._solve(w)
+        return got
+
+    def _solve(self, w):
+        below = [z for z in self.ball.interval_below(w)
+                 if self.is_minimal(z) and z.key != w.key]
         bars = {z.key: self.bar_standard(z) for z in below + [w]}
         unknowns = []
         for y in below:
@@ -499,8 +477,7 @@ class ParabolicModule:
                         add(key, p - d, col, F(a))
                 add(y.key, d, col, F(-1))
         rows, rhs = [], []
-        for (key, p), coeffs in sorted(
-                eq.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        for (key, p), coeffs in sorted(eq.items()):
             rows.append(coeffs[:ncol])
             rhs.append(-coeffs[ncol])
         if not unknowns:
@@ -537,8 +514,8 @@ def antispherical_basis(ball, parabolic_gens, w, param="q"):
 # ---------------------------------------------------------------------------
 
 def _kl_module(ball):
-    """H as ParabolicModule(ball, ()), kept on the ball so every
-    canonical-basis element is computed once per ball."""
+    """H as ParabolicModule(ball, ()), kept on the ball so each route
+    computes every canonical-basis element once per ball."""
     mod = getattr(ball, "_kl_module", None)
     if mod is None:
         mod = ParabolicModule(ball, ())
@@ -580,7 +557,7 @@ def kl_polynomial_via_solve(ball, x, y):
         x = ball.element_by_word(x)
     if isinstance(y, tuple):
         y = ball.element_by_word(y)
-    basis = ParabolicModule(ball, ()).canonical_basis_via_solve(y)
+    basis = _kl_module(ball).canonical_basis_via_solve(y)
     return _p_from_h(basis.get(x.key, _ZERO), x, y)
 
 

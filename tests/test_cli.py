@@ -153,16 +153,20 @@ def test_kl_table_dump(capsys):
     assert all(line.split("\t")[2] == "0,1" for line in lines[1:])
 
 
-@pytest.mark.parametrize("matrix,pairs,sha256", [
+@pytest.mark.parametrize("matrix,pairs,sha256,bound", [
     ("[[1,3,3],[3,1,3],[3,3,1]]", 1969,
-     "83a82fa2995a2be24528ab89e6b99844de61c69f6f76d791acfa8e769da2feb0"),
+     "83a82fa2995a2be24528ab89e6b99844de61c69f6f76d791acfa8e769da2feb0", 7),
     ("[[1,6,2],[6,1,3],[2,3,1]]", 1313,
-     "8e14e3174baf50c024c14dd912aed9409af9636803072d554b039f2d714fd38f"),
+     "8e14e3174baf50c024c14dd912aed9409af9636803072d554b039f2d714fd38f", 7),
+    ("[[1,4,2],[4,1,4],[2,4,1]]", 1603,
+     "f1a9861c8d86784d6bc58dcd91665adebb3ad25d36111c0819ebd041e1903652", 7),
+    ("[[1,4,0],[4,1,0],[0,0,1]]", 3685,
+     "9c13881b059b73379799a9bc7a525702f50c3d8965824b7b3d9319625f554dd9", 6),
 ])
-def test_kl_table_digest(capsys, matrix, pairs, sha256):
-    # exact affine A2 and G2 tables, pinned byte for byte
+def test_kl_table_digest(capsys, matrix, pairs, sha256, bound):
+    # exact affine A2, G2, C2 and hyperbolic tables, pinned byte for byte
     code, out, _ = run_cli(capsys, "kl", "--coxeter-matrix", matrix,
-                           "--length-bound", "7")
+                           "--length-bound", str(bound))
     assert code == 0
     data = json.loads(out)
     assert data["pairs"] == pairs
