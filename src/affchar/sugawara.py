@@ -56,6 +56,11 @@ def _key(gen):
     return (-mode, _RANK[letter])
 
 
+def _exact(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _is_creation(gen):
     letter, mode = gen
     return mode < 0 or (letter == "f" and mode == 0)
@@ -163,27 +168,29 @@ class GradedModule:
         return res
 
     def _apply_gen_uncached(self, g, mono):
+        # integral coefficients are stored as int: equal values, and int
+        # arithmetic is much cheaper than Fraction arithmetic
         if not mono:
             if _is_creation(g):
-                return {(g,): F(1)}
+                return {(g,): 1}
             val = self._vacuum_action(g)
-            return {(): val} if val != 0 else {}
+            return {(): _exact(val)} if val != 0 else {}
         head = mono[0]
         if _is_creation(g) and _key(g) <= _key(head):
-            return {(g,) + mono: F(1)}
+            return {(g,) + mono: 1}
         rest = mono[1:]
         out = {}
         # g . head . rest = head . (g . rest) + [g, head] . rest
         for m, c in self.apply_gen(g, rest).items():
             for m2, c2 in self.apply_gen(head, m).items():
-                out[m2] = out.get(m2, F(0)) + c * c2
+                out[m2] = out.get(m2, 0) + c * c2
         terms, central = self._bracket(g, head)
         for coeff, t in terms:
             for m, c in self.apply_gen(t, rest).items():
-                out[m] = out.get(m, F(0)) + coeff * c
+                out[m] = out.get(m, 0) + coeff * c
         if central != 0:
-            out[rest] = out.get(rest, F(0)) + central
-        return {m: c for m, c in out.items() if c != 0}
+            out[rest] = out.get(rest, 0) + central
+        return {m: _exact(c) for m, c in out.items() if c != 0}
 
     def _check_window(self, vec, context):
         for mono, c in vec.items():
@@ -383,11 +390,11 @@ def _sugawara_terms(n, lo, hi):
         for l1, l2 in (("e", "f"), ("f", "e")):
             g1, g2 = (l1, j), (l2, n - j)
             if j <= n - j:
-                out.append((F(1), (g1, g2)))
+                out.append((1, (g1, g2)))
             else:
-                out.append((F(1), (g2, g1)))
+                out.append((1, (g2, g1)))
         if 2 * j <= n and n - j <= hi:
-            scale = F(1, 2) if 2 * j == n else F(1)
+            scale = F(1, 2) if 2 * j == n else 1
             out.append((scale, (("h", j), ("h", n - j))))
     return out
 
@@ -447,10 +454,10 @@ def sugawara_mode(module, n, twist=None):
 
     def gen_images(g):
         if twist is None:
-            return [(F(1), g)]
+            return [(1, g)]
         got = images.get(g)
         if got is None:
-            got = twist.flow.gen_image(g)
+            got = [(_exact(c), h) for c, h in twist.flow.gen_image(g)]
             images[g] = got
         return got
 
@@ -458,25 +465,26 @@ def sugawara_mode(module, n, twist=None):
         d = module.depth(mono)
         lo, hi = n - d - pad, d + pad
         apply_gen = module.apply_gen
+        # accumulate without the prefactor and skip unit scalings: the
+        # sum is exact, so pulling pref out changes no coefficient
         out = {}
         for scale, (g1, g2) in _sugawara_terms(n, lo, hi):
             # the rightmost factor acts first; if its (flowed) mode
             # exceeds the depth it annihilates the vector exactly
             if g2[1] + shift[g2[0]] > d:
                 continue
-            coeff = pref * scale
             for c2, h2 in gen_images(g2):
-                inter = {mono: F(1)} if h2 is None else apply_gen(h2, mono)
+                inter = {mono: 1} if h2 is None else apply_gen(h2, mono)
                 for c1, h1 in gen_images(g1):
-                    cc = coeff * c1 * c2
-                    if h1 is None:
-                        for m, c in inter.items():
-                            out[m] = out.get(m, F(0)) + cc * c
-                    else:
-                        for m, c in inter.items():
-                            for m2, c2b in apply_gen(h1, m).items():
-                                out[m2] = out.get(m2, F(0)) + cc * c * c2b
-        out = {m: c for m, c in out.items() if c != 0}
+                    cc = scale * c1 * c2
+                    for m, c in inter.items():
+                        w = c if cc == 1 else cc * c
+                        if h1 is None:
+                            out[m] = out.get(m, 0) + w
+                            continue
+                        for m2, c3 in apply_gen(h1, m).items():
+                            out[m2] = out.get(m2, 0) + w * c3
+        out = {m: pref * c for m, c in out.items() if c != 0}
         # the accumulated dict is the exact expansion in the untruncated
         # Verma module; only now does the window matter
         return module._check_window(out, "S_%d" % n)
