@@ -20,8 +20,11 @@ class BallExhausted(AffcharError):
 
 
 class TruncationOverflow(AffcharError):
-    """An exact operator application left the tracked window of a
-    truncated module (exit code 3).  Carries the offending data."""
+    """A truncated computation cannot be done exactly within its resources
+    (exit code 3): an exact operator application left the tracked window
+    of a truncated module, or a requested window is too large (its step
+    count, checked before any work, is over the budget).  Carries the
+    offending data."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

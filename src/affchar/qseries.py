@@ -13,7 +13,7 @@ componentwise check.
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, TruncationOverflow
 
 F = Fraction
 
@@ -163,13 +163,19 @@ def geometric(step, trunc):
     return QSeries(0, out, trunc)
 
 
-def binomial_factor(step, trunc):
-    """(1 - q^step)."""
-    out = [0] * (trunc + 1)
-    out[0] = 1
-    if step <= trunc:
-        out[step] = -1
-    return QSeries(0, out, trunc)
+# Largest number of coefficient updates one series kernel may make; the
+# kernels count their steps before allocating and refuse larger jobs with
+# TruncationOverflow (exit code 3) instead of running for hours.
+STEP_BUDGET = 10 ** 8
+
+
+def check_step_budget(what, steps):
+    """Raise TruncationOverflow when a kernel would take more than
+    STEP_BUDGET steps."""
+    if steps > STEP_BUDGET:
+        raise TruncationOverflow(
+            "%s needs %d steps, over the budget of %d"
+            % (what, steps, STEP_BUDGET), witness=steps)
 
 
 @lru_cache(maxsize=None)
@@ -177,15 +183,28 @@ def eta_factor(m_start, exponent, trunc):
     """prod_{i >= m_start} (1 - q^i)^exponent, exact to order trunc.
 
     Only factors with i <= trunc contribute below the truncation order.
+    Each factor is one in-place pass over the coefficient list a:
+    times (1 - q^i) is a[m] -= a[m - i] for m going down from trunc to i,
+    and times 1/(1 - q^i) is a[m] += a[m - i] for m going up from i to
+    trunc (each a[m - i] read is already multiplied, so one pass applies
+    the whole geometric series).  That is |exponent| * sum_i (trunc - i + 1)
+    integer updates, checked against STEP_BUDGET before any work.
     """
     if m_start < 1:
         raise DomainError("eta_factor requires m_start >= 1")
-    acc = one(trunc)
+    factors = max(0, trunc - m_start + 1)
+    check_step_budget("eta_factor(%d, %d, %d)" % (m_start, exponent, trunc),
+                      abs(exponent) * factors * (factors + 1) // 2)
+    a = [1] + [0] * trunc
     for i in range(m_start, trunc + 1):
-        f = binomial_factor(i, trunc) if exponent > 0 else geometric(i, trunc)
         for _ in range(abs(exponent)):
-            acc = acc * f
-    return acc
+            if exponent > 0:
+                for m in range(trunc, i - 1, -1):
+                    a[m] -= a[m - i]
+            else:
+                for m in range(i, trunc + 1):
+                    a[m] += a[m - i]
+    return QSeries(0, a, trunc)
 
 
 def multiply(a, b):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .qseries import QSeries
+from .qseries import QSeries, check_step_budget
 
 F = Fraction
 
@@ -129,43 +129,52 @@ class BigradedCharacter:
 
 def vacuum_graded_character(rs, n, max_u, max_q, convention="appendix"):
     """Bigraded character of the level-n vacuum quotient: u tracks the
-    Kazhdan-Kostant degree, q the energy."""
+    Kazhdan-Kostant degree, q the energy.
+
+    The character is the product over modes (kk, e) of 1/(1 - u^kk q^e),
+    computed in the appendix orientation as one dict per u-degree,
+    rows[j]: m -> coefficient.  Multiplying by one mode is one pass with
+    j ascending from kk to max_u, adding rows[j - kk] shifted by e into
+    rows[j]; row j - kk already holds the mode's powers when row j reads
+    it, so the pass applies the whole geometric series.
+
+    Row j keeps energies m <= limit(j) = max_q + neg * ((max_u - j) //
+    kk_min), where -neg is the lowest mode energy (or 0) and kk_min the
+    lowest tower degree.  Truncating in place is exact: every mode has
+    e >= -neg and kk >= kk_min, so limit(j + kk) <= limit(j) - neg, and a
+    term dropped at (j, m) with m > limit(j) only feeds terms beyond the
+    limits of the later rows, all above max_q.  The pass count is checked
+    against qseries.STEP_BUDGET before any row is built.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
+    if max_u < 0:
+        raise DomainError("max_u must be nonnegative")
     if convention not in CONVENTIONS:
         raise DomainError("convention must be one of %s" % (CONVENTIONS,))
     towers = [(d + 1, d + 1 - n * d) for d in rs.exponents]
     kk_min = min(kk for kk, _ in towers)
     neg = max(0, -min(e for _, e in towers))
-
-    def slack(j):
-        return neg * ((max_u - j) // kk_min)
-
     cap = max_q + neg * (max_u // kk_min)
-    state = {(0, 0): 1}
+    # one pass per mode over max_u + 1 rows, each holding energies between
+    # -neg * (max_u // kk_min) and cap
+    n_modes = sum(max(0, cap - e0 + 1) for _, e0 in towers)
+    check_step_budget(
+        "vacuum character of %s at n=%d, max_u=%d, max_q=%d"
+        % (rs.cartan_type, n, max_u, max_q),
+        n_modes * (max_u + 1) * (cap + neg * (max_u // kk_min) + 1))
+    limits = [max_q + neg * ((max_u - j) // kk_min) for j in range(max_u + 1)]
+    rows = [{} for _ in range(max_u + 1)]
+    rows[0][0] = 1
     for kk, e0 in sorted(towers):
-        e = e0
-        while e <= cap:
-            # multiply by the geometric tower of the single mode (kk, e)
-            cur = state
-            out = dict(cur)
-            src = cur
-            while True:
-                nxt = {}
-                for (j, m), c in src.items():
-                    j2, m2 = j + kk, m + e
-                    if j2 > max_u or m2 > max_q + slack(j2):
-                        continue
-                    nxt[(j2, m2)] = nxt.get((j2, m2), 0) + c
-                if not nxt:
-                    break
-                for jm, c in nxt.items():
-                    out[jm] = out.get(jm, 0) + c
-                src = nxt
-            state = out
-            e += 1
-    coeffs = {jm: c for jm, c in state.items()
-              if jm[1] <= max_q and c != 0}
+        for e in range(e0, cap + 1):
+            for j in range(kk, max_u + 1):
+                src, dst, lim = rows[j - kk], rows[j], limits[j] - e
+                for m, c in src.items():
+                    if m <= lim:
+                        dst[m + e] = dst.get(m + e, 0) + c
+    coeffs = {(j, m): c for j, row in enumerate(rows)
+              for m, c in row.items() if m <= max_q}
     if convention == "kernel":
         coeffs = {(j, -m): c for (j, m), c in coeffs.items()}
         towers = [(kk, -e) for kk, e in towers]

@@ -2,8 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from affchar.rootdata import build_root_system
+
+# One profile for every property test: the same examples on every run, no
+# deadline (exact arithmetic has no fixed cost per example) and no example
+# database on disk.  Each test sets only its own max_examples.
+settings.register_profile("affchar", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("affchar")
 
 
 def rand_fraction(rng, lo=-9, hi=9, max_den=6):

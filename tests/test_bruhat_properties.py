@@ -12,8 +12,7 @@ from affchar.hecke import INFINITE_BOND, build_ball
 _GCM = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3),
         INFINITE_BOND: (-2, -2)}
 
-SETTINGS = settings(derandomize=True, deadline=None, database=None,
-                    max_examples=60)
+SETTINGS = settings(max_examples=60)
 
 
 @st.composite

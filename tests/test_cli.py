@@ -173,6 +173,34 @@ def test_kl_table_digest(capsys, matrix, pairs, sha256, bound):
     assert hashlib.sha256(data["table_tsv"].encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv,sha256", [
+    ("vacuum-char --type B --rank 3 --n 2 --max-u 30 --max-q 120 "
+     "--energy-sign kernel",
+     "067fd7a585602b679b017c85d407a93ff6cb9bd0af5f8a2da92e940e37175055"),
+    ("vacuum-char --type G --rank 2 --n 3 --max-u 30 --max-q 120 "
+     "--energy-sign appendix",
+     "eebbca32ec35a222e3fa8967b519bd3ed79e56da4f1837b5a08d5b76fc6aaff5"),
+    ("ds-transform --type G --rank 2 --level=2/5 --weight=2,-1/3 --trunc 90",
+     "f0d2013bda5adbc6f81af6668cb12924046f4f9e43b0fc9f3467ca86f3e6de0b"),
+])
+def test_series_report_digest(capsys, argv, sha256):
+    # B3 and G2 vacuum characters (1966 and 2146 coefficients) and a G2
+    # transform to order 90, pinned byte for byte
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv", [
+    "vacuum-char --type A --rank 1 --max-u 100000 --max-q 100000",
+    "ds-transform --type A --rank 1 --level 1/3 --weight 1 --trunc 10000000",
+])
+def test_oversized_series_jobs_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert err.startswith("resource exhausted:") and "budget" in err
+
+
 def test_antispherical_cli(capsys):
     code, out, _ = run_cli(capsys, "antispherical", "--coxeter-matrix",
                            "[[1,0],[0,1]]", "--length-bound", "6",
