@@ -5,17 +5,18 @@ A weight at level k is a point of the affine subspace t* + c*; in
 coordinates it is a tuple of Fractions in the fundamental-weight basis
 plus the level.  Real affine coroots are pairs (gamma, m) standing for
 gamma + m (kappa/kappa_b) c with gamma a finite coroot (simple-coroot
-coordinates) and m an integer.  All shifted pairings use the closed form
+coordinates) and m an integer multiple of the lacing number of gamma.
+All shifted pairings use the closed form
 
     <lam + rho_hat, (gamma, m)> = <lam + rho, gamma> + m (k + h_dual),
 
 so the affine rho element is never materialized.
 
-Elements of the affine Weyl group are stored as exact affine maps on
-weight coordinates (linear part plus translation).  Two elements are
-equal iff their dot actions agree, which at a noncritical level is a
-faithful test; comparing the stored maps is equivalent to comparing
-values on generic test weights.
+The affine Weyl group W and the integral Weyl group W_lambda are Coxeter
+groups whose elements live in a ``hecke.BruhatBall`` (du Cloux,
+Experiment. Math. 11, 2002): integer keys, ShortLex words, generator i
+standing for the reflection in the i-th simple coroot.  A word reaches
+weights only through the dot action, folded one reflection at a time.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
+from .hecke import BruhatBall
 from .rootdata import Level
 
 F = Fraction
@@ -82,11 +84,15 @@ def simple_affine_coroots(rs, index_set=None):
 
 
 def is_real_coroot(rs, cr):
-    """Closed-form membership test; agrees with the reflection-orbit
-    oracle (tested)."""
-    g = cr.gamma
-    ng = tuple(-x for x in g)
-    return g in rs.positive_coroots or ng in rs.positive_coroots
+    """Closed-form membership test.  The coroot of the real root
+    alpha + n delta is gamma + n (2/(alpha, alpha)) K, gamma the coroot of
+    alpha (Kac, Infinite-dimensional Lie algebras, 6.3), so (gamma, m) is
+    real iff m is a multiple of the lacing number r(gamma) =
+    kappa_b(gamma, gamma) / kappa_b(theta_check, theta_check): 1 on short
+    coroots, 2 or 3 on the long coroots of B, C, F and G.  Agrees with the
+    reflection-orbit oracle (tested)."""
+    r = rs.coroot_lacing.get(cr.gamma)
+    return r is not None and cr.m % r == 0
 
 
 def real_coroot_orbit(rs, m_bound):
@@ -153,131 +159,55 @@ def dot_reflect(lw, cr):
     return lw.with_lam(tuple(a - p * g for a, g in zip(lw.lam, gw)))
 
 
+def dot_act_word(lw, coroots, word):
+    """w . lw for w = s_{word[0]} ... s_{word[-1]}, where s_i is the dot
+    reflection in coroots[i] (a list, or a dict keyed 0, 1, ...)."""
+    for i in reversed(word):
+        if i not in range(len(coroots)):
+            raise DomainError("unknown simple reflection index %r" % (i,))
+        lw = dot_reflect(lw, coroots[i])
+    return lw
+
+
 # ---------------------------------------------------------------------------
-# the affine Weyl group as exact affine maps
+# the affine Weyl group as a Coxeter group
 # ---------------------------------------------------------------------------
-
-class AffineWeylElt:
-    """An element of W acting on the level-k affine subspace.
-
-    Stored as the exact affine map lam -> M lam + t of the dot action.
-    The linear part M is the finite component of the element; t carries
-    the translation datum.
-    """
-
-    __slots__ = ("group", "word", "length", "mat", "trans")
-
-    def __init__(self, group, word, mat, trans, length=None):
-        self.group = group
-        self.word = word
-        self.length = len(word) if length is None else length
-        self.mat = mat
-        self.trans = trans
-
-    @property
-    def key(self):
-        return (self.mat, self.trans)
-
-    def act(self, lw):
-        n = len(lw.lam)
-        lam = tuple(
-            sum(self.mat[r][c] * lw.lam[c] for c in range(n)) + self.trans[r]
-            for r in range(n))
-        return lw.with_lam(lam)
-
-    def compose(self, other):
-        """self o other (apply other first)."""
-        n = len(self.trans)
-        mat = tuple(
-            tuple(sum(self.mat[r][k] * other.mat[k][c] for k in range(n))
-                  for c in range(n))
-            for r in range(n))
-        trans = tuple(
-            sum(self.mat[r][k] * other.trans[k] for k in range(n)) + self.trans[r]
-            for r in range(n))
-        return AffineWeylElt(self.group, self.word + other.word, mat, trans,
-                             length=None)
-
-    def __eq__(self, other):
-        return isinstance(other, AffineWeylElt) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return "W[%s]" % ("".join(str(i) for i in self.word) or "e")
-
-    def finite_translation_decomposition(self):
-        """(linear matrix, translation vector) of the affine dot map."""
-        return self.mat, self.trans
-
 
 class AffineWeylGroup:
-    """The affine Weyl group of rs acting at a fixed noncritical level."""
+    """The affine Weyl group of rs, at a fixed noncritical level, as the
+    Coxeter group on the simple affine coroots: generator i of its balls
+    is the dot reflection in simple_coroots[i]."""
 
     def __init__(self, rs, level):
         level.require_noncritical(rs)
-        if level.k + rs.h_dual == 0:
-            raise DomainError("level must be noncritical for a faithful action")
         self.rs = rs
-        self.level = level
         self.simple_coroots = simple_affine_coroots(rs)
-        n = rs.rank
-        ident = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
-        self.identity = AffineWeylElt(self, (), ident,
-                                      tuple(F(0) for _ in range(n)))
-        self._simple_elts = {
-            i: self.reflection_element(cr, word=(i,))
-            for i, cr in self.simple_coroots.items()}
+        self.coxeter_matrix = _coxeter_matrix_of(
+            rs, [self.simple_coroots[i] for i in range(rs.rank + 1)])
 
-    def reflection_element(self, cr, word=()):
-        """The reflection in a real affine coroot as an affine map."""
-        rs = self.rs
-        if not is_real_coroot(rs, cr):
-            raise DomainError("%r is not a real affine coroot" % (cr,))
-        n = rs.rank
-        groot = rs.root_of_coroot(cr.gamma)
-        gw = rs.root_to_weight_coords(groot)
-        mat = tuple(
-            tuple(F(int(r == c)) - gw[r] * cr.gamma[c] for c in range(n))
-            for r in range(n))
-        const = (rs.pair_weight_coroot(rs.rho, cr.gamma)
-                 + cr.m * (self.level.k + rs.h_dual))
-        trans = tuple(-const * gw[r] for r in range(n))
-        return AffineWeylElt(self, word, mat, trans)
-
-    def simple(self, i):
-        return self._simple_elts[i]
-
-    def from_word(self, word):
-        el = self.identity
-        for i in word:
-            if i not in self._simple_elts:
-                raise DomainError("unknown simple reflection index %r" % (i,))
-            el = el.compose(self._simple_elts[i])
-        return AffineWeylElt(self, tuple(word), el.mat, el.trans)
-
-    def dot_act(self, w, lw):
-        if isinstance(w, (tuple, list)):
-            w = self.from_word(w)
-        return w.act(lw)
+    def dot_act(self, word, lw):
+        return dot_act_word(lw, self.simple_coroots, word)
 
     def ball(self, length_bound):
-        """All elements of length <= length_bound keyed by affine map,
-        words reduced (BFS layers are Coxeter lengths)."""
-        out = {self.identity.key: self.identity}
-        layer = [self.identity]
-        for _ in range(length_bound):
-            nxt = []
-            for el in layer:
-                for i in sorted(self._simple_elts):
-                    new = el.compose(self._simple_elts[i])
-                    if new.key not in out:
-                        new.length = el.length + 1
-                        out[new.key] = new
-                        nxt.append(new)
-            layer = nxt
-        return out
+        """All elements of length <= length_bound, in ShortLex order."""
+        return BruhatBall(self.coxeter_matrix, length_bound)
+
+    def reflection_word(self, cr):
+        """A word for the reflection in the real positive coroot cr.  While
+        cr is not simple, some simple i has <alpha_i, cr> > 0, s_i cr is a
+        positive coroot of smaller height and s_cr = s_i s_{s_i cr} s_i."""
+        rs = self.rs
+        if not (is_real_coroot(rs, cr) and cr.is_positive()):
+            raise DomainError("%r is not a real positive coroot" % (cr,))
+        index = {s: i for i, s in self.simple_coroots.items()}
+        outer = ()
+        while cr not in index:
+            i = next(i for s, i in index.items()
+                     if rs.pair_root_coroot(rs.root_of_coroot(s.gamma),
+                                            cr.gamma) > 0)
+            outer += (i,)
+            cr = reflect_coroot(rs, self.simple_coroots[i], cr)
+        return outer + (index[cr],) + outer[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +251,7 @@ def classify_weight(lw, ball_radius=10):
     regularity through the per-coroot closed form (complete: each finite
     coroot vanishes for at most one central multiplicity)."""
     rs = lw.rs
+    lw.level.require_noncritical(rs)
     pairings = {}
     for i, cr in simple_affine_coroots(rs).items():
         pairings[i] = dot_pair(lw, cr)
@@ -331,7 +262,9 @@ def classify_weight(lw, ball_radius=10):
     for gamma in rs.positive_coroots:
         p0 = rs.pair_weight_coroot(lw.shif(), gamma)
         mstar = -p0 / denom
-        if mstar.denominator == 1:
+        # (gamma, mstar) is a real coroot iff mstar is an integral
+        # multiple of the lacing number
+        if mstar % rs.coroot_lacing[gamma] == 0:
             walls.append(AffineCoroot(gamma, int(mstar)))
     walls.sort(key=lambda cr: (abs(cr.m), cr.m, cr.gamma))
     return Classification(
@@ -405,8 +338,9 @@ def integral_system(lw, height_bound):
             m0, step = prog
             lo = 1 if sign == -1 else 0
             m = m0 + step * ((lo - m0 + step - 1) // step)
+            r = rs.coroot_lacing[g]
             while m <= height_bound:
-                if m > 0 or (m == 0 and sign == 1):
+                if (m > 0 or (m == 0 and sign == 1)) and m % r == 0:
                     positives.append(AffineCoroot(g, m))
                 m += step
     positives.sort(key=lambda cr: (cr.m, cr.gamma))
@@ -592,28 +526,37 @@ def block_decomposition(lw, length_bound, height_bound=None):
     isys = integral_system(lw, height_bound)
     group = AffineWeylGroup(rs, lw.level)
     ball = group.ball(length_bound)
-    refls = [group.reflection_element(cr) for cr in isys.simples]
+    elements = ball.elements
+    refl_words = [group.reflection_word(cr) for cr in isys.simples]
 
     uf = _UnionFind()
     truncated_roots = set()
+    weight = {}
     finite_idx = range(1, rs.rank + 1)
-    for key, el in ball.items():
+    for key, el in elements.items():
         uf.find(key)
+        # ShortLex: el = s_i v with v = s_i el shorter, so already weighed
+        if el.word:
+            v = ball.key_of(el.word[1:])
+            weight[key] = dot_reflect(weight[v],
+                                      group.simple_coroots[el.word[0]])
+        else:
+            weight[key] = lw
         for i in finite_idx:
-            left = group.simple(i).compose(el)
-            if left.key in ball:
-                uf.union(key, left.key)
+            left = ball.key_of((i,) + el.word)
+            if left in elements:
+                uf.union(key, left)
             else:
                 truncated_roots.add(key)
-        for r in refls:
-            right = el.compose(r)
-            if right.key in ball:
-                uf.union(key, right.key)
+        for word in refl_words:
+            right = ball.key_of(word, key)
+            if right in elements:
+                uf.union(key, right)
             else:
                 truncated_roots.add(key)
 
     comps = {}
-    for key, el in ball.items():
+    for key, el in elements.items():
         comps.setdefault(uf.find(key), []).append(el)
 
     blocks = []
@@ -623,13 +566,12 @@ def block_decomposition(lw, length_bound, height_bound=None):
         truncated = any(m.key in truncated_roots for m in members)
         by_coset = {}
         for m in members:
-            lam = m.act(lw).lam
-            ckey = finite_dominant_representative(rs, lam)
+            ckey = finite_dominant_representative(rs, weight[m.key].lam)
             cur = by_coset.get(ckey)
             if cur is None or (m.length, m.word) < (cur.length, cur.word):
                 by_coset[ckey] = m
         labels = [(by_coset[ck].word, ck) for ck in sorted(by_coset)]
         labels.sort(key=lambda t: (len(t[0]), t[0]))
-        blocks.append(Block(rep.word, rep.act(lw).lam, labels, truncated))
+        blocks.append(Block(rep.word, weight[rep.key].lam, labels, truncated))
     blocks.sort(key=lambda b: (len(b.representative_word), b.representative_word))
     return blocks

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .rootdata import Level, casimir_eigenvalue
 from .qseries import QSeries, eta_factor
-from .affine import (AffineWeylGroup, classify_weight, integral_system,
+from .affine import (classify_weight, dot_act_word, integral_system,
                      finite_dot_orbit, finite_dominant_representative)
 from .hecke import (BruhatBall, ParabolicModule, inverse_multiplicity_matrix,
                     kl_polynomial)
@@ -280,15 +280,6 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
                 mult[i][j] = poly.eval_at_one()
     cmat = inverse_multiplicity_matrix(mult)
 
-    group = AffineWeylGroup(rs, lw.level)
-    refls = [group.reflection_element(cr) for cr in isys.simples]
-
-    def affine_of(word):
-        el = group.identity
-        for i in word:
-            el = el.compose(refls[i])
-        return el
-
     jcol = pos[w_el.key]
     series = None
     contributions = []
@@ -296,7 +287,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
         coeff = cmat[i][jcol]
         if coeff == 0:
             continue
-        mu = affine_of(y.word).act(lw)
+        mu = dot_act_word(lw, isys.simples, y.word)
         chi = hc_project(rs, mu.lam, lw.level)
         term = coeff * ch_verma_W(chi, trunc)
         series = term if series is None else series + term

@@ -75,9 +75,12 @@ def _word(value, name="w"):
     if value in (None, ""):
         return ()
     if isinstance(value, str):
-        return tuple(int(c) for c in value.split(",") if c != "")
+        value = [c for c in value.split(",") if c != ""]
     if isinstance(value, (list, tuple)):
-        return tuple(int(c) for c in value)
+        try:
+            return tuple(int(c) for c in value)
+        except (TypeError, ValueError):
+            pass
     raise ConfigError("field %r must be a word (list of indices)" % name)
 
 

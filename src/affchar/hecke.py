@@ -195,8 +195,11 @@ class BruhatBall:
         ci = key[i]
         return tuple(c - ci * a for c, a in zip(key, self.gcm[i]))
 
-    def _key_of(self, word):
-        key = self._id
+    def key_of(self, word, key=None):
+        """Key of w s_{word[0]} ... s_{word[-1]}, where w is the element
+        keyed by `key` (the identity by default).  The word need not be
+        reduced, and the product need not lie in the ball."""
+        key = self._id if key is None else key
         for i in word:
             if not 0 <= i < self.n_gens:
                 raise DomainError("generator index %r out of range" % (i,))
@@ -225,12 +228,15 @@ class BruhatBall:
     # -- element access -------------------------------------------------------
 
     def element_by_word(self, word):
-        el = self.elements.get(self._key_of(word))
+        el = self.elements.get(self.key_of(word))
         if el is None:
             raise BallExhausted(
                 "element of word %r lies outside the length-%d ball"
                 % (word, self.length_bound))
         return el
+
+    def __len__(self):
+        return len(self.elements)
 
     def all_elements(self):
         return list(self.elements.values())
@@ -248,7 +254,7 @@ class BruhatBall:
         """True iff l(s_i el) > l(el), i.e. s_i is not a right descent of
         el^{-1}, whose key reflects (1, ..., 1) through the reversed word.
         Exact also when s_i el lies outside the ball."""
-        return self._key_of(reversed(el.word))[i] > 0
+        return self.key_of(reversed(el.word))[i] > 0
 
     # -- Bruhat order -------------------------------------------------------
 

@@ -18,6 +18,7 @@ Everything is immutable after construction and safe to share.
 
 from fractions import Fraction
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 
@@ -186,6 +187,19 @@ class RootSystem:
 
         self._gram_weight = self._weight_gram()
         self._gram_coweight = self._coweight_gram()
+
+    @cached_property
+    def coroot_lacing(self):
+        """kappa_b(gamma, gamma) / kappa_b(theta_check, theta_check) for
+        every coroot gamma of either sign: 1 on short coroots, the lacing
+        number of the type on long ones."""
+        theta_sq = self.coweight_form_on_coroots(self.theta_check,
+                                                 self.theta_check)
+        out = {}
+        for g in self.positive_coroots:
+            r = int(self.coweight_form_on_coroots(g, g) / theta_sq)
+            out[g] = out[tuple(-x for x in g)] = r
+        return out
 
     # -- construction helpers -------------------------------------------
 

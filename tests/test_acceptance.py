@@ -229,15 +229,17 @@ def test_criterion_07_weight_combinatorics():
         ok = ok and cls.antidominant and cls.regular
         bound = 5
         blocks = block_decomposition(lw, bound)
-        ball = AffineWeylGroup(SL2, Level(k)).ball(bound)
+        group = AffineWeylGroup(SL2, Level(k))
+        ball = group.ball(bound)
         covered = set()
         label_count = 0
         for b in blocks:
             for _word, lam in b.simple_labels:
                 covered.add(lam)
                 label_count += 1
-        orbit = {finite_dominant_representative(SL2, el.act(lw).lam)
-                 for el in ball.values()}
+        orbit = {finite_dominant_representative(
+                     SL2, group.dot_act(el.word, lw).lam)
+                 for el in ball.all_elements()}
         # disjoint (no label repeats across blocks) and covering
         ok = ok and label_count == len(covered) == len(orbit)
         ok = ok and covered == orbit

@@ -3,13 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from affchar.errors import DomainError
-from affchar.rootdata import Level
+from affchar.rootdata import Level, build_root_system
 from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
                             block_decomposition, classify_weight, dot_pair,
                             dot_reflect, finite_dominant_representative,
                             integral_system, integrality_progression,
-                            orbit_and_representative, real_coroot_orbit,
-                            simple_affine_coroots)
+                            is_real_coroot, orbit_and_representative,
+                            real_coroot_orbit, simple_affine_coroots)
 from conftest import rand_fraction, rand_weight
 
 
@@ -68,6 +68,8 @@ def test_dot_act_examples(sl2):
     assert g.dot_act((1, 1), lw).lam == lw.lam
     assert g.dot_act((0, 0), lw).lam == lw.lam
     assert g.dot_act((0,), lw).lam == (F(-4),)
+    with pytest.raises(DomainError):
+        g.dot_act((2,), lw)
 
 
 def test_dot_act_is_group_action(sl3, rng):
@@ -80,13 +82,18 @@ def test_dot_act_is_group_action(sl3, rng):
         assert g.dot_act(u + v, lw).lam == g.dot_act(u, g.dot_act(v, lw)).lam
 
 
-def test_braid_relations_affine_a2(sl3):
+def test_braid_relations_affine_a2(sl3, rng):
     g = AffineWeylGroup(sl3, Level(F(-7, 2)))
-    # all bonds of the affine A2 diagram have order 3
+    ball = g.ball(6)
+    lw = LevelWeight(sl3, rand_weight(rng, 2), Level(F(-7, 2)))
+    # all bonds of the affine A2 diagram have order 3, in the group and
+    # in its dot action
+    assert g.coxeter_matrix == [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
     for i, j in [(0, 1), (0, 2), (1, 2)]:
-        lhs = g.from_word((i, j) * 3)
-        assert lhs.key == g.identity.key
-        assert g.from_word((i, j, i)).key == g.from_word((j, i, j)).key
+        assert ball.key_of((i, j) * 3) == ball.key_of(())
+        assert ball.key_of((i, j, i)) == ball.key_of((j, i, j))
+        assert g.dot_act((i, j) * 3, lw).lam == lw.lam
+        assert g.dot_act((i, j, i), lw).lam == g.dot_act((j, i, j), lw).lam
 
 
 def test_critical_level_rejected(sl2):
@@ -174,14 +181,14 @@ def test_integral_weyl_group_presentation_faithful(sl2, sl3):
         isys = integral_system(lw, 6)
         ball = build_ball(isys.coxeter_matrix, 4)
         group = AffineWeylGroup(rs, Level(k))
-        refls = [group.reflection_element(cr) for cr in isys.simples]
+        # keys of W, faithful also outside the ball
+        affine = group.ball(0)
+        refl_words = [group.reflection_word(cr) for cr in isys.simples]
         seen = {}
         for el in ball.all_elements():
-            img = group.identity
-            for i in el.word:
-                img = img.compose(refls[i])
-            assert img.key not in seen, "presentation collapses two elements"
-            seen[img.key] = el
+            img = affine.key_of(sum((refl_words[i] for i in el.word), ()))
+            assert img not in seen, "presentation collapses two elements"
+            seen[img] = el
         # orbit of the simples under simple reflections regenerates the
         # ball's positive integral coroots (up to sign)
         frontier = list(isys.simples)
@@ -201,15 +208,21 @@ def test_integral_weyl_group_presentation_faithful(sl2, sl3):
                 assert (cr.gamma, cr.m) in orbit
 
 
-def test_real_coroot_orbit_matches_closed_form(sl2, sl3):
-    for rs in (sl2, sl3):
+def test_real_coroot_orbit_matches_closed_form():
+    # long coroots need m divisible by the lacing number (2 in B and C,
+    # 3 in G), so B2 has 40 real coroots with |m| <= 3, not 56
+    for letter, rank, size in [("A", 1, 14), ("A", 2, 42), ("B", 2, 40),
+                               ("C", 2, 40), ("G", 2, 60), ("B", 3, 102)]:
+        rs = build_root_system(letter, rank)
         orbit = real_coroot_orbit(rs, 3)
         closed = set()
         for g in rs.positive_coroots:
             for m in range(-3, 4):
-                closed.add((g, m))
-                closed.add((tuple(-x for x in g), m))
+                for gamma in (g, tuple(-x for x in g)):
+                    if is_real_coroot(rs, AffineCoroot(gamma, m)):
+                        closed.add((gamma, m))
         assert {(c.gamma, c.m) for c in orbit} == closed
+        assert len(closed) == size
 
 
 def test_orbit_representative_examples(sl2):
@@ -272,8 +285,9 @@ def test_blocks_partition_and_cover(sl2):
     for b in blocks:
         for _, lam in b.simple_labels:
             member_weights.add(lam)
-    orbit_weights = {finite_dominant_representative(sl2, el.act(lw).lam)
-                     for el in ball.values()}
+    orbit_weights = {
+        finite_dominant_representative(sl2, group.dot_act(el.word, lw).lam)
+        for el in ball.all_elements()}
     assert member_weights == orbit_weights
 
 
@@ -292,11 +306,3 @@ def test_blocks_reject_bad_weight(sl2):
     with pytest.raises(DomainError):
         block_decomposition(lw2(sl2, -2, 1), 4)   # positive level
 
-
-def test_finite_translation_decomposition(sl2):
-    g = AffineWeylGroup(sl2, Level(F(-4)))
-    w = g.from_word((0, 1))
-    mat, trans = w.finite_translation_decomposition()
-    lw = lw2(sl2, F(5, 7), -4)
-    img = w.act(lw)
-    assert img.lam[0] == mat[0][0] * lw.lam[0] + trans[0]

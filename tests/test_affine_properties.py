@@ -1,0 +1,119 @@
+"""Property tests of AffineWeylGroup against exact affine maps.
+
+The reference is the representation the affine Weyl group had before its
+balls became BruhatBalls: each element is the exact affine map
+lam -> M lam + t of its dot action on omega-coordinates, and a
+breadth-first search by right multiplication with the simple reflections,
+keyed by the whole map, finds every element first by its ShortLex word.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
+                            is_real_coroot, simple_affine_coroots)
+from affchar.rootdata import Level, build_root_system
+
+SETTINGS = settings(max_examples=40)
+
+ROOT_SYSTEMS = [build_root_system(letter, rank) for letter, rank in
+                [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2)]]
+
+fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def level_weights(draw):
+    rs = draw(st.sampled_from(ROOT_SYSTEMS))
+    k = draw(fractions.filter(lambda k: k != -rs.h_dual))
+    lam = tuple(draw(fractions) for _ in range(rs.rank))
+    return LevelWeight(rs, lam, Level(k))
+
+
+def reflection_map(rs, k, cr):
+    """(M, t) of the dot reflection in the real affine coroot cr."""
+    n = rs.rank
+    gw = rs.root_to_weight_coords(rs.root_of_coroot(cr.gamma))
+    mat = tuple(tuple(F(int(r == c)) - gw[r] * cr.gamma[c] for c in range(n))
+                for r in range(n))
+    const = (rs.pair_weight_coroot(rs.rho, cr.gamma)
+             + cr.m * (k + rs.h_dual))
+    return mat, tuple(-const * g for g in gw)
+
+
+def compose(a, b):
+    """a o b: apply b first."""
+    (ma, ta), (mb, tb) = a, b
+    n = len(ta)
+    mat = tuple(tuple(sum(ma[r][j] * mb[j][c] for j in range(n))
+                      for c in range(n)) for r in range(n))
+    trans = tuple(sum(ma[r][j] * tb[j] for j in range(n)) + ta[r]
+                  for r in range(n))
+    return mat, trans
+
+
+def apply(a, lam):
+    mat, trans = a
+    return tuple(sum(m * x for m, x in zip(row, lam)) + t
+                 for row, t in zip(mat, trans))
+
+
+def identity(n):
+    return (tuple(tuple(F(int(r == c)) for c in range(n)) for r in range(n)),
+            (F(0),) * n)
+
+
+def map_ball(rs, k, bound):
+    """({affine map: ShortLex word}, layer counts) up to length bound."""
+    simples = simple_affine_coroots(rs)
+    gens = [reflection_map(rs, k, simples[i]) for i in sorted(simples)]
+    e = identity(rs.rank)
+    words, layer, counts = {e: ()}, [e], [1]
+    for _ in range(bound):
+        nxt = []
+        for el in layer:
+            for i, g in enumerate(gens):
+                new = compose(el, g)
+                if new not in words:
+                    words[new] = words[el] + (i,)
+                    nxt.append(new)
+        layer = nxt
+        counts.append(len(nxt))
+    return words, counts
+
+
+@SETTINGS
+@given(level_weights(), st.integers(0, 5))
+def test_ball_and_dot_action_match_affine_maps(lw, bound):
+    rs, k = lw.rs, lw.k
+    group = AffineWeylGroup(rs, lw.level)
+    ball = group.ball(bound)
+    words, counts = map_ball(rs, k, bound)
+    assert [el.word for el in ball.all_elements()] == list(words.values())
+    assert ball.counts_by_length() == counts
+    assert len(ball) == len(words)
+    for a, word in words.items():
+        assert group.dot_act(word, lw).lam == apply(a, lw.lam)
+
+
+@SETTINGS
+@given(level_weights(), st.integers(0, 4))
+def test_reflection_word_is_the_reflection(lw, m):
+    # every real positive coroot (gamma, m) and (-gamma, m + 1) up to the
+    # lacing filter: its word multiplies out to its reflection map
+    rs, k = lw.rs, lw.k
+    group = AffineWeylGroup(rs, lw.level)
+    gens = [reflection_map(rs, k, group.simple_coroots[i])
+            for i in sorted(group.simple_coroots)]
+    for g in rs.positive_coroots:
+        neg = tuple(-x for x in g)
+        for cr in (AffineCoroot(g, m), AffineCoroot(neg, m + 1)):
+            if not is_real_coroot(rs, cr):
+                continue
+            word = group.reflection_word(cr)
+            assert word == word[::-1] and len(word) % 2 == 1
+            a = identity(rs.rank)
+            for i in word:
+                a = compose(a, gens[i])
+            assert a == reflection_map(rs, k, cr)

@@ -210,3 +210,63 @@ def test_antispherical_cli(capsys):
     rows = {tuple(r["y"]): r["coeffs_in_v"] for r in data["basis"]}
     assert rows[(0, 1)] == [0, 1]
     assert rows[()] == [2, 1]   # v^2
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    ("blocks --type A --rank 2 --level=-10 --weight=-2,-3 --length-bound 10",
+     "a6f8e4288762e7d147a0bb824a7d5069c97fc66ff21aba8a29817acb93d6079f"),
+    ("blocks --type A --rank 2 --level=-8 --weight=-3,-3 --length-bound 11",
+     "91a1a58c6e5d77fc9449704e7622b1ab8ebad5519359f1ce9edd573e3d327c62"),
+    ("blocks --type A --rank 3 --level=-9 --weight=-2,-2,-2 --length-bound 5",
+     "73d4d72520ecd3ad2f341235a94c43bdde5bb71a2d013d104b75b942065a14c8"),
+    ("character-simple --type A --rank 2 --level=-8 --weight=-2,-2 "
+     "--w 2,0,1,0,2,1,0,2,1 --length-bound 10 --trunc 28 "
+     "--multiplicities kl",
+     "d36d1fd80cb130677044a0035a942ab6a9fdfaff648a6973a9d02b3a64f4e288"),
+    ("character-simple --type A --rank 2 --level=-7 --weight=-2,-3 "
+     "--w 2,0,1,0,2,0,1,2,0 --length-bound 10 --trunc 33 "
+     "--multiplicities parabolic:-1",
+     "7d496e2862b4bbe918ffec3a9fc29d01de4e1a649f3d65f44896ab251e74d085"),
+])
+def test_affine_report_digest(capsys, argv, sha256):
+    # affine A2 and A3 blocks and A2 simple characters under the KL and
+    # parabolic rules, pinned byte for byte
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_non_simply_laced_real_coroots(capsys):
+    # (gamma, m) with a long coroot gamma is real only for m divisible by
+    # the lacing number: no wall here, and the B2 weight is one block
+    code, out, _ = run_cli(capsys, "classify", "--type", "G", "--rank", "2",
+                           "--level=-11", "--weight=-2,-3")
+    assert code == 0
+    cls = json.loads(out)["classification"]
+    assert cls["regular"] is True and cls["walls"] == []
+    code, out, _ = run_cli(capsys, "blocks", "--type", "B", "--rank", "2",
+                           "--level=-7", "--weight=-2,-2",
+                           "--length-bound", "6")
+    assert code == 0
+    data = json.loads(out)
+    assert data["block_count"] == 1
+    assert len(data["blocks"][0]["simple_labels"]) == 12
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["classify", "orbit", "blocks", "character-simple"])
+def test_critical_level_exits_2(capsys, subcommand):
+    code, out, err = run_cli(capsys, subcommand, "--type", "A", "--rank", "1",
+                             "--level=-2", "--weight=0")
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:") and "critical" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "character-simple --type A --rank 1 --level=-4 --weight=-2 --w x",
+    "kl --coxeter-matrix [[1,3],[3,1]] --x a --y 0",
+])
+def test_malformed_word_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("config error:") and "word" in err
