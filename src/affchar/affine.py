@@ -123,15 +123,19 @@ def real_coroot_orbit(rs, m_bound):
     return {AffineCoroot(g, m) for g, m in seen}
 
 
+def _root_pair(rs, gamma, other):
+    """<beta, other> for beta the root of the finite coroot gamma."""
+    return sum(b * g for b, g in zip(rs.coroot_roots[gamma], other))
+
+
 def reflect_coroot(rs, refl, cr):
     """Linear action of the reflection in `refl` on the coroot `cr`:
     x -> x - <gamma_refl, x> * refl, where the pairing only sees the
     finite parts."""
-    groot = rs.root_of_coroot(refl.gamma)
-    p = rs.pair_root_coroot(groot, cr.gamma)
+    p = int(_root_pair(rs, refl.gamma, cr.gamma))
     return AffineCoroot(
         tuple(d - p * g for d, g in zip(cr.gamma, refl.gamma)),
-        cr.m - int(p) * refl.m)
+        cr.m - p * refl.m)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +158,8 @@ def dot_reflect(lw, cr):
     if not is_real_coroot(rs, cr):
         raise DomainError("%r is not a real affine coroot" % (cr,))
     p = dot_pair(lw, cr)
-    groot = rs.root_of_coroot(cr.gamma)
-    gw = rs.root_to_weight_coords(groot)
-    return lw.with_lam(tuple(a - p * g for a, g in zip(lw.lam, gw)))
+    return lw.with_lam(tuple(a - p * b for a, b in
+                             zip(lw.lam, rs.coroot_roots[cr.gamma])))
 
 
 def dot_act_word(lw, coroots, word):
@@ -203,8 +206,7 @@ class AffineWeylGroup:
         outer = ()
         while cr not in index:
             i = next(i for s, i in index.items()
-                     if rs.pair_root_coroot(rs.root_of_coroot(s.gamma),
-                                            cr.gamma) > 0)
+                     if _root_pair(rs, s.gamma, cr.gamma) > 0)
             outer += (i,)
             cr = reflect_coroot(rs, self.simple_coroots[i], cr)
         return outer + (index[cr],) + outer[::-1]
@@ -307,7 +309,6 @@ def integrality_progression(pair_value, k):
 class IntegralSystem:
     positive_coroots: list
     simples: list
-    progressions: dict
     coxeter_matrix: list
     height_bound: int
 
@@ -326,40 +327,27 @@ def integral_system(lw, height_bound):
     subset acting as simple reflections of W_lambda in the ball."""
     rs = lw.rs
     positives = []
-    progs = {}
     for gamma in rs.positive_coroots:
         for sign in (1, -1):
             g = tuple(sign * x for x in gamma)
             pv = rs.pair_weight_coroot(lw.lam, g)
             prog = integrality_progression(pv, lw.k)
-            progs[(g, sign)] = prog
             if prog is None:
                 continue
             m0, step = prog
             lo = 1 if sign == -1 else 0
-            m = m0 + step * ((lo - m0 + step - 1) // step)
-            r = rs.coroot_lacing[g]
-            while m <= height_bound:
-                if (m > 0 or (m == 0 and sign == 1)) and m % r == 0:
-                    positives.append(AffineCoroot(g, m))
-                m += step
+            first = m0 + step * ((lo - m0 + step - 1) // step)
+            positives += [AffineCoroot(g, m)
+                          for m in range(first, height_bound + 1, step)
+                          if m % rs.coroot_lacing[g] == 0]
     positives.sort(key=lambda cr: (cr.m, cr.gamma))
 
-    simples = []
-    for cand in positives:
-        ok = True
-        for other in positives:
-            if other == cand:
-                continue
-            img = reflect_coroot(rs, cand, other)
-            if not img.is_positive():
-                ok = False
-                break
-        if ok:
-            simples.append(cand)
+    simples = [cand for cand in positives
+               if all(reflect_coroot(rs, cand, other).is_positive()
+                      for other in positives if other != cand)]
 
     cox = _coxeter_matrix_of(rs, simples)
-    return IntegralSystem(positives, simples, progs, cox, height_bound)
+    return IntegralSystem(positives, simples, cox, height_bound)
 
 
 def _coxeter_matrix_of(rs, coroots):
@@ -369,10 +357,8 @@ def _coxeter_matrix_of(rs, coroots):
     m = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            gi = rs.root_of_coroot(coroots[i].gamma)
-            gj = rs.root_of_coroot(coroots[j].gamma)
-            nij = (rs.pair_root_coroot(gi, coroots[j].gamma)
-                   * rs.pair_root_coroot(gj, coroots[i].gamma))
+            gi, gj = coroots[i].gamma, coroots[j].gamma
+            nij = _root_pair(rs, gi, gj) * _root_pair(rs, gj, gi)
             m[i][j] = m[j][i] = order_of.get(int(nij), 0)
     return m
 
@@ -501,15 +487,30 @@ def finite_dot_orbit(rs, lam):
     return seen
 
 
+def _chamber_walk(rs, lam, sign):
+    """The element of the finite dot orbit of lam whose shifted
+    coordinates lam_i + 1 all have the sign `sign` or vanish: unique, as
+    the closed chamber is a fundamental domain of W_f (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12), and reached in at most
+    l(w0) reflections in simple roots of wrongly signed coordinate."""
+    lam = tuple(F(a) for a in lam)
+    while True:
+        i = next((i for i in range(rs.rank) if sign * (lam[i] + 1) < 0),
+                 None)
+        if i is None:
+            return lam
+        p = lam[i] + 1
+        lam = tuple(a - p * b for a, b in zip(lam, rs.simple_roots[i]))
+
+
 def finite_dominant_representative(rs, lam):
-    """Canonical element of the finite dot orbit: the one in the closed
-    dominant chamber (shifted); lexicographically largest on ties, which
-    cannot occur but keeps the choice total."""
-    orbit = finite_dot_orbit(rs, lam)
-    dom = [w for w in orbit if all(w[i] + 1 >= 0 for i in range(rs.rank))]
-    if not dom:
-        raise AssertionError("finite dot orbit lacks a dominant element")
-    return max(dom)
+    """Canonical element of the finite dot orbit: the dominant one."""
+    return _chamber_walk(rs, lam, 1)
+
+
+def finite_antidominant_element(rs, lam):
+    """The w0-dot translate of lam: its antidominant orbit element."""
+    return _chamber_walk(rs, lam, -1)
 
 
 def block_decomposition(lw, length_bound, height_bound=None):

@@ -24,7 +24,8 @@ from .errors import DomainError
 from .rootdata import Level, casimir_eigenvalue
 from .qseries import QSeries, eta_factor
 from .affine import (classify_weight, dot_act_word, integral_system,
-                     finite_dot_orbit, finite_dominant_representative)
+                     finite_antidominant_element, finite_dot_orbit,
+                     finite_dominant_representative)
 from .hecke import (BruhatBall, ParabolicModule, inverse_multiplicity_matrix,
                     kl_polynomial)
 
@@ -66,16 +67,6 @@ class CentralCharLabel:
 def hc_project(rs, lam, level):
     """pi(Lam): the finite dot orbit, labeled by its canonical element."""
     return CentralCharLabel(rs, level, finite_dominant_representative(rs, lam))
-
-
-def finite_antidominant_element(rs, lam):
-    """The w0-dot translate of lam: the antidominant element of its
-    finite dot orbit."""
-    orbit = finite_dot_orbit(rs, lam)
-    anti = [w for w in orbit if all(w[i] + 1 <= 0 for i in range(rs.rank))]
-    if not anti:
-        raise AssertionError("finite dot orbit lacks an antidominant element")
-    return min(anti)
 
 
 @dataclass(frozen=True)

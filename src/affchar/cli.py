@@ -63,15 +63,18 @@ def _fraction(value, name):
         raise ConfigError("field %r is not an exact rational: %r" % (name, value))
 
 
-def _weight(value, name="weight"):
+def _weight(value, name, rank):
     if isinstance(value, str):
         value = value.split(",")
     if not isinstance(value, (list, tuple)):
         raise ConfigError("field %r must be a list of rationals" % name)
+    if len(value) != rank:
+        raise ConfigError("%s has %d coordinates, rank is %d"
+                          % (name, len(value), rank))
     return tuple(_fraction(v, name) for v in value)
 
 
-def _word(value, name="w"):
+def _ints(value, name, what):
     if value in (None, ""):
         return ()
     if isinstance(value, str):
@@ -81,7 +84,11 @@ def _word(value, name="w"):
             return tuple(int(c) for c in value)
         except (TypeError, ValueError):
             pass
-    raise ConfigError("field %r must be a word (list of indices)" % name)
+    raise ConfigError("field %r must be %s" % (name, what))
+
+
+def _word(value, name="w"):
+    return _ints(value, name, "a word (list of indices)")
 
 
 def _positive_int(value, name):
@@ -132,10 +139,7 @@ class Job:
 
     def level_weight(self):
         rs = self.root_system()
-        lam = _weight(self.require("weight"))
-        if len(lam) != rs.rank:
-            raise ConfigError("weight has %d coordinates, rank is %d"
-                              % (len(lam), rs.rank))
+        lam = _weight(self.require("weight"), "weight", rs.rank)
         return LevelWeight(rs, lam, self.level())
 
     def conventions(self):
@@ -192,6 +196,10 @@ def _coxeter_from_job(job):
             mat = json.loads(mat)
         except json.JSONDecodeError as exc:
             raise ConfigError("coxeter_matrix is not valid JSON: %s" % exc)
+    if not (isinstance(mat, list) and all(isinstance(row, list) and all(
+            e is None or isinstance(e, (int, float)) for e in row)
+            for row in mat)):
+        raise ConfigError("coxeter_matrix must be a list of number rows")
     return mat
 
 
@@ -274,7 +282,7 @@ def _cmd_psi_s(job):
     rs = job.root_system()
     level = job.level()
     kind = str(job.get("kind", "verma"))
-    lam = _weight(job.require("weight"))
+    lam = _weight(job.require("weight"), "weight", rs.rank)
     label = chars.ModuleLabel(kind, chars.KAC_MOODY, lam, level)
     image = chars.psi_s_label(rs, label, w0_twist=_bool(job.get("w0_twist", False), "w0_twist"))
     if image is chars.ZERO:
@@ -286,19 +294,19 @@ def _cmd_psi_s(job):
 
 def _cmd_sugawara_check(job):
     k = _fraction(job.require("level"), "level")
-    a = _weight(job.require("weight"))[0]
+    a = _weight(job.require("weight"), "weight", 1)[0]
     depth = _positive_int(job.get("depth", 5), "depth")
     f0 = _positive_int(job.get("f0_bound", 2), "f0_bound")
-    lam_check = sug.CoweightData(_weight(job.get("lam_check", ["1"]), "lam_check"))
-    modes = job.get("modes", list(range(-2, 3)))
-    if isinstance(modes, str):
-        modes = [int(x) for x in modes.split(",")]
+    lam_check = sug.CoweightData(_weight(job.get("lam_check", ["1"]),
+                                         "lam_check", 1))
+    modes = _ints(job.get("modes", list(range(-2, 3))), "modes",
+                  "a list of integers")
     flip = _bool(job.get("flip_flow_sign", False), "flip_flow_sign")
     module = sug.build_truncated_verma(a, k, depth, f0)
     rows = []
     all_passed = True
     for n in modes:
-        rep = sug.check_dss(module, lam_check, int(n), flip_sign=flip)
+        rep = sug.check_dss(module, lam_check, n, flip_sign=flip)
         rows.append(rep.to_json_dict())
         all_passed = all_passed and rep.passed
     return {"basis_size": len(module.basis),

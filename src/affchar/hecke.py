@@ -567,11 +567,6 @@ def kl_polynomial_via_solve(ball, x, y):
     return _p_from_h(basis.get(x.key, _ZERO), x, y)
 
 
-def kl_degree_bound_ok(ball, x, y, poly):
-    d = (y.length - x.length - 1) // 2 if y.length > x.length else 0
-    return poly.max_power() <= max(d, 0)
-
-
 # ---------------------------------------------------------------------------
 # exact unitriangular inversion
 # ---------------------------------------------------------------------------

@@ -207,10 +207,6 @@ def eta_factor(m_start, exponent, trunc):
     return QSeries(0, a, trunc)
 
 
-def multiply(a, b):
-    return a * b
-
-
 def equal_to_order(a, b, order):
     """Exact equality of offsets and the first order+1 coefficients.
 

@@ -201,6 +201,17 @@ class RootSystem:
             out[g] = out[tuple(-x for x in g)] = r
         return out
 
+    @cached_property
+    def coroot_roots(self):
+        """The root of every coroot of either sign in integer omega-
+        coordinates: <beta, gamma'> is its dot product with gamma'."""
+        out = {}
+        for g in self.positive_coroots:
+            b = tuple(map(int, self.root_to_weight_coords(
+                self.root_of_coroot(g))))
+            out[g], out[tuple(-x for x in g)] = b, tuple(-x for x in b)
+        return out
+
     # -- construction helpers -------------------------------------------
 
     def _close_positive_roots(self):

@@ -303,7 +303,6 @@ class CoweightData:
 
 RHO_CHECK = CoweightData((F(1),))
 ALPHA_CHECK = CoweightData((F(2),))
-TWO_RHO_CHECK = CoweightData((F(2),))
 
 
 class SpectralFlow:
@@ -411,13 +410,6 @@ class ModeOperator:
 
     def apply(self, mono):
         return self._apply(mono)
-
-    def apply_vec(self, vec):
-        out = {}
-        for mono, c in vec.items():
-            for m2, c2 in self.apply(mono).items():
-                out[m2] = out.get(m2, F(0)) + c * c2
-        return {m: c for m, c in out.items() if c != 0}
 
     def table(self):
         """Sparse action table; entries that overflow the window map to

@@ -23,7 +23,7 @@ from affchar.characters import (KAC_MOODY, SIMPLE, VERMA, ZERO, ModuleLabel,
 from affchar.hecke import (LaurentPoly, ParabolicModule, build_ball,
                            kl_polynomial, kl_polynomial_via_solve)
 from affchar.qseries import equal_to_order, eta_factor
-from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, TWO_RHO_CHECK,
+from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, CoweightData,
                               build_truncated_verma, check_dss, sugawara_mode)
 from affchar.wstruct import (generator_windows, ideal_jump,
                              vacuum_graded_character, vanishing_violations)
@@ -71,7 +71,7 @@ def test_criterion_02_spectral_flow():
     cache = {}
     for k in (F(1), F(-1, 2), F(-3)):
         module = build_truncated_verma(0, k, 5, 2)
-        for lam in (RHO_CHECK, ALPHA_CHECK, TWO_RHO_CHECK):
+        for lam in (RHO_CHECK, ALPHA_CHECK, CoweightData((F(2),))):
             for n in range(-2, 3):
                 key = (k, lam.coords, n)
                 if key in cache:

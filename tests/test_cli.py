@@ -227,10 +227,29 @@ def test_antispherical_cli(capsys):
      "--w 2,0,1,0,2,0,1,2,0 --length-bound 10 --trunc 33 "
      "--multiplicities parabolic:-1",
      "7d496e2862b4bbe918ffec3a9fc29d01de4e1a649f3d65f44896ab251e74d085"),
+    ("blocks --type B --rank 2 --level=-9 --weight=-6,-3/2 --length-bound 8",
+     "74aeeecefcc07ad89f48b54819a8563b57b613638ef855eafdc953cb0da02cde"),
+    ("blocks --type C --rank 2 --level=-7 --weight=-2,-2 --length-bound 8",
+     "126da8312115502e019351e369e9376658d6781162f4fa06d9101a57c1198a79"),
+    ("blocks --type G --rank 2 --level=-9 --weight=-5/2,-3 --length-bound 8",
+     "6ab865970482a20ba21f2b8e2e5c830061cd79189067b8437fec7fb22fb56d95"),
+    ("character-simple --type B --rank 2 --level=-7 --weight=-2,-2 "
+     "--w 2,0,1,0,2,0 --length-bound 8 --trunc 20",
+     "2e60630e21a074ec49003b797657d6e1c2882d37c52427e663bd45c099d555e1"),
+    ("character-simple --type C --rank 2 --level=-7 --weight=-2,-2 "
+     "--w 2,1,0,2,1,0 --length-bound 8 --trunc 20 "
+     "--multiplicities parabolic:q",
+     "82c0efadfc874e819b3c175edd0d5c2b17b7e32e888621c3304b2573d716f1bb"),
+    ("character-simple --type G --rank 2 --level=-9 --weight=-5/2,-3 "
+     "--w 2,0,3,1,3 --length-bound 8 --trunc 20 "
+     "--multiplicities parabolic:-1",
+     "e5a36f5a67539099d99c1459f7ea76ae9ef23cfc2ac2878d6098efd8715fc98a"),
 ])
 def test_affine_report_digest(capsys, argv, sha256):
     # affine A2 and A3 blocks and A2 simple characters under the KL and
-    # parabolic rules, pinned byte for byte
+    # parabolic rules; B2, C2 and G2 blocks and simple characters, among
+    # them a non-integral B2 weight with five blocks and a G2 weight whose
+    # integral Weyl group has four generators; pinned byte for byte
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -270,3 +289,25 @@ def test_malformed_word_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 1 and out == ""
     assert err.startswith("config error:") and "word" in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    ("sugawara-check --level 1 --weight 0 --modes a", None),
+    ("sugawara-check --level 1 --weight 0", {"modes": 3}),
+    ("kl --coxeter-matrix 5", None),
+    ("kl", {"coxeter_matrix": {"a": 1}}),
+    ("sugawara-check --level 1 --weight 0,1 --depth 1 --f0-bound 1 "
+     "--modes 0", None),
+    ("sugawara-check --level 1 --weight 0 --lam-check 1,1 --depth 1 "
+     "--f0-bound 1 --modes 0", None),
+    ("psi-s --type A --rank 2 --level 1 --weight 1,2,3", None),
+])
+def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
+    argv = argv.split()
+    if config is not None:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("config error:")

@@ -5,7 +5,7 @@ import pytest
 
 from affchar.errors import DomainError
 from affchar.qseries import (QSeries, eta_factor, equal_to_order, geometric,
-                             multiply, one)
+                             one)
 
 
 def partitions_with_parts_at_least(n, m_start):
@@ -49,7 +49,7 @@ def test_eta_negative_exponent_three_colors():
 
 def test_eta_trivial_and_inverse_pair():
     assert eta_factor(1, 0, 7) == one(7)
-    prod = multiply(eta_factor(1, -1, 15), eta_factor(1, 1, 15))
+    prod = eta_factor(1, -1, 15) * eta_factor(1, 1, 15)
     assert equal_to_order(prod, one(15), 15)
 
 
