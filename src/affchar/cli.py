@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 malformed config or unknown subcommand,
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from . import sugawara as sug
 from . import wstruct
 
 F = Fraction
+
+_DECIMAL_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 _KNOWN_KEYS = {
     "type", "rank", "level", "weight", "trunc", "length_bound",
@@ -74,16 +77,25 @@ def _weight(value, name, rank):
     return tuple(_fraction(v, name) for v in value)
 
 
+def _int(value):
+    """A JSON integer (not a boolean) or a decimal integer string as an
+    int; None for anything else, so a fraction is never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
+        return int(value)
+    return None
+
+
 def _ints(value, name, what):
     if value in (None, ""):
         return ()
     if isinstance(value, str):
         value = [c for c in value.split(",") if c != ""]
     if isinstance(value, (list, tuple)):
-        try:
-            return tuple(int(c) for c in value)
-        except (TypeError, ValueError):
-            pass
+        out = tuple(_int(c) for c in value)
+        if None not in out:
+            return out
     raise ConfigError("field %r must be %s" % (name, what))
 
 
@@ -92,9 +104,8 @@ def _word(value, name="w"):
 
 
 def _positive_int(value, name):
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
+    n = _int(value)
+    if n is None:
         raise ConfigError("field %r must be an integer" % name)
     if n < 0:
         raise ConfigError("field %r must be nonnegative" % name)

@@ -26,15 +26,14 @@ action, one bar expansion of the standard basis.  With empty J it is
 the regular module H itself, so its canonical basis is the Kazhdan-Lusztig
 basis and ``kl_polynomial`` reads P_{x,y} off b_y.  Two independent routes
 reach every canonical basis: the mu-correction recursion from the top
-down (production) and a dense linear solve of the bar-invariance plus
-degree-bound system (oracle).  Tests require them to agree.
+down (production) and a solve of the bar-invariance plus degree-bound
+system by sparse integer elimination (oracle).  Tests require them to
+agree.
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, BallExhausted
-
-F = Fraction
 
 INFINITE_BOND = 0
 _BOND_TO_GCM = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3),
@@ -292,37 +291,61 @@ def build_ball(coxeter_matrix, length_bound):
 # Exact linear solve behind the bar-invariance oracle
 # ---------------------------------------------------------------------------
 
-def _solve_fraction_system(rows, rhs):
-    """Solve rows * t = rhs exactly; raise if singular/inconsistent.
+def _solve_int_system(rows, ncols):
+    """The unique integer solution t of a sparse integer system.
 
-    rows: list of lists of Fractions, rhs: list of Fractions.  The system
-    may be overdetermined but must have a unique solution.
+    Each row is a dict {column: int} for the equation
+    sum_c row[c] t_c = row[ncols]; absent entries are zero.  Columns are
+    eliminated in ascending order, each on the shortest row holding it as
+    its lowest column: another such row r becomes (a/g) r - (b/g) p, where
+    a and b are the column's entries in the pivot p and in r, g = gcd(a, b),
+    and every new row is divided by the gcd of its entries, so the
+    arithmetic never leaves Z (fraction-free elimination; Bareiss, Math.
+    Comp. 22 (1968)).  Back-substitution divides exactly or raises.  The
+    system may be overdetermined but must have a unique integer solution.
     """
-    m = [list(map(F, r)) + [F(b)] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
+    by_lead = {}
+
+    def file(row):
+        by_lead.setdefault(min(row), []).append(row)
+
+    for row in rows:
+        row = {c: a for c, a in row.items() if a}
+        if row:
+            file(row)
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        d = m[r][c]
-        m[r] = [x / d for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != ncols:
-        raise DomainError("bar-invariance system is underdetermined")
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            raise DomainError("bar-invariance system is inconsistent")
-    sol = [F(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][ncols]
+        holders = by_lead.pop(c, None)
+        if not holders:
+            raise DomainError("bar-invariance system is underdetermined")
+        holders.sort(key=len)
+        p = holders[0]
+        a = p[c]
+        for r in holders[1:]:
+            b = r[c]
+            g = gcd(a, b)
+            fa, fb = a // g, b // g
+            new = {k: fa * x for k, x in r.items()}
+            for k, y in p.items():
+                new[k] = new.get(k, 0) - fb * y
+            new = {k: x for k, x in new.items() if x}
+            if new:
+                g = gcd(*new.values())
+                if g != 1:
+                    new = {k: x // g for k, x in new.items()}
+                file(new)
+        pivots.append(p)
+    # every row left holds only the right-hand side: 0 = nonzero
+    if by_lead:
+        raise DomainError("bar-invariance system is inconsistent")
+    sol = [0] * ncols
+    for c in range(ncols - 1, -1, -1):
+        p = pivots[c]
+        rest = p.get(ncols, 0) - sum(x * sol[k] for k, x in p.items()
+                                     if c < k < ncols)
+        sol[c], rem = divmod(rest, p[c])
+        if rem:
+            raise DomainError("non-integer parabolic coefficient")
     return sol
 
 
@@ -459,46 +482,39 @@ class ParabolicModule:
         below = [z for z in self.ball.interval_below(w)
                  if self.is_minimal(z) and z.key != w.key]
         bars = {z.key: self.bar_standard(z) for z in below + [w]}
-        unknowns = []
-        for y in below:
-            for d in range(1, w.length - y.length + 1):
-                unknowns.append((y.key, d))
-        index = {u: i for i, u in enumerate(unknowns)}
+        unknowns = [(y.key, d) for y in below
+                    for d in range(1, w.length - y.length + 1)]
         ncol = len(unknowns)
+        # one equation {column: int} per coefficient (standard basis
+        # element, power of v) of bar(n_w) - n_w = 0; column ncol holds the
+        # right-hand side, the terms of bar(N_w) - N_w moved across
         eq = {}
 
         def add(key, power, col, val):
-            eq.setdefault((key, power), [F(0)] * (ncol + 1))
-            eq[(key, power)][col] += val
+            row = eq.setdefault((key, power), {})
+            row[col] = row.get(col, 0) + val
 
         for key, poly in bars[w.key].items():
             for p, a in poly.c.items():
-                add(key, p, ncol, F(a))
-        add(w.key, 0, ncol, F(-1))
-        for y in below:
-            for d in range(1, w.length - y.length + 1):
-                col = index[(y.key, d)]
-                for key, poly in bars[y.key].items():
-                    for p, a in poly.c.items():
-                        add(key, p - d, col, F(a))
-                add(y.key, d, col, F(-1))
-        rows, rhs = [], []
-        for (key, p), coeffs in sorted(eq.items()):
-            rows.append(coeffs[:ncol])
-            rhs.append(-coeffs[ncol])
+                add(key, p, ncol, -a)
+        add(w.key, 0, ncol, 1)
+        for col, (ykey, d) in enumerate(unknowns):
+            for key, poly in bars[ykey].items():
+                for p, a in poly.c.items():
+                    add(key, p - d, col, a)
+            add(ykey, d, col, -1)
         if not unknowns:
-            for r in rhs:
-                if r != 0:
-                    raise DomainError("inconsistent trivial system")
+            if any(row.get(ncol, 0) for row in eq.values()):
+                raise DomainError("inconsistent trivial system")
             return {w.key: _ONE}
-        sol = _solve_fraction_system(rows, rhs)
+        sol = _solve_int_system(list(eq.values()), ncol)
+        coeffs = {}
+        for (ykey, d), val in zip(unknowns, sol):
+            if val:
+                coeffs.setdefault(ykey, {})[d] = val
         out = {w.key: _ONE}
-        for (ykey, d), i in index.items():
-            val = sol[i]
-            if val != 0:
-                if val.denominator != 1:
-                    raise DomainError("non-integer parabolic coefficient")
-                out[ykey] = out.get(ykey, _ZERO) + LaurentPoly({d: int(val)})
+        for ykey, c in coeffs.items():
+            out[ykey] = LaurentPoly(c)
         return out
 
 

@@ -301,6 +301,14 @@ def test_malformed_word_exits_1(capsys, argv):
     ("sugawara-check --level 1 --weight 0 --lam-check 1,1 --depth 1 "
      "--f0-bound 1 --modes 0", None),
     ("psi-s --type A --rank 2 --level 1 --weight 1,2,3", None),
+    # integer fields reject fractions and booleans instead of truncating
+    ("sugawara-check --level 1 --weight 0 --depth 1 --f0-bound 1",
+     {"modes": [0.5, 1.9]}),
+    ("kl --coxeter-matrix [[1,3],[3,1]]", {"length_bound": 2.7}),
+    ("character-simple --type A --rank 1 --level=-4 --weight=-2 "
+     "--length-bound 4 --trunc 4", {"w": [1.5]}),
+    ("sugawara-check --level 1 --weight 0 --f0-bound 1 --modes 0",
+     {"depth": True}),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()
