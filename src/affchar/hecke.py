@@ -382,6 +382,7 @@ class ParabolicModule:
                      else LaurentPoly({1: -1}))
         self._nbasis = {ball._id: {ball._id: _ONE}}
         self._solved = {}
+        self._bars = {}
 
     def is_minimal(self, el):
         return all(self.ball.left_longer(i, el) for i in self.parabolic)
@@ -418,7 +419,11 @@ class ParabolicModule:
         return {k: p for k, p in out.items() if not p.is_zero}
 
     def bar_standard(self, y):
-        """bar(N_y) expanded over the standard basis N_z."""
+        """bar(N_y) expanded over the standard basis N_z; memoized per
+        module, so the returned dict must not be mutated."""
+        got = self._bars.get(y.key)
+        if got is not None:
+            return got
         shift = LaurentPoly({1: 1, -1: -1})
         vec = {self.ball._id: _ONE}
         for i in y.word:
@@ -426,6 +431,7 @@ class ParabolicModule:
             for key, poly in vec.items():
                 a[key] = a.get(key, _ZERO) + poly * shift
             vec = {k: p for k, p in a.items() if not p.is_zero}
+        self._bars[y.key] = vec
         return vec
 
     # -- canonical basis: production recursion -----------------------------

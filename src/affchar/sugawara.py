@@ -24,9 +24,25 @@ opposite, Arakawa-style flow).
 
 Structure constants are tabulated per letter so the construction is not
 tied to rank one, but only the sl2 instance is exercised.
+
+Every coefficient inside the module is a Python int.  With
+D = lcm(den a, den k), A = a D and K = k D, the straightened expansion
+``apply_gen(g, mono)`` stores c * D**(1 + len(mono) - len(m)) for the
+true coefficient c of each result monomial m.  The power depends only on
+lengths, so expansions compose: a word of w generators applied to mono
+carries D**(w + len(mono) - len(m)), and a coefficient is zero, or two
+coefficients of the same monomial are equal, exactly when their true
+values are.  The Sugawara modes keep S_n mono times
+4 (k + h_dual) D**(2 + len(mono) - len(m)) (that is, with the prefactor
+1/(2(k + h_dual)) and the 1/2 of the h-tower cleared), and
+`check_dss` compares such integer dicts.  Values are turned back into
+`Fraction` only at the public edges: `GradedModule.apply_word` (hence
+the twisted action and `coweight_mode`) and `sugawara_mode(...).apply`
+unscale each output entry once.
 """
 
 from fractions import Fraction
+from math import lcm
 from dataclasses import dataclass, field
 
 from .errors import DomainError, TruncationOverflow
@@ -46,7 +62,7 @@ _BRACKET = {
     ("f", "f"): (),
     ("h", "h"): (),
 }
-_KAPPA_B = {("e", "f"): F(1), ("f", "e"): F(1), ("h", "h"): F(2)}
+_KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 _RANK = {"e": 0, "h": 1, "f": 2}
 _WEIGHT = {"e": 2, "h": 0, "f": -2}
 
@@ -56,9 +72,19 @@ def _key(gen):
     return (-mode, _RANK[letter])
 
 
-def _exact(c):
-    """c as an int when it is integral, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
+def _integral(x):
+    """A Fraction that the D-scaling makes integral, as an int."""
+    if x.denominator != 1:
+        raise AssertionError("scaled coefficient %s is not an integer" % x)
+    return x.numerator
+
+
+def _bracket(g1, g2):
+    """[g1, g2] as (list of (int coeff, gen), c) with central term c * k."""
+    (l1, m1), (l2, m2) = g1, g2
+    terms = [(c, (l, m1 + m2)) for c, l in _BRACKET[(l1, l2)]]
+    central = m1 * _KAPPA_B.get((l1, l2), 0) if m1 + m2 == 0 else 0
+    return terms, central
 
 
 def _is_creation(gen):
@@ -81,6 +107,13 @@ class GradedModule:
         self.k = F(k)
         if self.k == -2:
             raise DomainError("critical level k = -2 is excluded")
+        # the common denominator of the module's coefficients
+        self.D = lcm(self.a.denominator, self.k.denominator)
+        self.A = _integral(self.a * self.D)
+        self.K = _integral(self.k * self.D)
+        # 4 (k + h_dual) D as an int; the Sugawara scaling of an entry m of
+        # S_n mono is four_kh * D**(1 + len(mono) - len(m))
+        self.four_kh = 4 * (self.K + self.rs.h_dual * self.D)
         self.depth_bound = depth_bound
         self.f0_bound = f0_bound
         self._nf_cache = {}
@@ -137,28 +170,9 @@ class GradedModule:
 
     # -- exact straightening ------------------------------------------------
 
-    def _vacuum_action(self, gen):
-        """Value of a non-creation generator on |Lam>: scalar or zero."""
-        letter, mode = gen
-        if mode > 0:
-            return F(0)
-        if letter == "h":   # mode == 0
-            return self.a
-        return F(0)  # e_0 kills the highest weight vector
-        # (f_0 is a creation operator and never reaches here)
-
-    def _bracket(self, g1, g2):
-        """[g1, g2] as (list of (coeff, gen), central scalar)."""
-        (l1, m1), (l2, m2) = g1, g2
-        terms = [(F(c), (l, m1 + m2)) for c, l in _BRACKET[(l1, l2)]]
-        central = F(0)
-        if m1 + m2 == 0:
-            central = F(m1) * self.k * _KAPPA_B.get((l1, l2), F(0))
-        return terms, central
-
     def apply_gen(self, g, mono):
         """Exact PBW expansion of g . mono in the untruncated Verma
-        module; memoized, no window check."""
+        module, D-scaled (module docstring); memoized, no window check."""
         key = (g, mono)
         got = self._nf_cache.get(key)
         if got is not None:
@@ -168,29 +182,31 @@ class GradedModule:
         return res
 
     def _apply_gen_uncached(self, g, mono):
-        # integral coefficients are stored as int: equal values, and int
-        # arithmetic is much cheaper than Fraction arithmetic
         if not mono:
             if _is_creation(g):
                 return {(g,): 1}
-            val = self._vacuum_action(g)
-            return {(): _exact(val)} if val != 0 else {}
+            # on |Lam> only h_0 survives, acting by a; the length stays
+            # 0, so it carries D^1.  Positive modes and e_0 kill |Lam>
+            return {(): self.A} if g == ("h", 0) and self.A else {}
         head = mono[0]
         if _is_creation(g) and _key(g) <= _key(head):
             return {(g,) + mono: 1}
         rest = mono[1:]
         out = {}
-        # g . head . rest = head . (g . rest) + [g, head] . rest
+        # g . head . rest = head . (g . rest) + [g, head] . rest; the
+        # bracket terms act on the shorter rest, so they gain one D and
+        # the central term, a length drop of two, gains D^2
+        D = self.D
         for m, c in self.apply_gen(g, rest).items():
             for m2, c2 in self.apply_gen(head, m).items():
                 out[m2] = out.get(m2, 0) + c * c2
-        terms, central = self._bracket(g, head)
+        terms, central = _bracket(g, head)
         for coeff, t in terms:
             for m, c in self.apply_gen(t, rest).items():
-                out[m] = out.get(m, 0) + coeff * c
-        if central != 0:
-            out[rest] = out.get(rest, 0) + central
-        return {m: _exact(c) for m, c in out.items() if c != 0}
+                out[m] = out.get(m, 0) + coeff * D * c
+        if central:
+            out[rest] = out.get(rest, 0) + central * self.K * D
+        return {m: c for m, c in out.items() if c != 0}
 
     def _check_window(self, vec, context):
         for mono, c in vec.items():
@@ -209,15 +225,19 @@ class GradedModule:
         support outside the window.  Intermediate states are exact PBW
         vectors of the full Verma module, so the check cannot fire
         spuriously."""
-        vec = {tuple(mono): F(1)}
-        for g in reversed(tuple(word)):
+        word = tuple(word)
+        mono = tuple(mono)
+        vec = {mono: 1}
+        for g in reversed(word):
             nxt = {}
             for m, c in vec.items():
                 for m2, c2 in self.apply_gen(g, m).items():
-                    nxt[m2] = nxt.get(m2, F(0)) + c * c2
+                    nxt[m2] = nxt.get(m2, 0) + c * c2
             vec = nxt
-        vec = {m: c for m, c in vec.items() if c != 0}
-        return self._check_window(vec, word)
+        vec = self._check_window({m: c for m, c in vec.items() if c != 0},
+                                 word)
+        top = len(word) + len(mono)
+        return {m: F(c, self.D ** (top - len(m))) for m, c in vec.items()}
 
     # -- sampled bracket verification ----------------------------------------
 
@@ -235,7 +255,8 @@ class GradedModule:
                 for m1 in modes:
                     for m2 in modes:
                         g1, g2 = (l1, m1), (l2, m2)
-                        terms, central = self._bracket(g1, g2)
+                        terms, central = _bracket(g1, g2)
+                        central *= self.k
                         for v in sample_vectors:
                             try:
                                 lhs = self.apply_word((g1, g2), v)
@@ -381,19 +402,20 @@ def spectral_flow_twist(module, lam_check, flip_sign=False):
 # ---------------------------------------------------------------------------
 
 def _sugawara_terms(n, lo, hi):
-    """The normal-ordered quadratic terms of S_n with first-acting mode
-    in [lo, hi]: list of (scale, (gen_left, gen_right)).  The h-tower is
-    folded over j <-> n-j so each unordered pair appears once."""
+    """The normal-ordered quadratic terms of 2 S_n / pref with
+    first-acting mode in [lo, hi]: list of (int scale, (gen_left,
+    gen_right)).  The h-tower is folded over j <-> n-j so each unordered
+    pair appears once; its 1/2 on h_{n/2}^2 is cleared by the factor 2."""
     out = []
     for j in range(lo, hi + 1):
         for l1, l2 in (("e", "f"), ("f", "e")):
             g1, g2 = (l1, j), (l2, n - j)
             if j <= n - j:
-                out.append((1, (g1, g2)))
+                out.append((2, (g1, g2)))
             else:
-                out.append((1, (g2, g1)))
+                out.append((2, (g2, g1)))
         if 2 * j <= n and n - j <= hi:
-            scale = F(1, 2) if 2 * j == n else 1
+            scale = 1 if 2 * j == n else 2
             out.append((scale, (("h", j), ("h", n - j))))
     return out
 
@@ -428,12 +450,13 @@ class ModeOperator:
         return "ModeOperator(%s)" % (self.label,)
 
 
-def sugawara_mode(module, n, twist=None):
-    """S_n as an exact operator; with `twist`, the flowed operator
-    Ad_{t^{lam_check}} S_n (each factor flowed, same index set)."""
+def _scaled_sugawara(module, n, twist=None):
+    """mono -> S_n mono (with `twist`, Ad_{t^{lam_check}} S_n mono) as an
+    int dict holding each coefficient times
+    4 (k + h_dual) D**(2 + len(mono) - len(m)); raises TruncationOverflow
+    when the exact result leaves the window."""
     if abs(n) > module.depth_bound:
         raise DomainError("|n| exceeds the depth window")
-    pref = 1 / (2 * (module.k + module.rs.h_dual))
     # a term is nonzero only if its first-acting flowed mode is at most
     # the depth; flowing shifts e/f indices by at most |p|
     pad = 0 if twist is None else abs(twist.flow.p)
@@ -441,15 +464,18 @@ def sugawara_mode(module, n, twist=None):
     shift = {"e": 0, "f": 0, "h": 0}
     if twist is not None:
         shift = {"e": twist.flow.p, "f": -twist.flow.p, "h": 0}
-    images = (None if twist is None
-              else {})
+        # the flow scalar on h_0 stands where a generator would, so it
+        # carries that generator's D
+        h_d = _integral(twist.flow.h_shift * module.D)
+        images = {}
 
     def gen_images(g):
         if twist is None:
             return [(1, g)]
         got = images.get(g)
         if got is None:
-            got = [(_exact(c), h) for c, h in twist.flow.gen_image(g)]
+            got = [(1, h) if h is not None else (h_d, None)
+                   for _, h in twist.flow.gen_image(g)]
             images[g] = got
         return got
 
@@ -457,8 +483,6 @@ def sugawara_mode(module, n, twist=None):
         d = module.depth(mono)
         lo, hi = n - d - pad, d + pad
         apply_gen = module.apply_gen
-        # accumulate without the prefactor and skip unit scalings: the
-        # sum is exact, so pulling pref out changes no coefficient
         out = {}
         for scale, (g1, g2) in _sugawara_terms(n, lo, hi):
             # the rightmost factor acts first; if its (flowed) mode
@@ -470,33 +494,47 @@ def sugawara_mode(module, n, twist=None):
                 for c1, h1 in gen_images(g1):
                     cc = scale * c1 * c2
                     for m, c in inter.items():
-                        w = c if cc == 1 else cc * c
+                        w = cc * c
                         if h1 is None:
                             out[m] = out.get(m, 0) + w
                             continue
                         for m2, c3 in apply_gen(h1, m).items():
                             out[m2] = out.get(m2, 0) + w * c3
-        out = {m: pref * c for m, c in out.items() if c != 0}
+        out = {m: c for m, c in out.items() if c != 0}
         # the accumulated dict is the exact expansion in the untruncated
         # Verma module; only now does the window matter
         return module._check_window(out, "S_%d" % n)
 
-    if twist is None:
-        def apply_fn(mono):
-            key = (n, mono)
-            got = module._smode_cache.get(key)
-            if got is None:
-                try:
-                    got = compute(mono)
-                except TruncationOverflow as exc:
-                    module._smode_cache[key] = exc
-                    raise
-                module._smode_cache[key] = got
-            elif isinstance(got, TruncationOverflow):
-                raise got
-            return got
-    else:
-        apply_fn = compute
+    if twist is not None:
+        return compute
+
+    def cached(mono):
+        key = (n, mono)
+        got = module._smode_cache.get(key)
+        if got is None:
+            try:
+                got = compute(mono)
+            except TruncationOverflow as exc:
+                module._smode_cache[key] = exc
+                raise
+            module._smode_cache[key] = got
+        elif isinstance(got, TruncationOverflow):
+            raise got
+        return got
+
+    return cached
+
+
+def sugawara_mode(module, n, twist=None):
+    """S_n as an exact operator; with `twist`, the flowed operator
+    Ad_{t^{lam_check}} S_n (each factor flowed, same index set)."""
+    scaled = _scaled_sugawara(module, n, twist)
+    D, four_kh = module.D, module.four_kh
+
+    def apply_fn(mono):
+        top = 2 + len(mono)
+        return {m: F(c * D, four_kh * D ** (top - len(m)))
+                for m, c in scaled(mono).items()}
 
     label = "S_%d" % n if twist is None else "Ad S_%d" % n
     return ModeOperator(module, label, n, apply_fn)
@@ -552,24 +590,33 @@ def check_dss(module, lam_check, n, flip_sign=False):
     """Assert Ad_{t^{lam_check}} S_n = S_n + lam_check_n
     + delta_{n,0} kappa(lam_check, lam_check)/2 on every window vector
     where both sides act exactly, and pin the flowed energy of the
-    highest-weight line."""
+    highest-weight line.  Both sides are compared in the Sugawara
+    scaling of `_scaled_sugawara`."""
     if not isinstance(lam_check, CoweightData):
         lam_check = CoweightData(tuple(lam_check))
     twisted = spectral_flow_twist(module, lam_check, flip_sign)
-    lhs_op = sugawara_mode(module, n, twist=twisted)
-    rhs_s = sugawara_mode(module, n)
-    rhs_l = coweight_mode(module, lam_check, n)
-    const = twisted.flow.kappa_self / 2 if n == 0 else F(0)
+    lhs_op = _scaled_sugawara(module, n, twist=twisted)
+    rhs_s = _scaled_sugawara(module, n)
+    h_n = ("h", n)
+    # lam_check_n = x h_n: apply_gen carries one D fewer than the
+    # Sugawara scaling, hence the multiplier x 4 (k + h_dual) D; the
+    # constant sits on mono itself, two powers of D
+    x = lam_check.h_coefficient(module.rs)
+    lam_mult = _integral(x * module.four_kh)
+    const = (_integral(twisted.flow.kappa_self / 2 * module.four_kh
+                       * module.D) if n == 0 else 0)
 
     report = DssReport(lam_check.coords, n, module.k, module.depth_bound)
     for mono in module.basis:
         try:
-            lhs = lhs_op.apply(mono)
-            rhs = dict(rhs_s.apply(mono))
-            for m, c in rhs_l.apply(mono).items():
-                rhs[m] = rhs.get(m, F(0)) + c
-            if const != 0:
-                rhs[mono] = rhs.get(mono, F(0)) + const
+            lhs = lhs_op(mono)
+            rhs = dict(rhs_s(mono))
+            lam = module._check_window(module.apply_gen(h_n, mono),
+                                       (h_n,))
+            for m, c in lam.items():
+                rhs[m] = rhs.get(m, 0) + lam_mult * c
+            if const:
+                rhs[mono] = rhs.get(mono, 0) + const
             rhs = {m: c for m, c in rhs.items() if c != 0}
         except TruncationOverflow:
             report.skipped += 1
@@ -583,12 +630,10 @@ def check_dss(module, lam_check, n, flip_sign=False):
     neg = CoweightData(tuple(-c for c in lam_check.coords))
     tw_neg = spectral_flow_twist(module, neg)
     s0 = sugawara_mode(module, 0, twist=tw_neg)
-    l0 = coweight_mode(module, lam_check, 0)
     vac = ()
     vec = dict(s0.apply(vac))
     # lam_check_0 twisted by -lam_check: h_0 picks up -kappa(h, lam_check)
     for m, c in tw_neg.apply_word((("h", 0),), vac).items():
-        x = lam_check.h_coefficient(module.rs)
         vec[m] = vec.get(m, F(0)) + x * c
     actual = vec.get(vac, F(0))
     if set(m for m, c in vec.items() if c != 0) - {vac}:

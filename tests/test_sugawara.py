@@ -210,3 +210,22 @@ def test_coweight_mode_on_hw():
     m = build_truncated_verma(F(5), 1, 1, 1)
     l0 = coweight_mode(m, RHO_CHECK, 0)
     assert l0.apply(()) == {(): F(5, 2)}  # <Lam, rho_check> = a/2
+
+
+@pytest.mark.parametrize("a, k", [(F(1, 3), F(-1, 2)), (F(3, 4), F(2, 3))])
+def test_check_dss_non_integral_weight_and_level(a, k):
+    # D = lcm(den a, den k) > 1 and a != 0, so the scaled vacuum term A,
+    # the flow scalar K c and both check multipliers are all exercised
+    m = build_truncated_verma(a, k, 4, 1)
+    assert m.D > 1 and m.A != 0
+    for lam in (RHO_CHECK, ALPHA_CHECK):
+        for n in range(-2, 3):
+            rep = check_dss(m, lam, n)
+            assert rep.passed
+            assert rep.tested + rep.skipped == len(m.basis)
+            # the opposite flow differs by 2 lam_check_n, which is nonzero
+            # on the window in every mode; the hw shift holds either way
+            flipped = check_dss(m, lam, n, flip_sign=True)
+            assert flipped.mismatches and not flipped.passed
+            assert flipped.hw_expected == flipped.hw_actual
+            assert flipped.tested + flipped.skipped == len(m.basis)

@@ -1,0 +1,173 @@
+"""Property tests for the integer (D-scaled) straightening of
+`affchar.sugawara` against plain `Fraction` straightening.
+
+The reference below straightens with `Fraction` coefficients and no
+common denominator: a generator moves left past a creation operator by
+g . head . rest = head . (g . rest) + [g, head] . rest, h_0 acts on the
+highest-weight vector by a, and the central term of [x_m, y_{-m}] is
+m k kappa_b(x, y).  S_n is summed over every mode pair whose first-acting
+factor can reach the vector, with the 1/2 on the whole h-tower and the
+prefactor 1/(2(k + 2)) applied at the end.  The weight a and the level k
+are drawn with coprime denominators, so the module's common denominator
+D = lcm(den a, den k) is a product and every scaled path is exercised.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from affchar.errors import TruncationOverflow
+from affchar.sugawara import (_BRACKET, ALPHA_CHECK, RHO_CHECK,
+                              CoweightData, GradedModule, _is_creation, _key,
+                              spectral_flow_twist, sugawara_mode)
+
+_KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
+LETTERS = ("e", "h", "f")
+
+
+class FractionStraightening:
+    """Exact PBW straightening over `Fraction`, memoized per instance."""
+
+    def __init__(self, module):
+        self.module = module
+        self.a = F(module.a)
+        self.k = F(module.k)
+        self._memo = {}
+
+    def apply_gen(self, g, mono):
+        key = (g, mono)
+        if key not in self._memo:
+            self._memo[key] = self._apply_gen(g, mono)
+        return self._memo[key]
+
+    def _apply_gen(self, g, mono):
+        if not mono:
+            if _is_creation(g):
+                return {(g,): F(1)}
+            if g == ("h", 0) and self.a != 0:
+                return {(): self.a}
+            return {}
+        head = mono[0]
+        if _is_creation(g) and _key(g) <= _key(head):
+            return {(g,) + mono: F(1)}
+        rest = mono[1:]
+        out = {}
+        for m, c in self.apply_gen(g, rest).items():
+            for m2, c2 in self.apply_gen(head, m).items():
+                out[m2] = out.get(m2, F(0)) + c * c2
+        (l1, m1), (l2, m2) = g, head
+        for coeff, letter in _BRACKET[(l1, l2)]:
+            for m, c in self.apply_gen((letter, m1 + m2), rest).items():
+                out[m] = out.get(m, F(0)) + coeff * c
+        if m1 + m2 == 0 and (l1, l2) in _KAPPA_B:
+            out[rest] = out.get(rest, F(0)) + m1 * self.k * _KAPPA_B[(l1, l2)]
+        return {m: c for m, c in out.items() if c != 0}
+
+    def check_window(self, vec):
+        mod = self.module
+        for mono in vec:
+            if (mod.depth(mono) > mod.depth_bound
+                    or mod.f0_count(mono) > mod.f0_bound):
+                raise TruncationOverflow("reference leaves the window",
+                                         witness=mono)
+        return vec
+
+    def apply_word(self, word, mono):
+        vec = {mono: F(1)}
+        for g in reversed(word):
+            nxt = {}
+            for m, c in vec.items():
+                for m2, c2 in self.apply_gen(g, m).items():
+                    nxt[m2] = nxt.get(m2, F(0)) + c * c2
+            vec = nxt
+        return self.check_window({m: c for m, c in vec.items() if c != 0})
+
+    def sugawara(self, n, mono, twist=None):
+        """S_n mono, or Ad S_n mono with `twist`."""
+        pad = 0 if twist is None else abs(twist.flow.p)
+        d = self.module.depth(mono)
+
+        def images(g):
+            return [(F(1), g)] if twist is None else twist.flow.gen_image(g)
+
+        terms = []
+        for j in range(n - d - pad - 1, d + pad + 2):
+            for l1, l2 in (("e", "f"), ("f", "e"), ("h", "h")):
+                scale = F(1, 2) if l1 == "h" else F(1)
+                # normal order: the larger mode acts first
+                pair = sorted([(l1, j), (l2, n - j)], key=lambda g: g[1])
+                terms.append((scale, pair[0], pair[1]))
+        out = {}
+        for scale, g1, g2 in terms:
+            for c2, h2 in images(g2):
+                inter = ({mono: F(1)} if h2 is None
+                         else self.apply_gen(h2, mono))
+                for c1, h1 in images(g1):
+                    for m, c in inter.items():
+                        w = scale * c1 * c2 * c
+                        got = {m: F(1)} if h1 is None else self.apply_gen(h1, m)
+                        for m2, c3 in got.items():
+                            out[m2] = out.get(m2, F(0)) + w * c3
+        pref = 1 / (2 * (self.k + 2))
+        return self.check_window({m: pref * c for m, c in out.items()
+                                  if c != 0})
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the marker of a window overflow."""
+    try:
+        return fn(*args)
+    except TruncationOverflow:
+        return "overflow"
+
+
+# coprime denominator pairs of (a, k); D is their product
+DENOMINATORS = [(1, 1), (3, 2), (2, 3), (4, 3), (5, 2), (3, 4), (1, 5)]
+
+
+@st.composite
+def weight_and_level(draw):
+    da, dk = draw(st.sampled_from(DENOMINATORS))
+    a = F(draw(st.integers(-7, 7)), da)
+    k = F(draw(st.integers(-7, 7)), dk)
+    if k == -2:
+        k = F(-1, 2)
+    return a, k
+
+
+gens = st.tuples(st.sampled_from(LETTERS), st.integers(-3, 3))
+
+
+@settings(max_examples=80)
+@given(weight_and_level(), st.data())
+def test_apply_word_matches_fraction_reference(ak, data):
+    a, k = ak
+    module = GradedModule(a, k, 3, 1)
+    ref = FractionStraightening(module)
+    for _ in range(6):
+        mono = data.draw(st.sampled_from(module.basis))
+        word = tuple(data.draw(st.lists(gens, min_size=1, max_size=3)))
+        got = outcome(module.apply_word, word, mono)
+        assert got == outcome(ref.apply_word, word, mono)
+        if got != "overflow":
+            assert all(type(c) is F for c in got.values())
+
+
+@settings(max_examples=60)
+@given(weight_and_level(), st.integers(-2, 2),
+       st.sampled_from([None, RHO_CHECK, ALPHA_CHECK,
+                        CoweightData((F(-1),))]),
+       st.booleans(), st.data())
+def test_sugawara_modes_match_fraction_reference(ak, n, lam, flip, data):
+    a, k = ak
+    module = GradedModule(a, k, 3, 1)
+    ref = FractionStraightening(module)
+    twist = (None if lam is None
+             else spectral_flow_twist(module, lam, flip_sign=flip))
+    op = sugawara_mode(module, n, twist=twist)
+    for _ in range(5):
+        mono = data.draw(st.sampled_from(module.basis))
+        got = outcome(op.apply, mono)
+        assert got == outcome(ref.sugawara, n, mono, twist)
+        if got != "overflow":
+            assert all(type(c) is F for c in got.values())
