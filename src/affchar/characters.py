@@ -31,6 +31,9 @@ from .hecke import (BruhatBall, ParabolicModule, inverse_multiplicity_matrix,
 
 F = Fraction
 
+# the rules `ch_simple_W` can take its multiplicities [M_y : L_w] from
+MULTIPLICITY_RULES = ("kl", "parabolic:q", "parabolic:-1")
+
 
 class CentralCharLabel:
     """A central character as the canonical (finite-dot-dominant) orbit
@@ -231,7 +234,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
             "simple characters are only computed for regular antidominant "
             "weights of negative level; classification: %s"
             % (cls.to_json_dict(),))
-    if multiplicities not in ("kl", "parabolic:q", "parabolic:-1"):
+    if multiplicities not in MULTIPLICITY_RULES:
         raise DomainError("unknown multiplicity rule %r" % (multiplicities,))
     if height_bound is None:
         height_bound = length_bound

@@ -21,8 +21,8 @@ from .errors import DomainError, BallExhausted, TruncationOverflow
 from .rootdata import Level, build_root_system
 from .affine import (LevelWeight, classify_weight,
                      orbit_and_representative, block_decomposition)
-from .hecke import (build_ball, kl_polynomial, antispherical_basis,
-                    kl_table_tsv)
+from .hecke import (PARABOLIC_PARAMS, build_ball, kl_polynomial,
+                    antispherical_basis, kl_table_tsv)
 from .qseries import equal_to_order
 from . import characters as chars
 from . import sugawara as sug
@@ -38,6 +38,14 @@ _KNOWN_KEYS = {
     "modes", "w", "x", "y", "coxeter_matrix", "parabolic",
     "antispherical_param", "multiplicities", "energy_sign", "w0_twist",
     "flip_flow_sign", "kind", "n", "m", "h", "max_u", "max_q", "format",
+}
+
+# convention fields and the values the library accepts for them; every
+# report echoes them, so they are checked before any subcommand runs
+_CHOICES = {
+    "antispherical_param": PARABOLIC_PARAMS,
+    "multiplicities": chars.MULTIPLICITY_RULES,
+    "energy_sign": wstruct.CONVENTIONS,
 }
 
 
@@ -131,6 +139,10 @@ class Job:
             flag = getattr(args, key, None)
             if flag is not None:
                 cfg[key] = flag
+        for key, allowed in _CHOICES.items():
+            if key in cfg and str(cfg[key]) not in allowed:
+                raise ConfigError("field %r must be one of %s, not %r"
+                                  % (key, ", ".join(allowed), cfg[key]))
         self.cfg = cfg
 
     def get(self, key, default=None):

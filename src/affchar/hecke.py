@@ -36,6 +36,8 @@ from math import gcd
 from .errors import DomainError, BallExhausted
 
 INFINITE_BOND = 0
+# the one-dimensional inductions a ParabolicModule can be built on
+PARABOLIC_PARAMS = ("q", "-1")
 _BOND_TO_GCM = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3),
                 INFINITE_BOND: (-2, -2)}
 
@@ -370,7 +372,7 @@ class ParabolicModule:
     """
 
     def __init__(self, ball, parabolic_gens, param="q"):
-        if param not in ("q", "-1"):
+        if param not in PARABOLIC_PARAMS:
             raise DomainError("parabolic parameter must be 'q' or '-1'")
         self.ball = ball
         self.parabolic = tuple(sorted(set(parabolic_gens)))

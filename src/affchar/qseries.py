@@ -120,7 +120,9 @@ class QSeries:
             self.offset == other.offset and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.offset, self.coeffs))
+        # every zero series equals every other whatever its window, and
+        # its offset is always 0
+        return hash((self.offset, () if self.is_zero else self.coeffs))
 
     # -- presentation -------------------------------------------------------
 

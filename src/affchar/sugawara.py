@@ -35,10 +35,12 @@ coefficients of the same monomial are equal, exactly when their true
 values are.  The Sugawara modes keep S_n mono times
 4 (k + h_dual) D**(2 + len(mono) - len(m)) (that is, with the prefactor
 1/(2(k + h_dual)) and the 1/2 of the h-tower cleared), and
-`check_dss` compares such integer dicts.  Values are turned back into
-`Fraction` only at the public edges: `GradedModule.apply_word` (hence
-the twisted action and `coweight_mode`) and `sugawara_mode(...).apply`
-unscale each output entry once.
+`check_dss` compares such integer dicts.  One routine,
+`_scaled_sugawara`, gives every Sugawara mode: S_n is its flow by the
+zero coweight.  Values are turned back into `Fraction` only at the
+public edges: `GradedModule.apply_word` (hence `coweight_mode`) and
+`sugawara_mode(...).apply` unscale each output entry once, and
+`check_dss` unscales its highest-weight eigenvalue once.
 """
 
 from fractions import Fraction
@@ -117,7 +119,6 @@ class GradedModule:
         self.depth_bound = depth_bound
         self.f0_bound = f0_bound
         self._nf_cache = {}
-        self._smode_cache = {}
         self.basis = self._enumerate_basis()
 
     @staticmethod
@@ -334,10 +335,8 @@ class SpectralFlow:
     """
 
     def __init__(self, module, lam_check, flip_sign=False):
-        self.module = module
         if flip_sign:
             lam_check = CoweightData(tuple(-c for c in lam_check.coords))
-        self.lam_check = lam_check
         rs = module.rs
         self.p = lam_check.pairing_with_root(rs)
         self.h_shift = lam_check.kappa_with_h(rs, module.k)
@@ -355,46 +354,18 @@ class SpectralFlow:
             out.append((self.h_shift, None))
         return out
 
-    def apply_twisted_word(self, word, mono):
-        """Exact action of Ad(word gens) on a basis monomial."""
-        expansions = [self.gen_image(g) for g in word]
-        out = {}
-
-        def rec(idx, gens, scalar):
-            if idx == len(expansions):
-                for m, c in self.module.apply_word(tuple(gens), mono).items():
-                    out[m] = out.get(m, F(0)) + scalar * c
-                return
-            for coeff, g in expansions[idx]:
-                if g is None:
-                    rec(idx + 1, gens, scalar * coeff)
-                else:
-                    gens.append(g)
-                    rec(idx + 1, gens, scalar * coeff)
-                    gens.pop()
-
-        rec(0, [], F(1))
-        return {m: c for m, c in out.items() if c != 0}
-
-
-class TwistedModule:
-    """The underlying space of a GradedModule with the action composed
-    with a spectral flow."""
-
-    def __init__(self, module, lam_check, flip_sign=False):
-        self.module = module
-        self.flow = SpectralFlow(module, lam_check, flip_sign)
-        self.basis = module.basis
-
-    def apply_word(self, word, mono):
-        return self.flow.apply_twisted_word(word, mono)
-
 
 def spectral_flow_twist(module, lam_check, flip_sign=False):
+    """The flow by `lam_check` (a CoweightData or its coordinates);
+    raises DomainError unless it is a cocharacter of the adjoint torus."""
     if not isinstance(lam_check, CoweightData):
         lam_check = CoweightData(tuple(lam_check))
-    lam_check.pairing_with_root(module.rs)  # validates integrality
-    return TwistedModule(module, lam_check, flip_sign)
+    return SpectralFlow(module, lam_check, flip_sign)
+
+
+def _zero_flow(module):
+    """The flow by the zero coweight, the identity on generator modes."""
+    return SpectralFlow(module, CoweightData((F(0),) * module.rs.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -450,32 +421,27 @@ class ModeOperator:
         return "ModeOperator(%s)" % (self.label,)
 
 
-def _scaled_sugawara(module, n, twist=None):
-    """mono -> S_n mono (with `twist`, Ad_{t^{lam_check}} S_n mono) as an
-    int dict holding each coefficient times
-    4 (k + h_dual) D**(2 + len(mono) - len(m)); raises TruncationOverflow
-    when the exact result leaves the window."""
+def _scaled_sugawara(module, n, flow):
+    """mono -> Ad_{t^{lam_check}} S_n mono for the SpectralFlow `flow` (S_n
+    mono itself for the zero flow) as an int dict holding each coefficient
+    times 4 (k + h_dual) D**(2 + len(mono) - len(m)); raises
+    TruncationOverflow when the exact result leaves the window."""
     if abs(n) > module.depth_bound:
         raise DomainError("|n| exceeds the depth window")
     # a term is nonzero only if its first-acting flowed mode is at most
     # the depth; flowing shifts e/f indices by at most |p|
-    pad = 0 if twist is None else abs(twist.flow.p)
-
-    shift = {"e": 0, "f": 0, "h": 0}
-    if twist is not None:
-        shift = {"e": twist.flow.p, "f": -twist.flow.p, "h": 0}
-        # the flow scalar on h_0 stands where a generator would, so it
-        # carries that generator's D
-        h_d = _integral(twist.flow.h_shift * module.D)
-        images = {}
+    pad = abs(flow.p)
+    shift = {"e": flow.p, "f": -flow.p, "h": 0}
+    # the flow scalar on h_0 stands where a generator would, so it
+    # carries that generator's D
+    h_d = _integral(flow.h_shift * module.D)
+    images = {}
 
     def gen_images(g):
-        if twist is None:
-            return [(1, g)]
         got = images.get(g)
         if got is None:
             got = [(1, h) if h is not None else (h_d, None)
-                   for _, h in twist.flow.gen_image(g)]
+                   for _, h in flow.gen_image(g)]
             images[g] = got
         return got
 
@@ -505,30 +471,14 @@ def _scaled_sugawara(module, n, twist=None):
         # Verma module; only now does the window matter
         return module._check_window(out, "S_%d" % n)
 
-    if twist is not None:
-        return compute
-
-    def cached(mono):
-        key = (n, mono)
-        got = module._smode_cache.get(key)
-        if got is None:
-            try:
-                got = compute(mono)
-            except TruncationOverflow as exc:
-                module._smode_cache[key] = exc
-                raise
-            module._smode_cache[key] = got
-        elif isinstance(got, TruncationOverflow):
-            raise got
-        return got
-
-    return cached
+    return compute
 
 
 def sugawara_mode(module, n, twist=None):
-    """S_n as an exact operator; with `twist`, the flowed operator
-    Ad_{t^{lam_check}} S_n (each factor flowed, same index set)."""
-    scaled = _scaled_sugawara(module, n, twist)
+    """S_n as an exact operator; with `twist` (a SpectralFlow), the flowed
+    operator Ad_{t^{lam_check}} S_n (each factor flowed, same index set)."""
+    flow = _zero_flow(module) if twist is None else twist
+    scaled = _scaled_sugawara(module, n, flow)
     D, four_kh = module.D, module.four_kh
 
     def apply_fn(mono):
@@ -594,16 +544,16 @@ def check_dss(module, lam_check, n, flip_sign=False):
     scaling of `_scaled_sugawara`."""
     if not isinstance(lam_check, CoweightData):
         lam_check = CoweightData(tuple(lam_check))
-    twisted = spectral_flow_twist(module, lam_check, flip_sign)
-    lhs_op = _scaled_sugawara(module, n, twist=twisted)
-    rhs_s = _scaled_sugawara(module, n)
+    flow = spectral_flow_twist(module, lam_check, flip_sign)
+    lhs_op = _scaled_sugawara(module, n, flow)
+    rhs_s = _scaled_sugawara(module, n, _zero_flow(module))
     h_n = ("h", n)
     # lam_check_n = x h_n: apply_gen carries one D fewer than the
     # Sugawara scaling, hence the multiplier x 4 (k + h_dual) D; the
     # constant sits on mono itself, two powers of D
     x = lam_check.h_coefficient(module.rs)
     lam_mult = _integral(x * module.four_kh)
-    const = (_integral(twisted.flow.kappa_self / 2 * module.four_kh
+    const = (_integral(flow.kappa_self / 2 * module.four_kh
                        * module.D) if n == 0 else 0)
 
     report = DssReport(lam_check.coords, n, module.k, module.depth_bound)
@@ -625,19 +575,18 @@ def check_dss(module, lam_check, n, flip_sign=False):
             report.mismatches.append((mono, lhs, rhs))
         report.tested += 1
 
-    # Flowed conformal weight of the unit line: twist by -lam_check and
+    # Flowed conformal weight of the unit line: flow by -lam_check and
     # apply S_0 + lam_check_0; the eigenvalue drops by kappa(l,l)/2.
-    neg = CoweightData(tuple(-c for c in lam_check.coords))
-    tw_neg = spectral_flow_twist(module, neg)
-    s0 = sugawara_mode(module, 0, twist=tw_neg)
-    vac = ()
-    vec = dict(s0.apply(vac))
-    # lam_check_0 twisted by -lam_check: h_0 picks up -kappa(h, lam_check)
-    for m, c in tw_neg.apply_word((("h", 0),), vac).items():
-        vec[m] = vec.get(m, F(0)) + x * c
-    actual = vec.get(vac, F(0))
-    if set(m for m, c in vec.items() if c != 0) - {vac}:
+    neg = SpectralFlow(module, lam_check, flip_sign=True)
+    vec = dict(_scaled_sugawara(module, 0, neg)(()))
+    # lam_check_0 = x h_0 flowed by -lam_check acts on the unit line by
+    # x (a + h_shift), which is lam_mult (A + h_shift D) in the scaling
+    # 4 (k + h_dual) D of the unit entry
+    vec[()] = (vec.get((), 0)
+               + lam_mult * (module.A + _integral(neg.h_shift * module.D)))
+    if set(vec) - {()}:
         raise AssertionError("flowed energy operator does not fix the unit line")
+    actual = F(vec[()], module.four_kh * module.D)
     c1 = casimir_eigenvalue(module.rs, (module.a,))
     expected = (c1 / (2 * (module.k + module.rs.h_dual))
                 - lam_check.kappa_self(module.rs, module.k) / 2)

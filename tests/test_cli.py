@@ -309,6 +309,13 @@ def test_malformed_word_exits_1(capsys, argv):
      "--length-bound 4 --trunc 4", {"w": [1.5]}),
     ("sugawara-check --level 1 --weight 0 --f0-bound 1 --modes 0",
      {"depth": True}),
+    # convention values outside the library's allowed sets
+    ("roots --type A --rank 1 --energy-sign foo", None),
+    ("vacuum-char --type A --rank 1 --energy-sign foo", None),
+    ("character-simple --type A --rank 1 --level=-4 --weight=-2 "
+     "--length-bound 4 --trunc 4 --multiplicities foo", None),
+    ("antispherical --coxeter-matrix [[1,3],[3,1]] --parabolic 0 --w 1,0 "
+     "--antispherical-param foo", None),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()

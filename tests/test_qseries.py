@@ -75,6 +75,16 @@ def test_canonicalization_equality():
     assert a.offset == 3 and a.coeffs == (4, 5)
 
 
+def test_equal_zero_series_hash_alike():
+    # zero series of different windows (and offsets) are equal, so they
+    # must be one set element and one dict key
+    zeros = [QSeries(0, [0], 3), QSeries(0, [0], 5), QSeries(F(7, 2), [0, 0]),
+             QSeries(1, [5, 1]) - QSeries(1, [5, 1])]
+    assert all(z == zeros[0] for z in zeros)
+    assert len(set(zeros)) == 1
+    assert len({QSeries(0, [1], 3), QSeries(0, [1], 5)}) == 2
+
+
 def test_equal_to_order_window():
     a = QSeries(0, [1, 2, 3, 4])
     b = QSeries(0, [1, 2, 3, 9])

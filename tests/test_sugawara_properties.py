@@ -84,11 +84,11 @@ class FractionStraightening:
 
     def sugawara(self, n, mono, twist=None):
         """S_n mono, or Ad S_n mono with `twist`."""
-        pad = 0 if twist is None else abs(twist.flow.p)
+        pad = 0 if twist is None else abs(twist.p)
         d = self.module.depth(mono)
 
         def images(g):
-            return [(F(1), g)] if twist is None else twist.flow.gen_image(g)
+            return [(F(1), g)] if twist is None else twist.gen_image(g)
 
         terms = []
         for j in range(n - d - pad - 1, d + pad + 2):
