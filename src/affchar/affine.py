@@ -4,8 +4,9 @@ Weyl groups, orbits and block decompositions.
 A weight at level k is a point of the affine subspace t* + c*; in
 coordinates it is a tuple of Fractions in the fundamental-weight basis
 plus the level.  Real affine coroots are pairs (gamma, m) standing for
-gamma + m (kappa/kappa_b) c with gamma a finite coroot (simple-coroot
-coordinates) and m an integer multiple of the lacing number of gamma.
+gamma + m (kappa/kappa_b) c with gamma a finite coroot (an int tuple in
+simple-coroot coordinates) and m an int multiple of the lacing number of
+gamma.
 All shifted pairings use the closed form
 
     <lam + rho_hat, (gamma, m)> = <lam + rho, gamma> + m (k + h_dual),
@@ -58,10 +59,6 @@ class AffineCoroot:
     gamma: tuple
     m: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(F(g) for g in self.gamma))
-        object.__setattr__(self, "m", int(self.m))
-
     def negate(self):
         return AffineCoroot(tuple(-g for g in self.gamma), -self.m)
 
@@ -78,7 +75,7 @@ def simple_affine_coroots(rs, index_set=None):
     """alphacheck_i for i in {0} u I; index 0 is -theta_check + (k/kb) c."""
     out = {0: AffineCoroot(tuple(-t for t in rs.theta_check), 1)}
     for i in range(rs.rank):
-        e = tuple(F(int(i == j)) for j in range(rs.rank))
+        e = (0,) * i + (1,) + (0,) * (rs.rank - 1 - i)
         out[i + 1] = AffineCoroot(e, 0)
     return out
 
@@ -132,7 +129,7 @@ def reflect_coroot(rs, refl, cr):
     """Linear action of the reflection in `refl` on the coroot `cr`:
     x -> x - <gamma_refl, x> * refl, where the pairing only sees the
     finite parts."""
-    p = int(_root_pair(rs, refl.gamma, cr.gamma))
+    p = _root_pair(rs, refl.gamma, cr.gamma)
     return AffineCoroot(
         tuple(d - p * g for d, g in zip(cr.gamma, refl.gamma)),
         cr.m - p * refl.m)
@@ -359,7 +356,7 @@ def _coxeter_matrix_of(rs, coroots):
         for j in range(i + 1, n):
             gi, gj = coroots[i].gamma, coroots[j].gamma
             nij = _root_pair(rs, gi, gj) * _root_pair(rs, gj, gi)
-            m[i][j] = m[j][i] = order_of.get(int(nij), 0)
+            m[i][j] = m[j][i] = order_of.get(nij, 0)
     return m
 
 

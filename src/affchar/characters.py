@@ -195,8 +195,13 @@ class SimpleCharacter:
     contributions: list   # (y word, integer coefficient, CentralCharLabel)
     minimal_words: list
     multiplicity_matrix: list
-    inverse_matrix: list
     multiplicity_rule: str
+
+    @property
+    def inverse_matrix(self):
+        """The whole inverse of the multiplicity matrix; the
+        contributions are its last column."""
+        return inverse_multiplicity_matrix(self.multiplicity_matrix)
 
     def to_json_dict(self):
         return {
@@ -213,7 +218,9 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
                 multiplicities="kl"):
     """ch L_w = sum_y c_{y,w} ch M_{pi(y . lam)} in the regular
     antidominant negative-level regime, where [c] inverts the
-    Verma-to-simple multiplicity matrix at v = 1.
+    Verma-to-simple multiplicity matrix at v = 1.  w is the longest
+    element of its ideal, so c_{., w} is the last column of the inverse,
+    found by back-substitution.
 
     ``multiplicities`` selects the rule producing [M_y : L_w]:
 
@@ -246,10 +253,11 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
                 "trivial integral Weyl group: only w = e exists")
         chi = hc_project(rs, lw.lam, lw.level)
         return SimpleCharacter(ch_verma_W(chi, trunc), (), [((), 1, chi)],
-                               [()], [[1]], [[1]], multiplicities)
+                               [()], [[1]], multiplicities)
     ball = BruhatBall(isys.coxeter_matrix, length_bound)
     parabolic = [i for i, cr in enumerate(isys.simples) if cr.m == 0]
-    mod = ParabolicModule(ball, parabolic, "q")
+    param = "q" if multiplicities == "kl" else multiplicities.split(":")[1]
+    mod = ParabolicModule(ball, parabolic, param)
     w_el = ball.element_by_word(tuple(w_word))
     if not mod.is_minimal(w_el):
         raise DomainError("w is not minimal in its finite coset")
@@ -257,28 +265,34 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
     ideal = [y for y in ball.interval_below(w_el) if mod.is_minimal(y)]
     pos = {y.key: i for i, y in enumerate(ideal)}
     n = len(ideal)
-    mult = [[0] * n for _ in range(n)]
-    if multiplicities == "kl":
-        for j, w in enumerate(ideal):
-            for i, y in enumerate(ideal):
-                if ball.leq(y, w):
-                    mult[i][j] = kl_polynomial(ball, y, w).eval_at_one()
-    else:
-        pmod = ParabolicModule(ball, parabolic, multiplicities.split(":")[1])
-        for j, w in enumerate(ideal):
-            basis = pmod.canonical_basis(w)
-            for key, poly in basis.items():
-                i = pos.get(key)
-                if i is None:
-                    raise AssertionError("canonical basis outside the ideal")
-                mult[i][j] = poly.eval_at_one()
-    cmat = inverse_multiplicity_matrix(mult)
+    # column j of [M_y : L_w] at v = 1, as {row: entry}
+    cols = []
+    for w in ideal:
+        if multiplicities == "kl":
+            col = {pos[y.key]: kl_polynomial(ball, y, w).eval_at_one()
+                   for y in ball.interval_below(w) if y.key in pos}
+        else:
+            basis = mod.canonical_basis(w)
+            if not basis.keys() <= pos.keys():
+                raise AssertionError("canonical basis outside the ideal")
+            col = {pos[key]: poly.eval_at_one()
+                   for key, poly in basis.items()}
+        if col.get(len(cols)) != 1 or max(col) != len(cols):
+            raise AssertionError("multiplicity matrix is not unitriangular")
+        cols.append(col)
+    mult = [[col.get(i, 0) for col in cols] for i in range(n)]
+    # solve the unitriangular M c = e_w from the bottom up: once c_k is
+    # known, column k of M moves to the right-hand side
+    coeffs = [0] * (n - 1) + [1]
+    for k in range(n - 1, 0, -1):
+        if coeffs[k]:
+            for i, m in cols[k].items():
+                if i < k:
+                    coeffs[i] -= m * coeffs[k]
 
-    jcol = pos[w_el.key]
     series = None
     contributions = []
-    for i, y in enumerate(ideal):
-        coeff = cmat[i][jcol]
+    for y, coeff in zip(ideal, coeffs):
         if coeff == 0:
             continue
         mu = dot_act_word(lw, isys.simples, y.word)
@@ -287,5 +301,4 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
         series = term if series is None else series + term
         contributions.append((y.word, coeff, chi))
     return SimpleCharacter(series, tuple(w_word), contributions,
-                           [y.word for y in ideal], mult, cmat,
-                           multiplicities)
+                           [y.word for y in ideal], mult, multiplicities)

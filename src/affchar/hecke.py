@@ -132,6 +132,8 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
+_V = LaurentPoly({1: 1})
+_VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 
 def _validate_coxeter_matrix(m):
@@ -392,8 +394,10 @@ class ParabolicModule:
     def minimal_elements(self):
         return [el for el in self.ball.all_elements() if self.is_minimal(el)]
 
-    def act_gen(self, vec, i):
-        """Right action of H_{s_i} on {key: poly} over minimal reps."""
+    def act_gen(self, vec, i, scalar=_ZERO):
+        """vec (H_{s_i} + scalar) on {key: poly} over minimal reps, for a
+        Laurent polynomial scalar: b_s = H_s + v is the scalar v, and
+        bar(H_s) = H_s^{-1} = H_s + v - v^{-1}."""
         out = {}
 
         def bump(key, poly):
@@ -405,19 +409,12 @@ class ParabolicModule:
             ys = self.ball.right_mult(y, i)
             if ys.length < y.length:
                 bump(ys.key, poly)
-                bump(key, poly * LaurentPoly({-1: 1, 1: -1}))
+                bump(key, poly * _VINV_MINUS_V)
             elif self.is_minimal(ys):
                 bump(ys.key, poly)
             else:
                 bump(key, poly * self._eps)
-        return {k: p for k, p in out.items() if not p.is_zero}
-
-    def act_b_gen(self, vec, i):
-        """Right action of b_s = H_s + v."""
-        out = self.act_gen(vec, i)
-        for key, poly in vec.items():
-            extra = poly * LaurentPoly({1: 1})
-            out[key] = out.get(key, _ZERO) + extra
+            bump(key, poly * scalar)
         return {k: p for k, p in out.items() if not p.is_zero}
 
     def bar_standard(self, y):
@@ -426,13 +423,9 @@ class ParabolicModule:
         got = self._bars.get(y.key)
         if got is not None:
             return got
-        shift = LaurentPoly({1: 1, -1: -1})
         vec = {self.ball._id: _ONE}
         for i in y.word:
-            a = self.act_gen(vec, i)
-            for key, poly in vec.items():
-                a[key] = a.get(key, _ZERO) + poly * shift
-            vec = {k: p for k, p in a.items() if not p.is_zero}
+            vec = self.act_gen(vec, i, -_VINV_MINUS_V)
         self._bars[y.key] = vec
         return vec
 
@@ -453,7 +446,7 @@ class ParabolicModule:
                  if self.ball.right_mult(w, i).length < w.length
                  and self.is_minimal(self.ball.right_mult(w, i)))
         w1 = self.ball.right_mult(w, i)
-        cand = self.act_b_gen(self.canonical_basis(w1), i)
+        cand = self.act_gen(self.canonical_basis(w1), i, _V)
         # subtract constant terms from the top down
         for y in sorted((self.ball.elements[k] for k in cand),
                         key=lambda e: -e.length):

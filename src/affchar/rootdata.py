@@ -8,6 +8,9 @@ Conventions used throughout the package:
   simple-coroot coordinates; with these choices every canonical pairing
   ``<weight, coroot>`` and ``<root, coweight>`` is a plain dot product
   against integer data.
+* Lattice data are int tuples: roots, coroots, the simple (co)roots,
+  theta and theta_check, and the coroot tables.  Fractions enter only
+  with weights, levels, the forms and ``halfsq``.
 * The Cartan matrix is ``A[i][j] = <alpha_j, alphacheck_i>``.
 * The invariant form on t* is normalized so the highest root has squared
   length 2; equivalently the basic form on t gives short coroots squared
@@ -18,7 +21,6 @@ Everything is immutable after construction and safe to share.
 
 from fractions import Fraction
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DomainError
 
@@ -142,7 +144,8 @@ class Level:
 
 
 class RootSystem:
-    """Cartan data of one simple factor, all entries exact rationals."""
+    """Cartan data of one simple factor: lattice vectors over int, forms
+    and ``halfsq`` over Fraction."""
 
     def __init__(self, letter, rank):
         if letter not in _LETTERS:
@@ -157,7 +160,7 @@ class RootSystem:
         self.positive_roots = self._close_positive_roots()
         nroots = 2 * len(self.positive_roots)
         self.dim = nroots + rank
-        heights = [int(sum(b)) for b in self.positive_roots]
+        heights = [sum(b) for b in self.positive_roots]
         self.coxeter_number = max(heights) + 1
         # exponents: d occurs as often as the height profile stays >= its level
         profile = [0] * (max(heights) + 1)
@@ -168,54 +171,45 @@ class RootSystem:
             exps.extend([m] * (profile[m] - (profile[m + 1] if m + 1 < len(profile) else 0)))
         self.exponents = tuple(sorted(exps))
 
-        # highest root theta and its coroot
-        self.theta = max(self.positive_roots, key=sum)
-        self.theta_check = self.coroot_of_root(self.theta)
-        self.h_dual = int(1 + sum(self.theta_check))
-
         self.rho = tuple(F(1) for _ in range(rank))        # omega-basis
         self.rho_check = tuple(F(1) for _ in range(rank))  # omega-check basis
 
-        # simple (co)roots expressed in the weight / coweight bases
-        self.simple_roots = tuple(
-            tuple(F(self.cartan[i][j]) for i in range(rank)) for j in range(rank))
-        self.simple_coroots = tuple(
-            tuple(F(self.cartan[j][i]) for i in range(rank)) for j in range(rank))
+        # simple (co)roots in the weight / coweight bases: the Cartan
+        # columns and rows
+        self.simple_roots = tuple(zip(*self.cartan))
+        self.simple_coroots = self.cartan
 
-        self.positive_coroots = tuple(
-            self.coroot_of_root(b) for b in self.positive_roots)
+        # the coroot gamma_i = beta_i halfsq[i] / ((beta, beta)/2) of each
+        # positive root beta; for gamma of either sign, coroot_roots holds
+        # its root in omega-coordinates (<beta, gamma'> is a dot product
+        # with gamma') and coroot_lacing kappa_b(gamma, gamma) /
+        # kappa_b(theta_check, theta_check) = 1 / ((beta, beta)/2): 1 on
+        # short coroots, the lacing number of the type on long ones
+        coroots = []
+        self.coroot_roots, self.coroot_lacing = {}, {}
+        for beta in self.positive_roots:
+            rb = self.root_halfsq(beta)
+            gamma = tuple(int(b * h / rb) for b, h in zip(beta, self.halfsq))
+            root = self.root_to_weight_coords(beta)
+            for sign in (1, -1):
+                g = tuple(sign * x for x in gamma)
+                self.coroot_roots[g] = tuple(sign * x for x in root)
+                self.coroot_lacing[g] = int(1 / rb)
+            coroots.append(gamma)
+        self.positive_coroots = tuple(coroots)
+
+        # the highest root theta ends the height-sorted list
+        self.theta = self.positive_roots[-1]
+        self.theta_check = self.positive_coroots[-1]
+        self.h_dual = 1 + sum(self.theta_check)
 
         self._gram_weight = self._weight_gram()
         self._gram_coweight = self._coweight_gram()
 
-    @cached_property
-    def coroot_lacing(self):
-        """kappa_b(gamma, gamma) / kappa_b(theta_check, theta_check) for
-        every coroot gamma of either sign: 1 on short coroots, the lacing
-        number of the type on long ones."""
-        theta_sq = self.coweight_form_on_coroots(self.theta_check,
-                                                 self.theta_check)
-        out = {}
-        for g in self.positive_coroots:
-            r = int(self.coweight_form_on_coroots(g, g) / theta_sq)
-            out[g] = out[tuple(-x for x in g)] = r
-        return out
-
-    @cached_property
-    def coroot_roots(self):
-        """The root of every coroot of either sign in integer omega-
-        coordinates: <beta, gamma'> is its dot product with gamma'."""
-        out = {}
-        for g in self.positive_coroots:
-            b = tuple(map(int, self.root_to_weight_coords(
-                self.root_of_coroot(g))))
-            out[g], out[tuple(-x for x in g)] = b, tuple(-x for x in b)
-        return out
-
     # -- construction helpers -------------------------------------------
 
     def _close_positive_roots(self):
-        simples = [tuple(F(i == j) for i in range(self.rank))
+        simples = [tuple(int(i == j) for i in range(self.rank))
                    for j in range(self.rank)]
         seen = set(simples)
         frontier = list(simples)
@@ -262,58 +256,52 @@ class RootSystem:
     def root_to_weight_coords(self, beta):
         """Simple-root coordinates -> fundamental-weight coordinates."""
         return tuple(
-            sum(F(b) * self.cartan[i][j] for j, b in enumerate(beta))
+            sum(b * self.cartan[i][j] for j, b in enumerate(beta))
             for i in range(self.rank))
-
-    def coroot_of_root(self, beta):
-        """Coroot of a root given in simple-root coordinates, in
-        simple-coroot coordinates."""
-        rb = self.root_halfsq(beta)
-        return tuple(F(b) * self.halfsq[i] / rb for i, b in enumerate(beta))
 
     def root_of_coroot(self, gamma):
         """Root whose coroot has the given simple-coroot coordinates,
         in simple-root coordinates."""
-        nu = [F(g) / self.halfsq[i] for i, g in enumerate(gamma)]
+        nu = [g / self.halfsq[i] for i, g in enumerate(gamma)]
         sq = self.coweight_form_on_coroots(gamma, gamma)
         return tuple(2 * x / sq for x in nu)
 
     def root_halfsq(self, beta):
         """(beta, beta)/2 for beta in simple-root coordinates."""
         return sum(
-            F(beta[i]) * F(beta[j]) * self.cartan[i][j] * self.halfsq[i]
+            beta[i] * beta[j] * self.cartan[i][j] * self.halfsq[i]
             for i in range(self.rank) for j in range(self.rank)) / 2
 
     def coweight_form_on_coroots(self, x, y):
         """kappa_b(x, y) for x, y in simple-coroot coordinates."""
         return sum(
-            F(x[i]) * F(y[j]) * self.cartan[i][j] / self.halfsq[j]
+            x[i] * y[j] * self.cartan[i][j] / self.halfsq[j]
             for i in range(self.rank) for j in range(self.rank))
 
     def pair_weight_coroot(self, lam, gamma):
         """<lam, gamma> with lam in omega-coordinates, gamma in
         simple-coroot coordinates."""
-        return sum(F(a) * F(b) for a, b in zip(lam, gamma))
+        return sum(a * b for a, b in zip(lam, gamma))
 
     def pair_root_coroot(self, beta, gamma):
         """<beta, gamma> with beta in simple-root, gamma in simple-coroot
         coordinates."""
         return sum(
-            F(beta[j]) * F(gamma[i]) * self.cartan[i][j]
+            beta[j] * gamma[i] * self.cartan[i][j]
             for i in range(self.rank) for j in range(self.rank))
 
     def pair_weight_coweight(self, lam, x):
         """<lam, x> with lam in omega- and x in omega-check coordinates."""
         ainv = self.cartan_inv
         return sum(
-            F(lam[i]) * F(x[j]) * ainv[j][i]
+            lam[i] * x[j] * ainv[j][i]
             for i in range(self.rank) for j in range(self.rank))
 
     def coweight_to_coroot_coords(self, x):
         """Fundamental-coweight coordinates -> simple-coroot coordinates."""
         ainv = self.cartan_inv
         return tuple(
-            sum(F(x[j]) * ainv[j][m] for j in range(self.rank))
+            sum(x[j] * ainv[j][m] for j in range(self.rank))
             for m in range(self.rank))
 
     # -- forms ------------------------------------------------------------
@@ -322,13 +310,13 @@ class RootSystem:
         """(lam, mu) in the (theta, theta) = 2 normalization, both in
         omega-coordinates."""
         return sum(
-            F(lam[i]) * F(mu[j]) * self._gram_weight[i][j]
+            lam[i] * mu[j] * self._gram_weight[i][j]
             for i in range(self.rank) for j in range(self.rank))
 
     def coweight_form(self, x, y):
         """kappa_b(x, y), both arguments in omega-check coordinates."""
         return sum(
-            F(x[i]) * F(y[j]) * self._gram_coweight[i][j]
+            x[i] * y[j] * self._gram_coweight[i][j]
             for i in range(self.rank) for j in range(self.rank))
 
     def rho_check_normsq(self):

@@ -5,8 +5,9 @@ import pytest
 from affchar.errors import DomainError
 from affchar.rootdata import Level, build_root_system
 from affchar.affine import LevelWeight, finite_dot_orbit
-from affchar.characters import (KAC_MOODY, SIMPLE, VERMA, DUAL_VERMA, ZERO,
-                                ModuleLabel, ch_simple_W, ch_verma_Oprime,
+from affchar.characters import (KAC_MOODY, MULTIPLICITY_RULES, SIMPLE,
+                                VERMA, DUAL_VERMA, ZERO, ModuleLabel,
+                                ch_simple_W, ch_verma_Oprime,
                                 ch_verma_W, ds_exponent, ds_transform,
                                 energy_offsets, hc_project, psi_s_label)
 from affchar.qseries import eta_factor, equal_to_order
@@ -235,3 +236,21 @@ def test_simple_character_rejections(sl2):
     with pytest.raises(DomainError):
         # non-minimal coset representative
         ch_simple_W(chain_weight(sl2), (0,), 10, length_bound=6)
+
+
+@pytest.mark.parametrize("rule", MULTIPLICITY_RULES)
+@pytest.mark.parametrize("letter,rank,level,lam,word,bound", [
+    ("A", 2, -6, (-2, -2), (2, 0, 1, 2), 5),
+    ("A", 2, -6, (-2, -2), (2, 0, 1), 5),
+    ("B", 2, -7, (-2, -2), (2, 0, 1, 0, 2, 0), 8),
+    ("G", 2, -9, (F(-5, 2), -3), (2, 0, 3, 1, 3), 8),
+])
+def test_contributions_are_last_inverse_column(rule, letter, rank, level,
+                                               lam, word, bound):
+    # the back-substituted column against the whole inverse
+    lw = LevelWeight(build_root_system(letter, rank), lam, Level(level))
+    res = ch_simple_W(lw, word, 4, length_bound=bound, multiplicities=rule)
+    assert res.minimal_words[-1] == word
+    last = [row[-1] for row in res.inverse_matrix]
+    assert [(y, c) for y, c, _ in res.contributions] == [
+        (y, c) for y, c in zip(res.minimal_words, last) if c != 0]

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from affchar.cli import emit_report, main, parse_tsv, _flatten
+from affchar.cli import _COMMANDS, emit_report, main, parse_tsv, _flatten
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +29,57 @@ def test_determinism_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# one small job of every subcommand
+_EVERY_SUBCOMMAND = [
+    "roots --type G --rank 2",
+    "classify --type B --rank 2 --level=-7/2 --weight=1/2,-1/2",
+    "orbit --type A --rank 2 --level=-5/2 --weight=1/3,-1/2 "
+    "--length-bound 3",
+    "blocks --type G --rank 2 --level=-9 --weight=-5/2,-3 --length-bound 5",
+    "kl --coxeter-matrix [[1,4],[4,1]] --length-bound 5",
+    "antispherical --coxeter-matrix [[1,3,3],[3,1,3],[3,3,1]] "
+    "--length-bound 4 --parabolic 1,2 --w 0,1,2",
+    "character-verma --type A --rank 1 --level=-3/2 --weight 1/2 --trunc 8",
+    "character-simple --type B --rank 2 --level=-7 --weight=-2,-2 "
+    "--w 2,0,1 --length-bound 5 --trunc 8",
+    "ds-transform --type C --rank 3 --level=1/3 --weight=1,1/2,-1 "
+    "--trunc 6",
+    "psi-s --type G --rank 2 --level=-9/2 --weight=1,-3 --kind simple "
+    "--w0-twist true",
+    "sugawara-check --level=-1/2 --weight 1/3 --depth 2 --f0-bound 1 "
+    "--modes=-1,0,1",
+    "jumps --type E --rank 6 --n 5/12",
+    "vacuum-char --type B --rank 2 --n 1 --max-u 6 --max-q 12",
+]
+
+
+def _strings(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _strings(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _strings(v)
+    elif isinstance(value, str):
+        yield value
+
+
+def _no_float(text):
+    raise AssertionError("floating-point number %s in a report" % text)
+
+
+def test_no_floats_in_any_report(capsys):
+    # an int/int division anywhere in a layer would surface here as a
+    # JSON float or a decimal point inside a rational string
+    assert {a.split()[0] for a in _EVERY_SUBCOMMAND} == set(_COMMANDS)
+    for argv in _EVERY_SUBCOMMAND:
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 0, (argv, err)
+        data = json.loads(out, parse_float=_no_float)
+        assert not any(re.search(r"[0-9]\.[0-9]|e[+-][0-9]", s)
+                       for s in _strings(data)), argv
 
 
 def test_no_floats_in_numeric_fields(capsys):
@@ -250,6 +302,40 @@ def test_affine_report_digest(capsys, argv, sha256):
     # parabolic rules; B2, C2 and G2 blocks and simple characters, among
     # them a non-integral B2 weight with five blocks and a G2 weight whose
     # integral Weyl group has four generators; pinned byte for byte
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    ("classify --type A --rank 2 --level=-5 --weight=0,0",
+     "eb6ff29e43f1f479f3355822702318766d7e9122456f6497d696eb4be408a577"),
+    ("classify --type B --rank 2 --level=-7/2 --weight=1/2,-1/2",
+     "cae5a401b8eb3a56b24a6015fffa023a1a48d6b36b8cfde6508fdd8563dc825f"),
+    ("classify --type G --rank 2 --level=-9/2 --weight=1/2,-1/3",
+     "859b998db713216751a7d6776c814a4accaadac96c71a90eda632c48e9a65f1a"),
+    ("orbit --type A --rank 2 --level=-5 --weight=-2,-3 --length-bound 4",
+     "1d47ae702636e871d52b159dcb30ba8887f36d1a9eec0cb407ed6e6b178b650c"),
+    ("roots --type B --rank 3",
+     "91b3ad6591821d48b3be04e3fc7199baa6a82002d69105d382c68d7b49710e56"),
+    ("roots --type F --rank 4",
+     "df551a43fc0bd41b0ee1b0b575851d3866846e05d51f49f44d86156698a68c53"),
+    ("roots --type E --rank 6",
+     "287dcc37b692a4203f38651c7fb9a5b22e1e7f3143f4318e566952fec011ceba"),
+    ("psi-s --type A --rank 2 --level=-5 --weight=1,-3 --kind simple "
+     "--w0-twist true",
+     "2d56fdab0dd6dd21844cc3772143d52405b25ed78133f0db5502822eaaffae1b"),
+    ("psi-s --type G --rank 2 --level=-9/2 --weight=1,-3 --kind simple "
+     "--w0-twist true",
+     "d68fb6b671bb3d62aec9fae89ed7f576b8cca84aa60ecd22e97593b4987eea69"),
+    ("character-verma --type C --rank 3 --level=-7/3 --weight=1,-1/2,2 "
+     "--kind oprime --trunc 12",
+     "bdf1f46221829502043dad52281297c4a2e8a2b4c5e79f766ddeddec30a97f11"),
+])
+def test_lattice_report_digest(capsys, argv, sha256):
+    # reports that print coroot or root data: A2 walls, non-integral B2
+    # and G2 walls, an A2 orbit, B3/F4/E6 root data, w0-twisted
+    # reductions and a C3 large-side Verma, pinned byte for byte
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
