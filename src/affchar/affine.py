@@ -92,34 +92,6 @@ def is_real_coroot(rs, cr):
     return r is not None and cr.m % r == 0
 
 
-def real_coroot_orbit(rs, m_bound):
-    """Orbit of the simple affine coroots under the linear reflections,
-    truncated to |m| <= m_bound.  Reflection-closure oracle of record for
-    the set of real coroots."""
-    simples = list(simple_affine_coroots(rs).values())
-    seen = set()
-    frontier = []
-    for cr in simples:
-        key = (cr.gamma, cr.m)
-        seen.add(key)
-        seen.add((cr.negate().gamma, cr.negate().m))
-        frontier.append(cr)
-        frontier.append(cr.negate())
-    while frontier:
-        nxt = []
-        for cr in frontier:
-            for s in simples:
-                img = reflect_coroot(rs, s, cr)
-                if abs(img.m) > m_bound:
-                    continue
-                key = (img.gamma, img.m)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(img)
-        frontier = nxt
-    return {AffineCoroot(g, m) for g, m in seen}
-
-
 def _root_pair(rs, gamma, other):
     """<beta, other> for beta the root of the finite coroot gamma."""
     return sum(b * g for b, g in zip(rs.coroot_roots[gamma], other))

@@ -280,12 +280,6 @@ class BruhatBall:
         return sorted((self.elements[k] for k in self._lower(y)),
                       key=lambda e: (e.length, e.word))
 
-    def covers(self):
-        """All Bruhat covering pairs (x, y) with l(y) = l(x) + 1 inside
-        the ball."""
-        return [(x, y) for y in self.elements.values()
-                for x in self.interval_below(y) if x.length == y.length - 1]
-
 
 def build_ball(coxeter_matrix, length_bound):
     return BruhatBall(coxeter_matrix, length_bound)

@@ -259,36 +259,16 @@ class RootSystem:
             sum(b * self.cartan[i][j] for j, b in enumerate(beta))
             for i in range(self.rank))
 
-    def root_of_coroot(self, gamma):
-        """Root whose coroot has the given simple-coroot coordinates,
-        in simple-root coordinates."""
-        nu = [g / self.halfsq[i] for i, g in enumerate(gamma)]
-        sq = self.coweight_form_on_coroots(gamma, gamma)
-        return tuple(2 * x / sq for x in nu)
-
     def root_halfsq(self, beta):
         """(beta, beta)/2 for beta in simple-root coordinates."""
         return sum(
             beta[i] * beta[j] * self.cartan[i][j] * self.halfsq[i]
             for i in range(self.rank) for j in range(self.rank)) / 2
 
-    def coweight_form_on_coroots(self, x, y):
-        """kappa_b(x, y) for x, y in simple-coroot coordinates."""
-        return sum(
-            x[i] * y[j] * self.cartan[i][j] / self.halfsq[j]
-            for i in range(self.rank) for j in range(self.rank))
-
     def pair_weight_coroot(self, lam, gamma):
         """<lam, gamma> with lam in omega-coordinates, gamma in
         simple-coroot coordinates."""
         return sum(a * b for a, b in zip(lam, gamma))
-
-    def pair_root_coroot(self, beta, gamma):
-        """<beta, gamma> with beta in simple-root, gamma in simple-coroot
-        coordinates."""
-        return sum(
-            beta[j] * gamma[i] * self.cartan[i][j]
-            for i in range(self.rank) for j in range(self.rank))
 
     def pair_weight_coweight(self, lam, x):
         """<lam, x> with lam in omega- and x in omega-check coordinates."""

@@ -37,8 +37,16 @@ values are.  The Sugawara modes keep S_n mono times
 1/(2(k + h_dual)) and the 1/2 of the h-tower cleared), and
 `check_dss` compares such integer dicts.  One routine,
 `_scaled_sugawara`, gives every Sugawara mode: S_n is its flow by the
-zero coweight.  Values are turned back into `Fraction` only at the
-public edges: `GradedModule.apply_word` (hence `coweight_mode`) and
+zero coweight; it plans the flowed terms that can act at each depth once
+(int coefficient, left generator, right generator, with the h_0 flow
+scalar folded into the coefficient) and reuses the plan for every vector
+of that depth.  `check_dss` skips a vector iff any of its three sides
+(lam_check_n, S_n, Ad S_n) leaves the window, so the order of evaluation
+cannot change a report, and it evaluates the sides cheapest first: the
+one memoized generator h_n, then S_n, then Ad S_n.
+
+Values are turned back into `Fraction` only at the public edges:
+`GradedModule.apply_word` (hence `coweight_mode`) and
 `sugawara_mode(...).apply` unscale each output entry once, and
 `check_dss` unscales its highest-weight eigenvalue once.
 """
@@ -399,23 +407,9 @@ class ModeOperator:
         self.label = label
         self.degree = degree
         self._apply = apply_fn
-        self._table = None
 
     def apply(self, mono):
         return self._apply(mono)
-
-    def table(self):
-        """Sparse action table; entries that overflow the window map to
-        the TruncationOverflow marker."""
-        if self._table is None:
-            t = {}
-            for mono in self.module.basis:
-                try:
-                    t[mono] = self.apply(mono)
-                except TruncationOverflow as exc:
-                    t[mono] = exc
-            self._table = t
-        return self._table
 
     def __repr__(self):
         return "ModeOperator(%s)" % (self.label,)
@@ -435,37 +429,42 @@ def _scaled_sugawara(module, n, flow):
     # the flow scalar on h_0 stands where a generator would, so it
     # carries that generator's D
     h_d = _integral(flow.h_shift * module.D)
-    images = {}
+    apply_gen = module.apply_gen
+    plans = {}
 
-    def gen_images(g):
-        got = images.get(g)
-        if got is None:
-            got = [(1, h) if h is not None else (h_d, None)
-                   for _, h in flow.gen_image(g)]
-            images[g] = got
-        return got
+    def flowed(g):
+        return [(1, h) if h is not None else (h_d, None)
+                for _, h in flow.gen_image(g)]
 
-    def compute(mono):
-        d = module.depth(mono)
-        lo, hi = n - d - pad, d + pad
-        apply_gen = module.apply_gen
-        out = {}
-        for scale, (g1, g2) in _sugawara_terms(n, lo, hi):
+    def plan(d):
+        """The flowed terms that can act on a vector of depth d, as
+        (int coeff, left gen or None, right gen or None)."""
+        out = []
+        for scale, (g1, g2) in _sugawara_terms(n, n - d - pad, d + pad):
             # the rightmost factor acts first; if its (flowed) mode
             # exceeds the depth it annihilates the vector exactly
             if g2[1] + shift[g2[0]] > d:
                 continue
-            for c2, h2 in gen_images(g2):
-                inter = {mono: 1} if h2 is None else apply_gen(h2, mono)
-                for c1, h1 in gen_images(g1):
-                    cc = scale * c1 * c2
-                    for m, c in inter.items():
-                        w = cc * c
-                        if h1 is None:
-                            out[m] = out.get(m, 0) + w
-                            continue
-                        for m2, c3 in apply_gen(h1, m).items():
-                            out[m2] = out.get(m2, 0) + w * c3
+            for c2, h2 in flowed(g2):
+                for c1, h1 in flowed(g1):
+                    out.append((scale * c1 * c2, h1, h2))
+        return out
+
+    def compute(mono):
+        d = module.depth(mono)
+        terms = plans.get(d)
+        if terms is None:
+            terms = plans[d] = plan(d)
+        out = {}
+        for cc, h1, h2 in terms:
+            inter = {mono: 1} if h2 is None else apply_gen(h2, mono)
+            for m, c in inter.items():
+                w = cc * c
+                if h1 is None:
+                    out[m] = out.get(m, 0) + w
+                    continue
+                for m2, c3 in apply_gen(h1, m).items():
+                    out[m2] = out.get(m2, 0) + w * c3
         out = {m: c for m, c in out.items() if c != 0}
         # the accumulated dict is the exact expansion in the untruncated
         # Verma module; only now does the window matter
@@ -559,10 +558,12 @@ def check_dss(module, lam_check, n, flip_sign=False):
     report = DssReport(lam_check.coords, n, module.k, module.depth_bound)
     for mono in module.basis:
         try:
-            lhs = lhs_op(mono)
-            rhs = dict(rhs_s(mono))
+            # a vector is skipped iff some side leaves the window, so the
+            # sides go cheapest first: one generator, S_n, then Ad S_n
             lam = module._check_window(module.apply_gen(h_n, mono),
                                        (h_n,))
+            rhs = dict(rhs_s(mono))
+            lhs = lhs_op(mono)
             for m, c in lam.items():
                 rhs[m] = rhs.get(m, 0) + lam_mult * c
             if const:

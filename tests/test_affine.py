@@ -9,7 +9,7 @@ from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
                             dot_reflect, finite_dominant_representative,
                             integral_system, integrality_progression,
                             is_real_coroot, orbit_and_representative,
-                            real_coroot_orbit, simple_affine_coroots)
+                            reflect_coroot, simple_affine_coroots)
 from conftest import rand_fraction, rand_weight
 
 
@@ -206,6 +206,34 @@ def test_integral_weyl_group_presentation_faithful(sl2, sl3):
         for cr in isys.positive_coroots:
             if cr.m <= 2:
                 assert (cr.gamma, cr.m) in orbit
+
+
+def real_coroot_orbit(rs, m_bound):
+    """Orbit of the simple affine coroots under the linear reflections,
+    truncated to |m| <= m_bound.  Reflection-closure oracle of record for
+    the set of real coroots."""
+    simples = list(simple_affine_coroots(rs).values())
+    seen = set()
+    frontier = []
+    for cr in simples:
+        key = (cr.gamma, cr.m)
+        seen.add(key)
+        seen.add((cr.negate().gamma, cr.negate().m))
+        frontier.append(cr)
+        frontier.append(cr.negate())
+    while frontier:
+        nxt = []
+        for cr in frontier:
+            for s in simples:
+                img = reflect_coroot(rs, s, cr)
+                if abs(img.m) > m_bound:
+                    continue
+                key = (img.gamma, img.m)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(img)
+        frontier = nxt
+    return {AffineCoroot(g, m) for g, m in seen}
 
 
 def test_real_coroot_orbit_matches_closed_form():

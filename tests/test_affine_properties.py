@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
                             is_real_coroot, simple_affine_coroots)
 from affchar.rootdata import Level, build_root_system
+from conftest import root_of_coroot
 
 SETTINGS = settings(max_examples=40)
 
@@ -34,7 +35,7 @@ def level_weights(draw):
 def reflection_map(rs, k, cr):
     """(M, t) of the dot reflection in the real affine coroot cr."""
     n = rs.rank
-    gw = rs.root_to_weight_coords(rs.root_of_coroot(cr.gamma))
+    gw = rs.root_to_weight_coords(root_of_coroot(rs, cr.gamma))
     mat = tuple(tuple(F(int(r == c)) - gw[r] * cr.gamma[c] for c in range(n))
                 for r in range(n))
     const = (rs.pair_weight_coroot(rs.rho, cr.gamma)

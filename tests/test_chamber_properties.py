@@ -13,12 +13,21 @@ from hypothesis import given, settings, strategies as st
 from affchar.affine import finite_dominant_representative, finite_dot_orbit
 from affchar.characters import finite_antidominant_element
 from affchar.rootdata import build_root_system
+from conftest import root_of_coroot
 
 ROOT_SYSTEMS = [build_root_system(letter, rank) for letter, rank in
                 [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2),
                  ("B", 3)]]
 
 fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+def pair_root_coroot(rs, beta, gamma):
+    """<beta, gamma> with beta in simple-root, gamma in simple-coroot
+    coordinates."""
+    return sum(
+        beta[j] * gamma[i] * rs.cartan[i][j]
+        for i in range(rs.rank) for j in range(rs.rank))
 
 
 @st.composite
@@ -47,7 +56,7 @@ def test_coroot_table_pairs_like_the_roots(rs):
     assert set(table) == set(coroots)
     for g in coroots:
         assert all(type(b) is int for b in table[g])
-        root = rs.root_of_coroot(g)
+        root = root_of_coroot(rs, g)
         for h in coroots:
             assert (sum(b * x for b, x in zip(table[g], h))
-                    == rs.pair_root_coroot(root, h))
+                    == pair_root_coroot(rs, root, h))

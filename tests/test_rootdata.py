@@ -5,7 +5,7 @@ import pytest
 from affchar.errors import DomainError
 from affchar.rootdata import (Level, build_root_system, casimir_eigenvalue,
                               form_value)
-from conftest import rand_fraction, rand_weight
+from conftest import coweight_form_on_coroots, rand_fraction, rand_weight
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 3),
              ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
@@ -26,7 +26,7 @@ def test_structure_invariants(letter, rank):
         assert sum(1 for h in heights if h == m) == \
             sum(1 for d in rs.exponents if d >= m)
     # basic form normalization and rho pairings
-    assert rs.coweight_form_on_coroots(rs.theta_check, rs.theta_check) == 2
+    assert coweight_form_on_coroots(rs, rs.theta_check, rs.theta_check) == 2
     for i in range(rank):
         acheck = tuple(F(int(i == j)) for j in range(rank))
         assert rs.pair_weight_coroot(rs.rho, acheck) == 1

@@ -10,6 +10,11 @@ factor can reach the vector, with the 1/2 on the whole h-tower and the
 prefactor 1/(2(k + 2)) applied at the end.  The weight a and the level k
 are drawn with coprime denominators, so the module's common denominator
 D = lcm(den a, den k) is a product and every scaled path is exercised.
+
+`check_dss` is checked against a reference that straightens all three
+sides of every vector, in the order Ad S_n, S_n, lam_check_n, with the
+Sugawara terms rebuilt per vector: the reports must agree, whatever side
+the production loop evaluates first and however it caches its terms.
 """
 
 from fractions import Fraction as F
@@ -18,8 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from affchar.errors import TruncationOverflow
 from affchar.sugawara import (_BRACKET, ALPHA_CHECK, RHO_CHECK,
-                              CoweightData, GradedModule, _is_creation, _key,
-                              spectral_flow_twist, sugawara_mode)
+                              CoweightData, GradedModule, SpectralFlow,
+                              _integral, _is_creation, _key, _sugawara_terms,
+                              _zero_flow, check_dss, spectral_flow_twist,
+                              sugawara_mode)
 
 _KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 LETTERS = ("e", "h", "f")
@@ -171,3 +178,89 @@ def test_sugawara_modes_match_fraction_reference(ak, n, lam, flip, data):
         assert got == outcome(ref.sugawara, n, mono, twist)
         if got != "overflow":
             assert all(type(c) is F for c in got.values())
+
+
+def reference_scaled_sugawara(module, n, flow):
+    """The per-vector `_scaled_sugawara`: the terms, the first-acting mode
+    filter and the flow images are rebuilt for every vector."""
+    pad = abs(flow.p)
+    shift = {"e": flow.p, "f": -flow.p, "h": 0}
+    h_d = _integral(flow.h_shift * module.D)
+
+    def images(g):
+        return [(1, h) if h is not None else (h_d, None)
+                for _, h in flow.gen_image(g)]
+
+    def compute(mono):
+        d = module.depth(mono)
+        out = {}
+        for scale, (g1, g2) in _sugawara_terms(n, n - d - pad, d + pad):
+            if g2[1] + shift[g2[0]] > d:
+                continue
+            for c2, h2 in images(g2):
+                inter = {mono: 1} if h2 is None else module.apply_gen(h2, mono)
+                for c1, h1 in images(g1):
+                    for m, c in inter.items():
+                        w = scale * c1 * c2 * c
+                        got = {m: 1} if h1 is None else module.apply_gen(h1, m)
+                        for m2, c3 in got.items():
+                            out[m2] = out.get(m2, 0) + w * c3
+        return module._check_window({m: c for m, c in out.items() if c != 0},
+                                    "S_%d" % n)
+
+    return compute
+
+
+def reference_check_dss(module, lam, n, flip):
+    """`check_dss` with every side of every vector straightened, in the
+    order Ad S_n, S_n, lam_check_n; a vector is skipped iff one of them
+    leaves the window."""
+    flow = spectral_flow_twist(module, lam, flip_sign=flip)
+    lhs_op = reference_scaled_sugawara(module, n, flow)
+    rhs_s = reference_scaled_sugawara(module, n, _zero_flow(module))
+    lam_mult = _integral(lam.h_coefficient(module.rs) * module.four_kh)
+    const = (_integral(flow.kappa_self / 2 * module.four_kh * module.D)
+             if n == 0 else 0)
+
+    def h_n_side(mono):
+        return module._check_window(module.apply_gen(("h", n), mono), "h_n")
+
+    tested, skipped, mismatches = 0, 0, []
+    for mono in module.basis:
+        sides = [outcome(lhs_op, mono), outcome(rhs_s, mono),
+                 outcome(h_n_side, mono)]
+        if "overflow" in sides:
+            skipped += 1
+            continue
+        lhs, rhs, lam_side = sides
+        rhs = dict(rhs)
+        for m, c in lam_side.items():
+            rhs[m] = rhs.get(m, 0) + lam_mult * c
+        if const:
+            rhs[mono] = rhs.get(mono, 0) + const
+        rhs = {m: c for m, c in rhs.items() if c != 0}
+        if lhs != rhs:
+            mismatches.append((mono, lhs, rhs))
+        tested += 1
+    neg = SpectralFlow(module, lam, flip_sign=True)
+    vec = dict(reference_scaled_sugawara(module, 0, neg)(()))
+    vec[()] = (vec.get((), 0)
+               + lam_mult * (module.A + _integral(neg.h_shift * module.D)))
+    assert set(vec) <= {()}
+    return tested, skipped, mismatches, F(vec[()], module.four_kh * module.D)
+
+
+@settings(max_examples=24)
+@given(weight_and_level(),
+       st.sampled_from([RHO_CHECK, CoweightData((F(-1),)), ALPHA_CHECK]),
+       st.booleans(), st.integers(-2, 2), st.sampled_from((4, 3, 2, 1)),
+       st.sampled_from((2, 1, 0)))
+def test_check_dss_matches_every_side_reference(ak, lam, flip, n, depth, f0):
+    a, k = ak
+    depth = max(depth, abs(n))
+    tested, skipped, mismatches, hw = reference_check_dss(
+        GradedModule(a, k, depth, f0), lam, n, flip)
+    rep = check_dss(GradedModule(a, k, depth, f0), lam, n, flip_sign=flip)
+    assert (rep.tested, rep.skipped) == (tested, skipped)
+    assert rep.mismatches == mismatches
+    assert rep.hw_actual == hw == rep.hw_expected
