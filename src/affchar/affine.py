@@ -217,16 +217,49 @@ def _is_negative_integer(x):
     return x.denominator == 1 and x < 0
 
 
+def _first_integral_coroots(lw):
+    """For each finite coroot g of either sign, the integral positive real
+    coroot (g, m) with the least m: m >= 0 (m >= 1 for negative g), m in
+    the integrality progression of <lam, g> and a multiple of the lacing
+    number of g.  Coroots with no integral m are left out."""
+    rs = lw.rs
+    for gamma in rs.positive_coroots:
+        for sign in (1, -1):
+            g = tuple(sign * x for x in gamma)
+            prog = integrality_progression(
+                rs.pair_weight_coroot(lw.lam, g), lw.k)
+            if prog is None:
+                continue
+            m0, step = prog
+            lo = 1 if sign == -1 else 0
+            first = m0 + step * ((lo - m0 + step - 1) // step)
+            r = rs.coroot_lacing[g]
+            # the admissible m repeat with period lcm(step, r), at most r steps
+            m = next((m for m in range(first, first + r * step, step)
+                      if m % r == 0), None)
+            if m is not None:
+                yield AffineCoroot(g, m)
+
+
 def classify_weight(lw, ball_radius=10):
-    """Antidominance and dominance on the simple affine pairings;
-    regularity through the per-coroot closed form (complete: each finite
-    coroot vanishes for at most one central multiplicity)."""
+    """Antidominance on the integral coroots, dominance on the simple
+    affine pairings; regularity through the per-coroot closed form
+    (complete: each finite coroot vanishes for at most one central
+    multiplicity).
+
+    lam is antidominant iff no integral positive real coroot pairs with
+    lam + rho_hat to a positive integer.  Along one finite coroot the
+    pairing moves by m (k + h_dual), so at negative level the first
+    integral m gives the largest pairing.  At positive level the first
+    pairings of g and -g sum to a positive multiple of k + h_dual, so one
+    of them is positive whenever g is integral at all."""
     rs = lw.rs
     lw.level.require_noncritical(rs)
     pairings = {}
     for i, cr in simple_affine_coroots(rs).items():
         pairings[i] = dot_pair(lw, cr)
-    anti = not any(_is_positive_integer(v) for v in pairings.values())
+    anti = not any(_is_positive_integer(dot_pair(lw, cr))
+                   for cr in _first_integral_coroots(lw))
     dom = not any(_is_negative_integer(v) for v in pairings.values())
     walls = []
     denom = lw.k + rs.h_dual

@@ -29,6 +29,26 @@ reach every canonical basis: the mu-correction recursion from the top
 down (production) and a solve of the bar-invariance plus degree-bound
 system by sparse integer elimination (oracle).  Tests require them to
 agree.
+
+Inside the module every coefficient lies in Z[v] and is a tuple of ints
+indexed by the power of v, with no trailing zeros (() is 0); the finished
+canonical-basis columns are interned per module, so equal coefficients
+share one tuple.  The one action, ``act_gen``, is right multiplication by
+v H_s + c for c in Z[v].  The factor v keeps it in Z[v]: v H_s sends N_y
+to v N_{ys} + (1 - v^2) N_y if ys < y, to v N_{ys} if ys > y is minimal,
+and to v eps N_y if ys is not minimal, where v eps is 1 for param "q" and
+-v^2 for "-1".  The recursion multiplies b_{w1} by
+H_s + v = v^{-1} (v H_s + v^2) and divides by v, which is exact: the
+head 1 of b_{w1} sits at w1 < w1 s = w with w minimal, so it takes the
+ascent branch and gives v N_w + v^2 N_{w1}, and every other coefficient t
+lies in vZ[v], so t (1 - v^2) + t v^2, t + t v^2 and v t are all in
+vZ[v].  The corrections c0 b_y keep Z[v] too, so the recursion never leaves
+it.  The oracle needs bar(N_y), which has powers v^{-1}; ``bar_standard``
+expands v^{l(y)} bar(N_y) = N_e prod_s (v H_s + v^2 - 1) with the same
+action, and the solve shifts its exponents by -l(y).  ``LaurentPoly``
+appears only at the API edge: ``canonical_basis``,
+``canonical_basis_via_solve``, ``antispherical_basis``, ``kl_polynomial``
+and ``kl_polynomial_via_solve`` convert once per call.
 """
 
 from math import gcd
@@ -54,10 +74,6 @@ class LaurentPoly:
                 if a:
                     self.c[int(p)] = int(a)
 
-    @classmethod
-    def term(cls, coeff, power=0):
-        return cls({power: coeff})
-
     def __add__(self, other):
         out = dict(self.c)
         for p, a in other.c.items():
@@ -81,10 +97,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def bar(self):
-        """v -> v^{-1}."""
-        return LaurentPoly({-p: a for p, a in self.c.items()})
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -96,9 +108,6 @@ class LaurentPoly:
     @property
     def is_zero(self):
         return not self.c
-
-    def coeff(self, power):
-        return self.c.get(power, 0)
 
     def eval_at_one(self):
         return sum(self.c.values())
@@ -128,12 +137,6 @@ class LaurentPoly:
                 s = "" if a == 1 else ("-" if a == -1 else str(a))
                 bits.append("%sx^%d" % (s, p) if p != 1 else "%sx" % s)
         return " + ".join(bits).replace("+ -", "- ")
-
-
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly({0: 1})
-_V = LaurentPoly({1: 1})
-_VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 
 def _validate_coxeter_matrix(m):
@@ -348,6 +351,50 @@ def _solve_int_system(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
+# Z[v] coefficients: int tuples indexed by the power of v
+# ---------------------------------------------------------------------------
+
+_V2 = (0, 0, 1)                   # v^2: H_s + v = v^{-1} (v H_s + v^2)
+_V2_MINUS_ONE = (-1, 0, 1)        # v bar(H_s) = v H_s + v^2 - 1
+_ONE_MINUS_V2 = (1, 0, -1)        # what v H_s leaves on N_y when ys < y
+
+
+def _add(a, b):
+    """a + b in Z[v], trailing zeros stripped."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    out = list(a)
+    for p, x in enumerate(b):
+        out[p] += x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _mul(a, b):
+    """a b in Z[v]; the top coefficient a[-1] b[-1] is never zero."""
+    if not a or not b:
+        return ()
+    if not any(b[:-1]):
+        # a monomial c v^k: scale and shift
+        c = b[-1]
+        return (0,) * (len(b) - 1) + (a if c == 1 else tuple(c * x for x in a))
+    out = [0] * (len(a) + len(b) - 1)
+    for p, x in enumerate(a):
+        if x:
+            for q, y in enumerate(b):
+                out[p + q] += x * y
+    return tuple(out)
+
+
+def _laurent(coeffs):
+    """A tuple of coefficients indexed by the power as a LaurentPoly."""
+    return LaurentPoly({p: a for p, a in enumerate(coeffs) if a})
+
+
+# ---------------------------------------------------------------------------
 # Antispherical / parabolic module
 # ---------------------------------------------------------------------------
 
@@ -365,6 +412,8 @@ class ParabolicModule:
     Both are implemented; callers pin the one their multiplicity
     convention requires.  With no parabolic generators the module is H
     itself and ``param`` plays no role.
+
+    Vectors are dicts {key: Z[v] tuple} over the standard basis N_y.
     """
 
     def __init__(self, ball, parabolic_gens, param="q"):
@@ -376,9 +425,10 @@ class ParabolicModule:
             if not 0 <= i < ball.n_gens:
                 raise DomainError("parabolic generator %r out of range" % (i,))
         self.param = param
-        self._eps = (LaurentPoly({-1: 1}) if param == "q"
-                     else LaurentPoly({1: -1}))
-        self._nbasis = {ball._id: {ball._id: _ONE}}
+        # v H_s on the inducing line: v v^{-1} = 1, or v (-v) = -v^2
+        self._v_eps = (1,) if param == "q" else (0, 0, -1)
+        self._nbasis = {ball._id: {ball._id: (1,)}}
+        self._coeffs = {}
         self._solved = {}
         self._bars = {}
 
@@ -388,86 +438,116 @@ class ParabolicModule:
     def minimal_elements(self):
         return [el for el in self.ball.all_elements() if self.is_minimal(el)]
 
-    def act_gen(self, vec, i, scalar=_ZERO):
-        """vec (H_{s_i} + scalar) on {key: poly} over minimal reps, for a
-        Laurent polynomial scalar: b_s = H_s + v is the scalar v, and
-        bar(H_s) = H_s^{-1} = H_s + v - v^{-1}."""
+    def _as_minimal(self, w):
+        if isinstance(w, tuple):
+            w = self.ball.element_by_word(w)
+        if not self.is_minimal(w):
+            raise DomainError("w is not minimal in its coset")
+        return w
+
+    def act_gen(self, vec, i, scalar=()):
+        """vec (v H_{s_i} + scalar) for a Z[v] scalar.  v H_s maps N_y to
+        v N_{ys} + (1 - v^2) N_y if ys < y (s_i is a right descent iff
+        c_i < 0), to v N_{ys} if ys > y is minimal, and to v eps N_y
+        otherwise, so the action never leaves Z[v]."""
+        ball = self.ball
+        els = ball.elements
+        parabolic = self.parabolic
+        down = _add(_ONE_MINUS_V2, scalar)
+        stay = _add(self._v_eps, scalar)
         out = {}
-
-        def bump(key, poly):
-            if not poly.is_zero:
-                out[key] = out.get(key, _ZERO) + poly
-
-        for key, poly in vec.items():
-            y = self.ball.elements[key]
-            ys = self.ball.right_mult(y, i)
-            if ys.length < y.length:
-                bump(ys.key, poly)
-                bump(key, poly * _VINV_MINUS_V)
-            elif self.is_minimal(ys):
-                bump(ys.key, poly)
+        for key, t in vec.items():
+            ys = els.get(ball._reflect(key, i))
+            if ys is None:
+                raise BallExhausted("right multiplication left the ball")
+            skey = ys.key
+            if key[i] < 0:
+                moved, diag = True, down
             else:
-                bump(key, poly * self._eps)
-            bump(key, poly * scalar)
-        return {k: p for k, p in out.items() if not p.is_zero}
+                moved = not parabolic or self.is_minimal(ys)
+                diag = scalar if moved else stay
+            if moved:
+                got = out.get(skey)
+                vt = (0,) + t
+                out[skey] = vt if got is None else _add(got, vt)
+            if diag:
+                got = out.get(key)
+                dt = _mul(t, diag)
+                out[key] = dt if got is None else _add(got, dt)
+        return {k: t for k, t in out.items() if t}
 
     def bar_standard(self, y):
-        """bar(N_y) expanded over the standard basis N_z; memoized per
-        module, so the returned dict must not be mutated."""
+        """v^{l(y)} bar(N_y) = N_e prod_s (v H_s + v^2 - 1) over the word
+        of y, in Z[v]; memoized per module, so the returned dict must not
+        be mutated."""
         got = self._bars.get(y.key)
         if got is not None:
             return got
-        vec = {self.ball._id: _ONE}
+        vec = {self.ball._id: (1,)}
         for i in y.word:
-            vec = self.act_gen(vec, i, -_VINV_MINUS_V)
+            vec = self.act_gen(vec, i, _V2_MINUS_ONE)
         self._bars[y.key] = vec
         return vec
 
     # -- canonical basis: production recursion -----------------------------
 
     def canonical_basis(self, w):
-        """n_w over the standard basis via the inductive mu-correction
-        algorithm.  w must be a minimal coset representative."""
-        if isinstance(w, tuple):
-            w = self.ball.element_by_word(w)
-        if not self.is_minimal(w):
-            raise DomainError("w is not minimal in its coset")
+        """n_w over the standard basis, {key: LaurentPoly in v}, via the
+        inductive mu-correction algorithm.  w must be a minimal coset
+        representative."""
+        w = self._as_minimal(w)
+        return {key: _laurent(t) for key, t in self._column(w).items()}
+
+    def _column(self, w):
+        """n_w as {key: Z[v] tuple}, memoized per module, so the returned
+        dict must not be mutated.  n_w = v^{-1} n_{w1} (v H_s + v^2) minus
+        the mu-corrections, for a right descent s = s_i of w with
+        w1 = w s minimal."""
         got = self._nbasis.get(w.key)
         if got is not None:
             return got
-        # peel a right descent keeping minimality
+        ball = self.ball
+        els = ball.elements
         i = next(i for i in w.word[::-1]
-                 if self.ball.right_mult(w, i).length < w.length
-                 and self.is_minimal(self.ball.right_mult(w, i)))
-        w1 = self.ball.right_mult(w, i)
-        cand = self.act_gen(self.canonical_basis(w1), i, _V)
-        # subtract constant terms from the top down
-        for y in sorted((self.ball.elements[k] for k in cand),
-                        key=lambda e: -e.length):
-            if y.key == w.key:
-                continue
-            c0 = cand.get(y.key, _ZERO).coeff(0)
-            if c0 != 0:
-                lower = self.canonical_basis(y)
-                for key, poly in lower.items():
-                    cand[key] = cand.get(key, _ZERO) - poly * c0
-        cand = {k: p for k, p in cand.items() if not p.is_zero}
-        if cand.get(w.key, _ZERO) != _ONE:
-            raise AssertionError("canonical basis recursion lost its head term")
-        for key, poly in cand.items():
-            if key != w.key and poly.min_power() < 1:
+                 if w.key[i] < 0 and self.is_minimal(ball.right_mult(w, i)))
+        cand = {}
+        for key, t in self.act_gen(
+                self._column(ball.right_mult(w, i)), i, _V2).items():
+            if t[0]:
                 raise AssertionError("canonical basis coefficient not in vZ[v]")
-        self._nbasis[w.key] = cand
-        return cand
+            cand[key] = t[1:]
+        # every entry of n_y below its head lies in vZ[v], so subtracting
+        # c0 n_y clears the constant term at y and no other: the
+        # corrections commute and read the constant terms of cand as built
+        for ykey, t in list(cand.items()):
+            c0 = t[0]
+            if c0 and ykey != w.key:
+                for key, s in self._column(els[ykey]).items():
+                    got = cand.get(key)
+                    ns = _mul(s, (-c0,))
+                    cand[key] = ns if got is None else _add(got, ns)
+        if cand.get(w.key) != (1,):
+            raise AssertionError("canonical basis recursion lost its head term")
+        intern = self._coeffs.setdefault
+        col = {}
+        for key, t in cand.items():
+            if t:
+                if t[0] and key != w.key:
+                    raise AssertionError(
+                        "canonical basis coefficient not in vZ[v]")
+                col[key] = intern(t, t)
+        self._nbasis[w.key] = col
+        return col
 
     # -- canonical basis: direct bar-invariance solve (oracle) -------------
 
     def canonical_basis_via_solve(self, w):
-        """n_w solved once per w, in a memo apart from the recursion's."""
-        if isinstance(w, tuple):
-            w = self.ball.element_by_word(w)
-        if not self.is_minimal(w):
-            raise DomainError("w is not minimal in its coset")
+        """n_w solved once per w, in a memo apart from the recursion's;
+        {key: LaurentPoly in v}."""
+        w = self._as_minimal(w)
+        return {key: _laurent(t) for key, t in self._solved_column(w).items()}
+
+    def _solved_column(self, w):
         got = self._solved.get(w.key)
         if got is None:
             got = self._solved[w.key] = self._solve(w)
@@ -476,40 +556,43 @@ class ParabolicModule:
     def _solve(self, w):
         below = [z for z in self.ball.interval_below(w)
                  if self.is_minimal(z) and z.key != w.key]
-        bars = {z.key: self.bar_standard(z) for z in below + [w]}
-        unknowns = [(y.key, d) for y in below
+        unknowns = [(y, d) for y in below
                     for d in range(1, w.length - y.length + 1)]
         ncol = len(unknowns)
         # one equation {column: int} per coefficient (standard basis
         # element, power of v) of bar(n_w) - n_w = 0; column ncol holds the
-        # right-hand side, the terms of bar(N_w) - N_w moved across
+        # right-hand side, the terms of bar(N_w) - N_w moved across.
+        # bar(N_y) = v^{-l(y)} bar_standard(y), so its powers shift by -l(y)
         eq = {}
 
         def add(key, power, col, val):
             row = eq.setdefault((key, power), {})
             row[col] = row.get(col, 0) + val
 
-        for key, poly in bars[w.key].items():
-            for p, a in poly.c.items():
-                add(key, p, ncol, -a)
+        for key, t in self.bar_standard(w).items():
+            for p, a in enumerate(t):
+                if a:
+                    add(key, p - w.length, ncol, -a)
         add(w.key, 0, ncol, 1)
-        for col, (ykey, d) in enumerate(unknowns):
-            for key, poly in bars[ykey].items():
-                for p, a in poly.c.items():
-                    add(key, p - d, col, a)
-            add(ykey, d, col, -1)
+        for col, (y, d) in enumerate(unknowns):
+            shift = y.length + d
+            for key, t in self.bar_standard(y).items():
+                for p, a in enumerate(t):
+                    if a:
+                        add(key, p - shift, col, a)
+            add(y.key, d, col, -1)
         if not unknowns:
             if any(row.get(ncol, 0) for row in eq.values()):
                 raise DomainError("inconsistent trivial system")
-            return {w.key: _ONE}
+            return {w.key: (1,)}
         sol = _solve_int_system(list(eq.values()), ncol)
         coeffs = {}
-        for (ykey, d), val in zip(unknowns, sol):
+        for (y, d), val in zip(unknowns, sol):
             if val:
-                coeffs.setdefault(ykey, {})[d] = val
-        out = {w.key: _ONE}
+                coeffs.setdefault(y.key, {})[d] = val
+        out = {w.key: (1,)}
         for ykey, c in coeffs.items():
-            out[ykey] = LaurentPoly(c)
+            out[ykey] = tuple(c.get(d, 0) for d in range(max(c) + 1))
         return out
 
 
@@ -520,8 +603,6 @@ def antispherical_basis(ball, parabolic_gens, w, param="q"):
     y <= w) to LaurentPoly in v.
     """
     mod = ParabolicModule(ball, parabolic_gens, param)
-    if isinstance(w, tuple):
-        w = ball.element_by_word(w)
     n = mod.canonical_basis(w)
     return {ball.elements[key]: poly for key, poly in n.items()}
 
@@ -540,42 +621,47 @@ def _kl_module(ball):
     return mod
 
 
-def _p_from_h(h, x, y):
-    """P_{x,y}(q) from h_{x,y}(v) = v^{l(y)-l(x)} P_{x,y}(v^{-2})."""
-    out = {}
-    base = y.length - x.length
-    for p, a in h.c.items():
-        rel = base - p
-        if rel % 2 != 0 or rel < 0:
-            raise DomainError("canonical basis coefficient violates parity")
-        out[rel // 2] = a
-    return LaurentPoly(out)
+def _p_from_h(h, base):
+    """P_{x,y}(q) as a tuple indexed by the power of q, from the Z[v]
+    tuple h = h_{x,y}(v) = v^base P_{x,y}(v^{-2}), base = l(y) - l(x)."""
+    out = [0] * (base // 2 + 1) if base >= 0 else []
+    for p, a in enumerate(h):
+        if a:
+            rel = base - p
+            if rel % 2 != 0 or rel < 0:
+                raise DomainError("canonical basis coefficient violates parity")
+            out[rel // 2] = a
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _elements(ball, x, y):
+    if isinstance(x, tuple):
+        x = ball.element_by_word(x)
+    if isinstance(y, tuple):
+        y = ball.element_by_word(y)
+    return x, y
 
 
 def kl_polynomial(ball, x, y):
     """P_{x,y} as a polynomial in q, from b_y built by the mu-correction
     recursion."""
-    if isinstance(x, tuple):
-        x = ball.element_by_word(x)
-    if isinstance(y, tuple):
-        y = ball.element_by_word(y)
+    x, y = _elements(ball, x, y)
     if not ball.leq(x, y):
         raise DomainError("kl_polynomial requires x <= y in Bruhat order")
     if x.key not in ball.elements or y.key not in ball.elements:
         raise BallExhausted("KL recursion requires both elements in the ball")
-    basis = _kl_module(ball).canonical_basis(y)
-    return _p_from_h(basis[x.key], x, y)
+    h = _kl_module(ball)._column(y)[x.key]
+    return _laurent(_p_from_h(h, y.length - x.length))
 
 
 def kl_polynomial_via_solve(ball, x, y):
     """P_{x,y} in q, from b_y solved directly from bar-invariance.
     Independent of the mu-correction recursion."""
-    if isinstance(x, tuple):
-        x = ball.element_by_word(x)
-    if isinstance(y, tuple):
-        y = ball.element_by_word(y)
-    basis = _kl_module(ball).canonical_basis_via_solve(y)
-    return _p_from_h(basis.get(x.key, _ZERO), x, y)
+    x, y = _elements(ball, x, y)
+    h = _kl_module(ball)._solved_column(y).get(x.key, ())
+    return _laurent(_p_from_h(h, y.length - x.length))
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +690,32 @@ def inverse_multiplicity_matrix(matrix):
 
 def kl_table_tsv(ball, pairs, convention="q=v^-2,Hs:(Hs-v^-1)(Hs+v)=0"):
     """TSV dump of KL polynomials: y-word, w-word, coefficient list,
-    convention tag."""
+    convention tag, one line per pair in the given order.  Every x is read
+    off the one column b_y of its y, and the text of each distinct
+    (h_{x,y}, l(y) - l(x)) is formatted once."""
+    mod = _kl_module(ball)
     lines = ["y\tw\tcoeffs\tconvention"]
+    names = {}
+    texts = {}
+    last = col = yname = None
     for x, y in pairs:
-        p = kl_polynomial(ball, x, y)
-        xw = "".join(str(i) for i in (x.word if isinstance(x, BallElement) else x)) or "e"
-        yw = "".join(str(i) for i in (y.word if isinstance(y, BallElement) else y)) or "e"
-        lines.append("%s\t%s\t%s\t%s" % (
-            xw, yw, ",".join(str(c) for c in p.coeff_list()), convention))
+        if isinstance(x, tuple) or isinstance(y, tuple):
+            x, y = _elements(ball, x, y)
+        if y is not last:
+            last, col = y, mod._column(y)
+            yname = "".join(str(i) for i in y.word) or "e"
+        h = col.get(x.key)
+        if h is None:
+            raise DomainError("kl_polynomial requires x <= y in Bruhat order")
+        base = y.length - x.length
+        text = texts.get((h, base))
+        if text is None:
+            p = _p_from_h(h, base)
+            lo = next(k for k, a in enumerate(p) if a)
+            text = texts[h, base] = "%s\t%s" % (
+                ",".join(str(c) for c in (lo,) + p[lo:]), convention)
+        xname = names.get(x)
+        if xname is None:
+            xname = names[x] = "".join(str(i) for i in x.word) or "e"
+        lines.append("%s\t%s\t%s" % (xname, yname, text))
     return "\n".join(lines) + "\n"

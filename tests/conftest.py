@@ -50,3 +50,41 @@ def sl3():
 @pytest.fixture()
 def rng():
     return random.Random(20240811)
+
+
+def zv(coeffs):
+    """{power: int}, powers >= 0, as a Z[v] tuple: index = power of v, no
+    trailing zeros (the coefficient type of ``hecke.ParabolicModule``)."""
+    top = max((p for p, a in coeffs.items() if a), default=-1)
+    return tuple(coeffs.get(p, 0) for p in range(top + 1))
+
+
+def zv_combine(*terms):
+    """sum of coeff * vec over (coeff, vec) pairs, coefficients and vector
+    entries Z[v] tuples; zero entries dropped."""
+    out = {}
+    for coeff, vec in terms:
+        for key, t in vec.items():
+            acc = out.setdefault(key, {})
+            for p, a in enumerate(coeff):
+                for q, b in enumerate(t):
+                    acc[p + q] = acc.get(p + q, 0) + a * b
+    return {key: zv(acc) for key, acc in out.items() if any(acc.values())}
+
+
+def is_bar_invariant(mod, basis, w):
+    """bar(n_w) = n_w for n_w = basis, {key: LaurentPoly in v}, checked in
+    Z[v] after multiplying by v^{l(w)}: bar_standard(y) is v^{l(y)}
+    bar(N_y), so v^{l(w)} bar(n_w) = sum_y v^{l(w)-l(y)} h_y(v^{-1})
+    bar_standard(y), and every h_y has degree at most l(w) - l(y)."""
+    els = mod.ball.elements
+    terms = []
+    for key, poly in basis.items():
+        d = w.length - els[key].length
+        if poly.min_power() < 0 or poly.max_power() > d:
+            return False
+        terms.append((zv({d - p: a for p, a in poly.c.items()}),
+                      mod.bar_standard(els[key])))
+    return zv_combine(*terms) == {
+        key: zv({p + w.length: a for p, a in poly.c.items()})
+        for key, poly in basis.items()}

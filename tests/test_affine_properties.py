@@ -1,4 +1,5 @@
-"""Property tests of AffineWeylGroup against exact affine maps.
+"""Property tests of AffineWeylGroup against exact affine maps, and of
+the antidominance verdict against brute-force enumeration.
 
 The reference is the representation the affine Weyl group had before its
 balls became BruhatBalls: each element is the exact affine map
@@ -12,7 +13,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
-                            is_real_coroot, simple_affine_coroots)
+                            classify_weight, dot_pair, is_real_coroot,
+                            simple_affine_coroots)
 from affchar.rootdata import Level, build_root_system
 from conftest import root_of_coroot
 
@@ -118,3 +120,30 @@ def test_reflection_word_is_the_reflection(lw, m):
             for i in word:
                 a = compose(a, gens[i])
             assert a == reflection_map(rs, k, cr)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_antidominance_is_checked_on_every_integral_coroot(data):
+    # lam is antidominant iff no integral positive real coroot (g, m)
+    # pairs with lam + rho_hat to a positive integer.  Below -h_dual the
+    # pairing falls as m grows, and the first integral m along each
+    # finite coroot is at most 1 + 3 * 2 here, so m <= 12 decides
+    rs = data.draw(st.sampled_from([ROOT_SYSTEMS[0], ROOT_SYSTEMS[3]]),
+                   label="A1 or B2")
+    k = -rs.h_dual - F(data.draw(st.integers(1, 12), label="k numerator"),
+                       data.draw(st.sampled_from([2, 3]), label="k denominator"))
+    den = data.draw(st.sampled_from([2, 3]), label="weight denominator")
+    lam = tuple(F(data.draw(st.integers(-24, 24)), den)
+                for _ in range(rs.rank))
+    lw = LevelWeight(rs, lam, Level(k))
+    positive_integral = []
+    for gamma in rs.positive_coroots:
+        for g in (gamma, tuple(-x for x in gamma)):
+            for m in range(0 if g == gamma else 1, 13):
+                cr = AffineCoroot(g, m)
+                if is_real_coroot(rs, cr):
+                    p = dot_pair(lw, cr)
+                    if p.denominator == 1 and p > 0:
+                        positive_integral.append(cr)
+    assert classify_weight(lw).antidominant == (not positive_integral)

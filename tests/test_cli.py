@@ -122,6 +122,21 @@ def test_exit_code_domain_rejection(capsys):
     assert code == 2
 
 
+def test_misclassified_antidominant_weight_exits_2(capsys):
+    # sl2 at k = -8/3, lam = -10: no simple affine pairing of lam + rho_hat
+    # is a positive integer, but the integral coroot (-alpha, 3) pairs to 7,
+    # so lam is not antidominant and no simple character is computed
+    code, out, _ = run_cli(capsys, "classify", "--type", "A", "--rank", "1",
+                           "--level=-8/3", "--weight=-10")
+    assert code == 0
+    assert json.loads(out)["classification"]["antidominant"] is False
+    code, out, err = run_cli(capsys, "character-simple", "--type", "A",
+                             "--rank", "1", "--level=-8/3", "--weight=-10",
+                             "--w", "1", "--trunc", "4", "--length-bound", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:")
+
+
 def test_exit_code_resource_exhaustion(capsys):
     code, _, err = run_cli(capsys, "kl", "--coxeter-matrix", "[[1,0],[0,1]]",
                            "--length-bound", "2", "--x", "", "--y", "0,1,0,1")
@@ -214,9 +229,14 @@ def test_kl_table_dump(capsys):
      "f1a9861c8d86784d6bc58dcd91665adebb3ad25d36111c0819ebd041e1903652", 7),
     ("[[1,4,0],[4,1,0],[0,0,1]]", 3685,
      "9c13881b059b73379799a9bc7a525702f50c3d8965824b7b3d9319625f554dd9", 6),
+    ("[[1,null,null],[null,1,null],[null,null,1]]", 3991,
+     "4b614bf257794f2e665b3e83b586247913b650dbf36de7bfc9b5330981d45e5c", 6),
+    ("[[1,3,2,2],[3,1,3,2],[2,3,1,3],[2,2,3,1]]", 3781,
+     "12a4da68cb0596626f21228fdf0eebcdd8042964515af575b146d2c443bdbf66", 10),
 ])
 def test_kl_table_digest(capsys, matrix, pairs, sha256, bound):
-    # exact affine A2, G2, C2 and hyperbolic tables, pinned byte for byte
+    # exact affine A2, G2, C2, hyperbolic, universal rank-3 and finite A4
+    # tables, pinned byte for byte
     code, out, _ = run_cli(capsys, "kl", "--coxeter-matrix", matrix,
                            "--length-bound", str(bound))
     assert code == 0
@@ -265,6 +285,36 @@ def test_antispherical_cli(capsys):
 
 
 @pytest.mark.parametrize("argv,sha256", [
+    ("antispherical --coxeter-matrix [[1,3,3],[3,1,3],[3,3,1]] "
+     "--length-bound 8 --parabolic 0 --w 1,2,0,1,0,2,1,0 "
+     "--antispherical-param q",
+     "faeb27fe5a743b821ccf32689e8be223c63f56ec55a1de9b5359e5b8e99c4f83"),
+    ("antispherical --coxeter-matrix [[1,3,3],[3,1,3],[3,3,1]] "
+     "--length-bound 8 --parabolic 0 --w 1,2,0,1,0,2,1,0 "
+     "--antispherical-param -1",
+     "1b7a026bbd24193f4e9850ebc31fb9954b51f3fbffa1567384b0cb7f8617d7fc"),
+    ("antispherical --coxeter-matrix [[1,6,2],[6,1,3],[2,3,1]] "
+     "--length-bound 8 --parabolic 1 --w 0,2,1,0,1,0,2,1 "
+     "--antispherical-param q",
+     "eea1c2261d98366776beee43a67b9be33cae8b285a73095142605fca6dd9c08f"),
+    ("antispherical --coxeter-matrix [[1,6,2],[6,1,3],[2,3,1]] "
+     "--length-bound 8 --parabolic 1 --w 0,2,1,0,1,0,2,1 "
+     "--antispherical-param -1",
+     "8be64707e9e536ea3293d2ca7ddd7be4cdd57f866bd85732d09f0085f28dc593"),
+    ("kl --coxeter-matrix [[1,4,0],[4,1,0],[0,0,1]] --length-bound 9 "
+     "--x= --y 0,2,0,1,2,0,1,2,0",
+     "1e353e5e9338f46597b695f8b28895a8a9f307e176874c6b62b5f6788b8d41fa"),
+])
+def test_hecke_report_digest(capsys, argv, sha256):
+    # parabolic canonical bases of affine A2 (J = {0}) and affine G2
+    # (J = {1}) for both parameters, and the hyperbolic point query
+    # P_{e,y} = 1 + 5q + 8q^2 + 4q^3, pinned byte for byte
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv,sha256", [
     ("blocks --type A --rank 2 --level=-10 --weight=-2,-3 --length-bound 10",
      "a6f8e4288762e7d147a0bb824a7d5069c97fc66ff21aba8a29817acb93d6079f"),
     ("blocks --type A --rank 2 --level=-8 --weight=-3,-3 --length-bound 11",
@@ -310,10 +360,12 @@ def test_affine_report_digest(capsys, argv, sha256):
 @pytest.mark.parametrize("argv,sha256", [
     ("classify --type A --rank 2 --level=-5 --weight=0,0",
      "eb6ff29e43f1f479f3355822702318766d7e9122456f6497d696eb4be408a577"),
+    # not antidominant: the integral coroots ((1,1), 0) and ((2,3), 0)
+    # pair with lam + rho_hat to 2 and 5
     ("classify --type B --rank 2 --level=-7/2 --weight=1/2,-1/2",
-     "cae5a401b8eb3a56b24a6015fffa023a1a48d6b36b8cfde6508fdd8563dc825f"),
+     "f9f60d01c26d81b78a2bb7d33b9362d257fa20dfc41822ff1f97a30ca248a142"),
     ("classify --type G --rank 2 --level=-9/2 --weight=1/2,-1/3",
-     "859b998db713216751a7d6776c814a4accaadac96c71a90eda632c48e9a65f1a"),
+     "44e17783d75d3301255c8684706f969928d0fe3d59737ba9e2777db1244eb378"),
     ("orbit --type A --rank 2 --level=-5 --weight=-2,-3 --length-bound 4",
      "1d47ae702636e871d52b159dcb30ba8887f36d1a9eec0cb407ed6e6b178b650c"),
     ("roots --type B --rank 3",

@@ -6,6 +6,8 @@ from affchar.hecke import (INFINITE_BOND, LaurentPoly, ParabolicModule,
                            inverse_multiplicity_matrix, kl_polynomial,
                            kl_polynomial_via_solve, kl_table_tsv)
 
+from conftest import is_bar_invariant, zv_combine
+
 A1_TILDE = [[1, 0], [0, 1]]
 A2 = [[1, 3], [3, 1]]
 A3 = [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
@@ -122,16 +124,6 @@ def test_infinite_dihedral_kl_trivial():
         assert kl_polynomial(ball, x, y) == LaurentPoly({0: 1})
 
 
-def _bar_invariant(mod, basis):
-    bard = {}
-    for key, poly in basis.items():
-        pb = poly.bar()
-        for key2, npoly in mod.bar_standard(mod.ball.elements[key]).items():
-            bard[key2] = bard.get(key2, LaurentPoly()) + pb * npoly
-    bard = {k: p for k, p in bard.items() if not p.is_zero}
-    return bard == basis
-
-
 def test_canonical_basis_bar_invariant():
     s4 = build_ball(A3, 8)
     mod = ParabolicModule(s4, ())
@@ -139,18 +131,9 @@ def test_canonical_basis_bar_invariant():
     for y in s4.all_elements():
         if y.length > 4:
             continue
-        assert _bar_invariant(mod, mod.canonical_basis_via_solve(y))
+        assert is_bar_invariant(mod, mod.canonical_basis_via_solve(y), y)
         checked += 1
     assert checked > 10
-
-
-def _combine(*terms):
-    """sum of coeff * vec over (coeff, vec) pairs, zero terms dropped."""
-    out = {}
-    for coeff, vec in terms:
-        for key, poly in vec.items():
-            out[key] = out.get(key, LaurentPoly()) + coeff * poly
-    return {k: p for k, p in out.items() if not p.is_zero}
 
 
 def _act_word(mod, vec, word):
@@ -170,21 +153,25 @@ def _act_word(mod, vec, word):
     (G2_TILDE, (0,), "-1", {2, 3, 6}),
 ])
 def test_act_gen_hecke_relations(matrix, parabolic, param, bonds):
-    # (H_s - v^{-1})(H_s + v) = 0 and the braid relations, on every
+    # act_gen is X = v H_s, so (H_s - v^{-1})(H_s + v) = 0 reads
+    # X^2 + (v^2 - 1) X - v^2 = 0; the braid relations hold for X as for
+    # H_s, and act_gen(vec, s, c) = X vec + c vec.  Checked on every
     # standard basis vector whose products stay inside the ball
     bound = 7
     ball = build_ball(matrix, bound)
     mod = ParabolicModule(ball, parabolic, param)
-    v_minus_inv = LaurentPoly({1: 1, -1: -1})
     checked = set()
     for y in mod.minimal_elements():
         if y.length + 2 > bound:
             continue
-        vec = {y.key: LaurentPoly({0: 1})}
+        vec = {y.key: (1,)}
         for s in range(ball.n_gens):
             hs = mod.act_gen(vec, s)
-            assert _combine((1, mod.act_gen(hs, s)), (v_minus_inv, hs),
-                            (-1, vec)) == {}
+            assert zv_combine(((1,), mod.act_gen(hs, s)), ((-1, 0, 1), hs),
+                              ((0, 0, -1), vec)) == {}
+            for c in ((0, 0, 1), (-1, 0, 1)):
+                assert mod.act_gen(vec, s, c) == zv_combine(((1,), hs),
+                                                             (c, vec))
             for t in range(s + 1, ball.n_gens):
                 m = ball.coxeter_matrix[s][t]
                 if m == INFINITE_BOND or y.length + m > bound:
@@ -305,3 +292,9 @@ def test_kl_tsv_round_trip():
     assert len(lines) == 5
     for line in lines[1:]:
         assert len(line.split("\t")) == 4
+    # one line per pair in the order given, whatever the order of the ys
+    s4 = build_ball(A3, 8)
+    pairs = _all_pairs(s4)
+    rows = kl_table_tsv(s4, pairs).split("\n")[1:-1]
+    assert kl_table_tsv(s4, pairs[::-1]).split("\n")[1:-1] == rows[::-1]
+    assert "1\t1021\t0,1,1\t" in "\n".join(rows)
