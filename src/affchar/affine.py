@@ -470,25 +470,6 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def finite_dot_orbit(rs, lam):
-    """The W_f dot orbit of a finite weight (omega-coordinates)."""
-    lam = tuple(F(a) for a in lam)
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                p = w[i] + 1
-                ai = rs.simple_roots[i]
-                img = tuple(a - p * b for a, b in zip(w, ai))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
 def _chamber_walk(rs, lam, sign):
     """The element of the finite dot orbit of lam whose shifted
     coordinates lam_i + 1 all have the sign `sign` or vanish: unique, as

@@ -24,10 +24,10 @@ from .errors import DomainError
 from .rootdata import Level, casimir_eigenvalue
 from .qseries import QSeries, eta_factor
 from .affine import (classify_weight, dot_act_word, integral_system,
-                     finite_antidominant_element, finite_dot_orbit,
+                     finite_antidominant_element,
                      finite_dominant_representative)
-from .hecke import (BruhatBall, ParabolicModule, inverse_multiplicity_matrix,
-                    kl_polynomial)
+from .hecke import (ParabolicModule, inverse_multiplicity_matrix,
+                    kl_polynomial, query_ball)
 
 F = Fraction
 
@@ -58,9 +58,6 @@ class CentralCharLabel:
     def __repr__(self):
         return "chi[%s @ k=%s]" % (",".join(str(a) for a in self.rep),
                                    self.level.k)
-
-    def orbit(self):
-        return finite_dot_orbit(self.rs, self.rep)
 
     def to_json_dict(self):
         return {"representative": [str(a) for a in self.rep],
@@ -233,6 +230,10 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
       basis of the corresponding one-dimensional induction, specialized
       at v = 1.  On the rank-one chain all three rules coincide; they
       differ in general and are kept for cross-convention comparison.
+
+    ``length_bound`` caps the Bruhat ball, whose radius is the length of
+    ``w_word`` (``hecke.query_ball``), and is the default
+    ``height_bound`` of the integral system.
     """
     rs = lw.rs
     cls = classify_weight(lw)
@@ -254,7 +255,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
         chi = hc_project(rs, lw.lam, lw.level)
         return SimpleCharacter(ch_verma_W(chi, trunc), (), [((), 1, chi)],
                                [()], [[1]], multiplicities)
-    ball = BruhatBall(isys.coxeter_matrix, length_bound)
+    ball = query_ball(isys.coxeter_matrix, length_bound, (tuple(w_word),))
     parabolic = [i for i, cr in enumerate(isys.simples) if cr.m == 0]
     param = "q" if multiplicities == "kl" else multiplicities.split(":")[1]
     mod = ParabolicModule(ball, parabolic, param)

@@ -21,8 +21,9 @@ from .errors import DomainError, BallExhausted, TruncationOverflow
 from .rootdata import Level, build_root_system
 from .affine import (LevelWeight, classify_weight,
                      orbit_and_representative, block_decomposition)
-from .hecke import (PARABOLIC_PARAMS, build_ball, kl_polynomial,
-                    antispherical_basis, kl_table_tsv)
+from .hecke import (PARABOLIC_PARAMS, build_ball, query_ball, kl_polynomial,
+                    antispherical_basis, kl_table_tsv,
+                    validate_coxeter_matrix)
 from .qseries import equal_to_order
 from . import characters as chars
 from . import sugawara as sug
@@ -226,17 +227,30 @@ def _coxeter_from_job(job):
     return mat
 
 
+def _matrix_and_bound(job):
+    """The Coxeter matrix and length bound of a ball job, checked in the
+    order every ball job reports them: malformed matrix or bound (exit 1)
+    before an invalid matrix (exit 2) before anything else."""
+    matrix = _coxeter_from_job(job)
+    bound = _positive_int(job.get("length_bound", 8), "length_bound")
+    validate_coxeter_matrix(matrix)
+    return matrix, bound
+
+
 def _cmd_kl(job):
-    ball = build_ball(_coxeter_from_job(job),
-                      _positive_int(job.get("length_bound", 8), "length_bound"))
+    matrix, bound = _matrix_and_bound(job)
     if job.get("x") is None and job.get("y") is None:
         # full table dump of the ball
+        ball = build_ball(matrix, bound)
         els = ball.all_elements()
         pairs = [(x, y) for y in els for x in ball.interval_below(y)]
         return {"table_tsv": kl_table_tsv(ball, pairs),
                 "pairs": len(pairs)}
-    x = ball.element_by_word(_word(job.get("x"), "x"))
-    y = ball.element_by_word(_word(job.get("y"), "y"))
+    # a point query needs only the ball of its longer word
+    xw, yw = _word(job.get("x"), "x"), _word(job.get("y"), "y")
+    ball = query_ball(matrix, bound, (xw, yw))
+    x = ball.element_by_word(xw)
+    y = ball.element_by_word(yw)
     poly = kl_polynomial(ball, x, y)
     return {"x": list(x.word), "y": list(y.word),
             "polynomial_in_q": poly.coeff_list(),
@@ -244,10 +258,10 @@ def _cmd_kl(job):
 
 
 def _cmd_antispherical(job):
-    ball = build_ball(_coxeter_from_job(job),
-                      _positive_int(job.get("length_bound", 8), "length_bound"))
+    matrix, bound = _matrix_and_bound(job)
     parabolic = _word(job.require("parabolic"), "parabolic")
     w = _word(job.get("w"), "w")
+    ball = query_ball(matrix, bound, (w,))
     param = str(job.get("antispherical_param", "q"))
     basis = antispherical_basis(ball, parabolic, w, param=param)
     rows = []

@@ -139,7 +139,10 @@ class LaurentPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def _validate_coxeter_matrix(m):
+def validate_coxeter_matrix(m):
+    """The Coxeter matrix with infinite bonds as INFINITE_BOND; a
+    DomainError if it is not square, symmetric, unit-diagonal or has a
+    bond other than 2, 3, 4, 6 or infinity."""
     n = len(m)
     for i in range(n):
         if len(m[i]) != n:
@@ -179,7 +182,7 @@ class BruhatBall:
     order, with Bruhat order read off memoized lower intervals."""
 
     def __init__(self, coxeter_matrix, length_bound):
-        m = _validate_coxeter_matrix(coxeter_matrix)
+        m = validate_coxeter_matrix(coxeter_matrix)
         self.coxeter_matrix = tuple(tuple(row) for row in m)
         self.n_gens = len(m)
         self.length_bound = length_bound
@@ -286,6 +289,19 @@ class BruhatBall:
 
 def build_ball(coxeter_matrix, length_bound):
     return BruhatBall(coxeter_matrix, length_bound)
+
+
+def query_ball(coxeter_matrix, length_bound, words):
+    """The ball for a query about the elements of `words`: radius the
+    length of the longest word, capped by length_bound (0 with no word).
+
+    An element has length at most that of any word for it, so a word lies
+    in this ball iff it lies in the length_bound ball, with the same
+    ShortLex word.  Everything the query needs of an element w stays in
+    radius l(w): the lower interval [e, w] and, in the canonical-basis
+    recursion, the products z s with z <= w s < w (lifting property)."""
+    radius = max((len(word) for word in words), default=0)
+    return BruhatBall(coxeter_matrix, min(length_bound, radius))
 
 
 # ---------------------------------------------------------------------------

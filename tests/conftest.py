@@ -37,6 +37,26 @@ def root_of_coroot(rs, gamma):
     return tuple(2 * x / sq for x in nu)
 
 
+def finite_dot_orbit(rs, lam):
+    """The W_f dot orbit of a finite weight (omega-coordinates), by
+    breadth-first search over the simple reflections: the reference the
+    chamber walk and the central-character labels are checked against."""
+    lam = tuple(Fraction(a) for a in lam)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(rs.rank):
+                p = w[i] + 1
+                img = tuple(a - p * b for a, b in zip(w, rs.simple_roots[i]))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
 @pytest.fixture(scope="session")
 def sl2():
     return build_root_system("A", 1)

@@ -10,10 +10,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affchar.affine import finite_dominant_representative, finite_dot_orbit
+from affchar.affine import finite_dominant_representative
 from affchar.characters import finite_antidominant_element
 from affchar.rootdata import build_root_system
-from conftest import root_of_coroot
+from conftest import finite_dot_orbit, root_of_coroot
 
 ROOT_SYSTEMS = [build_root_system(letter, rank) for letter, rank in
                 [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2),

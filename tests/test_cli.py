@@ -143,6 +143,79 @@ def test_exit_code_resource_exhaustion(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    # x beyond the bound, y inside it
+    ("kl --coxeter-matrix [[1,0],[0,1]] --length-bound 2 --x 0,1,0 --y 0",
+     3, "resource exhausted: element of word (0, 1, 0) lies outside the "
+        "length-2 ball\n"),
+    # x inside the bound, longer than y and not below it
+    ("kl --coxeter-matrix [[1,0],[0,1]] --length-bound 4 --x 0,1,0 --y 1",
+     2, "domain error: kl_polynomial requires x <= y in Bruhat order\n"),
+    ("antispherical --coxeter-matrix [[1,0],[0,1]] --length-bound 3 "
+     "--parabolic 1 --w 0,1,0,1",
+     3, "resource exhausted: element of word (0, 1, 0, 1) lies outside the "
+        "length-3 ball\n"),
+    # a word longer than the bound whose element is longer too
+    ("character-simple --type A --rank 1 --level=-4 --weight=-2 --w 1,0,1 "
+     "--length-bound 2 --trunc 4",
+     3, "resource exhausted: element of word (1, 0, 1) lies outside the "
+        "length-2 ball\n"),
+    # an invalid matrix is reported before a malformed or missing field
+    ("kl --coxeter-matrix [[1,5],[5,1]] --x a --y 0",
+     2, "domain error: unsupported bond label 5 (want 2,3,4,6 or "
+        "infinity)\n"),
+    ("antispherical --coxeter-matrix [[1,5],[5,1]] --w 0",
+     2, "domain error: unsupported bond label 5 (want 2,3,4,6 or "
+        "infinity)\n"),
+])
+def test_point_query_exit_codes(capsys, argv, code, err):
+    # the ball of a point query has the radius of its longest word, capped
+    # by --length-bound; every verdict is the one of the whole capped ball
+    got, out, got_err = run_cli(capsys, *argv.split())
+    assert (got, out, got_err) == (code, "", err)
+
+
+def test_point_query_words_need_not_be_reduced(capsys):
+    # y = s0 s0 s1 s0 = s1 s0 is longer as a word than the bound, but not
+    # as an element, so it reports like its reduced word
+    base = ("kl", "--coxeter-matrix", "[[1,0],[0,1]]", "--length-bound", "2",
+            "--x", "0")
+    code, out, _ = run_cli(capsys, *base, "--y", "0,0,1,0")
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *base, "--y", "1,0")[:2]
+    assert json.loads(out)["y"] == [1, 0]
+    # the empty words: P_{e,e} = 1
+    code, out, _ = run_cli(capsys, "kl", "--coxeter-matrix", "[[1,0],[0,1]]",
+                           "--x=", "--y=")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["x"], report["y"], report["polynomial_in_q"]) == (
+        [], [], [0, 1])
+
+
+def test_point_query_ball_has_the_radius_of_its_words(capsys, monkeypatch):
+    # the universal rank-3 ball of radius 40 has about 3 * 2^40 elements;
+    # the query needs the ball of radius 4 only
+    import affchar.hecke as hecke
+    radii = []
+
+    class Ball(hecke.BruhatBall):
+        def __init__(self, coxeter_matrix, length_bound):
+            radii.append(length_bound)
+            assert length_bound <= 4, "point query built a radius-%d ball" \
+                % length_bound
+            super().__init__(coxeter_matrix, length_bound)
+
+    monkeypatch.setattr(hecke, "BruhatBall", Ball)
+    argv = ("kl", "--coxeter-matrix", "[[1,0,0],[0,1,0],[0,0,1]]",
+            "--x", "0", "--y", "0,1,2,0")
+    code, out, _ = run_cli(capsys, *argv, "--length-bound", "40")
+    assert code == 0 and radii == [4]
+    assert (code, out) == run_cli(capsys, *argv, "--length-bound", "4")[:2]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dc9867684881893e52c39f2f0d384eed1a1cfd07879dcc8b6a3bede6489ff83f")
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"type": "A", "rank": 1, "level": "-3",

@@ -15,7 +15,9 @@ length bound at most 5) the mu-correction recursion must agree with the
 bar-invariance solve on every minimal coset representative, for J empty
 or one or two generators and both parabolic parameters, and every row of
 the KL table must satisfy P_{x,y}(0) = 1 and the degree bound
-deg P_{x,y} <= (l(y) - l(x) - 1) / 2 for x < y.
+deg P_{x,y} <= (l(y) - l(x) - 1) / 2 for x < y.  On the same matrices,
+the ball of radius l(z) that a point query about z builds must give z the
+KL polynomials and parabolic canonical bases of the whole ball.
 """
 
 from functools import lru_cache
@@ -25,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from affchar.cli import parse_tsv
 from affchar.hecke import (INFINITE_BOND, PARABOLIC_PARAMS, LaurentPoly,
                            ParabolicModule, build_ball, kl_polynomial,
-                           kl_table_tsv)
+                           kl_table_tsv, query_ball)
 
 # (Coxeter matrix, l(w0)): the ball of radius l(w0) is the whole group
 FINITE = {
@@ -145,3 +147,17 @@ def test_parabolic_bases_from_kl_polynomials(matrix, bound, data):
             big.key_of((a,) + big.elements[x].word): hx
             for x, hx in kl_big.canonical_basis(sw).items()
             if not big.left_longer(a, big.elements[x])}
+    # a point query about z builds the ball of radius l(z) only, and must
+    # read the same polynomials off it as off the whole ball
+    z = data.draw(st.sampled_from(ball.all_elements()), label="z")
+    small = query_ball(matrix, bound, (z.word,))
+    assert small.length_bound == z.length
+    for x in ball.interval_below(z):
+        assert kl_polynomial(small, x.word, z.word) == kl_polynomial(
+            ball, x, z)
+    for parabolic in ((), (a,), (a, b)):
+        for param in PARABOLIC_PARAMS:
+            mod = ParabolicModule(ball, parabolic, param)
+            if mod.is_minimal(z):
+                assert ParabolicModule(small, parabolic, param)\
+                    .canonical_basis(z.word) == mod.canonical_basis(z)
