@@ -192,8 +192,6 @@ class Classification:
     regular: bool
     walls: list
     simple_pairings: dict
-    ball_radius: int
-    search_complete: bool = True
 
     def to_json_dict(self):
         return {
@@ -204,8 +202,6 @@ class Classification:
                       for cr in self.walls],
             "simple_pairings": {str(i): str(v)
                                 for i, v in sorted(self.simple_pairings.items())},
-            "ball_radius": self.ball_radius,
-            "search_complete": self.search_complete,
         }
 
 
@@ -241,7 +237,7 @@ def _first_integral_coroots(lw):
                 yield AffineCoroot(g, m)
 
 
-def classify_weight(lw, ball_radius=10):
+def classify_weight(lw):
     """Antidominance on the integral coroots, dominance on the simple
     affine pairings; regularity through the per-coroot closed form
     (complete: each finite coroot vanishes for at most one central
@@ -277,7 +273,6 @@ def classify_weight(lw, ball_radius=10):
         regular=not walls,
         walls=walls,
         simple_pairings=pairings,
-        ball_radius=ball_radius,
     )
 
 
@@ -288,7 +283,7 @@ def classify_weight(lw, ball_radius=10):
 def integrality_progression(pair_value, k):
     """{m in Z : pair_value + m k in Z} as (residue, step), or None.
 
-    Closed form used to cross-check the ball enumeration.
+    Closed form behind the integral coroots of ``_first_integral_coroots``.
     """
     pv = F(pair_value)
     k = F(k)
@@ -309,47 +304,33 @@ def integrality_progression(pair_value, k):
 
 @dataclass
 class IntegralSystem:
-    positive_coroots: list
     simples: list
     coxeter_matrix: list
-    height_bound: int
-
-    def to_json_dict(self):
-        enc = lambda cr: {"gamma": [str(g) for g in cr.gamma], "m": cr.m}
-        return {
-            "positive_integral_coroots": [enc(c) for c in self.positive_coroots],
-            "simples": [enc(c) for c in self.simples],
-            "coxeter_matrix": self.coxeter_matrix,
-            "height_bound": self.height_bound,
-        }
 
 
-def integral_system(lw, height_bound):
-    """Integral positive real coroots within |m| <= height_bound and the
-    subset acting as simple reflections of W_lambda in the ball."""
+def integral_system(lw):
+    """The simple coroots of the integral Weyl group W_lambda, sorted by
+    (m, gamma), and their Coxeter matrix, in closed form.
+
+    A positive integral coroot is simple iff its reflection keeps every
+    other one positive.  Along a finite coroot g they are (g, m1 + jP),
+    j >= 0, with (g, m1) from ``_first_integral_coroots`` and P its period
+    lcm(step, lacing number): 0 <= m1 < P for positive g and 0 < m1 <= P
+    for negative g.  Only the first can be
+    simple: for m > m1 the reflection in (g, m) sends (g, m1) to
+    (-g, m1 - 2m) < 0.  The reflection in c = (g, m1) sends (g', m') to
+    (g' - p g, m' - p m1) with p independent of m', so if it keeps
+    (g', m') positive, it keeps every later coroot along g' positive; and
+    it sends the later coroots along g to (-g, jP - m1) and those along -g
+    to (g, m' + 2 m1), none negative.  So c is simple iff it keeps every
+    other first coroot positive."""
     rs = lw.rs
-    positives = []
-    for gamma in rs.positive_coroots:
-        for sign in (1, -1):
-            g = tuple(sign * x for x in gamma)
-            pv = rs.pair_weight_coroot(lw.lam, g)
-            prog = integrality_progression(pv, lw.k)
-            if prog is None:
-                continue
-            m0, step = prog
-            lo = 1 if sign == -1 else 0
-            first = m0 + step * ((lo - m0 + step - 1) // step)
-            positives += [AffineCoroot(g, m)
-                          for m in range(first, height_bound + 1, step)
-                          if m % rs.coroot_lacing[g] == 0]
-    positives.sort(key=lambda cr: (cr.m, cr.gamma))
-
-    simples = [cand for cand in positives
+    firsts = sorted(_first_integral_coroots(lw),
+                    key=lambda cr: (cr.m, cr.gamma))
+    simples = [cand for cand in firsts
                if all(reflect_coroot(rs, cand, other).is_positive()
-                      for other in positives if other != cand)]
-
-    cox = _coxeter_matrix_of(rs, simples)
-    return IntegralSystem(positives, simples, cox, height_bound)
+                      for other in firsts if other != cand)]
+    return IntegralSystem(simples, _coxeter_matrix_of(rs, simples))
 
 
 def _coxeter_matrix_of(rs, coroots):
@@ -496,7 +477,7 @@ def finite_antidominant_element(rs, lam):
     return _chamber_walk(rs, lam, -1)
 
 
-def block_decomposition(lw, length_bound, height_bound=None):
+def block_decomposition(lw, length_bound):
     """Double cosets W_f \\ W / W_lambda among ball elements, each with
     its minimal-length representative and simple-label coset list."""
     rs = lw.rs
@@ -505,9 +486,7 @@ def block_decomposition(lw, length_bound, height_bound=None):
         raise DomainError(
             "block decomposition requires a regular antidominant weight at "
             "negative level; classification: %s" % (cls.to_json_dict(),))
-    if height_bound is None:
-        height_bound = length_bound
-    isys = integral_system(lw, height_bound)
+    isys = integral_system(lw)
     group = AffineWeylGroup(rs, lw.level)
     ball = group.ball(length_bound)
     elements = ball.elements

@@ -26,8 +26,7 @@ from .qseries import QSeries, eta_factor
 from .affine import (classify_weight, dot_act_word, integral_system,
                      finite_antidominant_element,
                      finite_dominant_representative)
-from .hecke import (ParabolicModule, inverse_multiplicity_matrix,
-                    kl_polynomial, query_ball)
+from .hecke import ParabolicModule, inverse_multiplicity_matrix, query_ball
 
 F = Fraction
 
@@ -211,8 +210,7 @@ class SimpleCharacter:
         }
 
 
-def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
-                multiplicities="kl"):
+def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
     """ch L_w = sum_y c_{y,w} ch M_{pi(y . lam)} in the regular
     antidominant negative-level regime, where [c] inverts the
     Verma-to-simple multiplicity matrix at v = 1.  w is the longest
@@ -221,7 +219,8 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
 
     ``multiplicities`` selects the rule producing [M_y : L_w]:
 
-    * ``"kl"`` (default): P_{w,y}(1) on minimal coset representatives.
+    * ``"kl"`` (default): P_{y,w}(1) on minimal coset representatives,
+      read off the Kazhdan-Lusztig basis element b_w.
       This is what exactness of the reduction functor forces: it sends
       the large-side Vermas to Vermas, kills exactly the simples whose
       orbit element is not coset-minimal, and the negative-level
@@ -232,8 +231,8 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
       differ in general and are kept for cross-convention comparison.
 
     ``length_bound`` caps the Bruhat ball, whose radius is the length of
-    ``w_word`` (``hecke.query_ball``), and is the default
-    ``height_bound`` of the integral system.
+    ``w_word`` (``hecke.query_ball``).  The integral Weyl group is exact
+    (``affine.integral_system``).
     """
     rs = lw.rs
     cls = classify_weight(lw)
@@ -244,9 +243,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
             % (cls.to_json_dict(),))
     if multiplicities not in MULTIPLICITY_RULES:
         raise DomainError("unknown multiplicity rule %r" % (multiplicities,))
-    if height_bound is None:
-        height_bound = length_bound
-    isys = integral_system(lw, height_bound)
+    isys = integral_system(lw)
     if not isys.simples:
         # trivial integral Weyl group: the block is a single Verma
         if tuple(w_word):
@@ -258,26 +255,25 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, height_bound=None,
     ball = query_ball(isys.coxeter_matrix, length_bound, (tuple(w_word),))
     parabolic = [i for i, cr in enumerate(isys.simples) if cr.m == 0]
     param = "q" if multiplicities == "kl" else multiplicities.split(":")[1]
-    mod = ParabolicModule(ball, parabolic, param)
+    jmod = ParabolicModule(ball, parabolic, param)
     w_el = ball.element_by_word(tuple(w_word))
-    if not mod.is_minimal(w_el):
+    if not jmod.is_minimal(w_el):
         raise DomainError("w is not minimal in its finite coset")
 
-    ideal = [y for y in ball.interval_below(w_el) if mod.is_minimal(y)]
+    ideal = [y for y in ball.interval_below(w_el) if jmod.is_minimal(y)]
     pos = {y.key: i for i, y in enumerate(ideal)}
     n = len(ideal)
+    # the KL rule reads the regular module's canonical basis on the ideal;
+    # a parabolic one lies in the ideal already
+    mod = ParabolicModule(ball, ()) if multiplicities == "kl" else jmod
     # column j of [M_y : L_w] at v = 1, as {row: entry}
     cols = []
     for w in ideal:
-        if multiplicities == "kl":
-            col = {pos[y.key]: kl_polynomial(ball, y, w).eval_at_one()
-                   for y in ball.interval_below(w) if y.key in pos}
-        else:
-            basis = mod.canonical_basis(w)
-            if not basis.keys() <= pos.keys():
-                raise AssertionError("canonical basis outside the ideal")
-            col = {pos[key]: poly.eval_at_one()
-                   for key, poly in basis.items()}
+        basis = mod.canonical_basis(w)
+        if mod is jmod and not basis.keys() <= pos.keys():
+            raise AssertionError("canonical basis outside the ideal")
+        col = {pos[key]: poly.eval_at_one()
+               for key, poly in basis.items() if key in pos}
         if col.get(len(cols)) != 1 or max(col) != len(cols):
             raise AssertionError("multiplicity matrix is not unitriangular")
         cols.append(col)

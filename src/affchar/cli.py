@@ -34,11 +34,11 @@ F = Fraction
 _DECIMAL_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 _KNOWN_KEYS = {
-    "type", "rank", "level", "weight", "trunc", "length_bound",
-    "ball_radius", "height_bound", "depth", "f0_bound", "lam_check",
-    "modes", "w", "x", "y", "coxeter_matrix", "parabolic",
-    "antispherical_param", "multiplicities", "energy_sign", "w0_twist",
-    "flip_flow_sign", "kind", "n", "m", "h", "max_u", "max_q", "format",
+    "type", "rank", "level", "weight", "trunc", "length_bound", "depth",
+    "f0_bound", "lam_check", "modes", "w", "x", "y", "coxeter_matrix",
+    "parabolic", "antispherical_param", "multiplicities", "energy_sign",
+    "w0_twist", "flip_flow_sign", "kind", "n", "m", "h", "max_u", "max_q",
+    "format",
 }
 
 # convention fields and the values the library accepts for them; every
@@ -189,8 +189,7 @@ def _cmd_roots(job):
 
 def _cmd_classify(job):
     lw = job.level_weight()
-    radius = _positive_int(job.get("ball_radius", 10), "ball_radius")
-    return {"classification": classify_weight(lw, radius).to_json_dict()}
+    return {"classification": classify_weight(lw).to_json_dict()}
 
 
 def _cmd_orbit(job):
@@ -205,9 +204,7 @@ def _cmd_orbit(job):
 def _cmd_blocks(job):
     lw = job.level_weight()
     bound = _positive_int(job.get("length_bound", 6), "length_bound")
-    height = job.get("height_bound")
-    height = _positive_int(height, "height_bound") if height is not None else None
-    blocks = block_decomposition(lw, bound, height)
+    blocks = block_decomposition(lw, bound)
     return {"length_bound": bound,
             "block_count": len(blocks),
             "blocks": [b.to_json_dict() for b in blocks]}
@@ -293,10 +290,8 @@ def _cmd_character_simple(job):
     lw = job.level_weight()
     trunc = _positive_int(job.get("trunc", 20), "trunc")
     bound = _positive_int(job.get("length_bound", 8), "length_bound")
-    height = job.get("height_bound")
-    height = _positive_int(height, "height_bound") if height is not None else None
     res = chars.ch_simple_W(lw, _word(job.get("w"), "w"), trunc,
-                            length_bound=bound, height_bound=height,
+                            length_bound=bound,
                             multiplicities=str(job.get("multiplicities",
                                                        "kl")))
     return {"simple_character": res.to_json_dict()}
@@ -452,11 +447,13 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; the contract is 1
         return 0 if exc.code == 0 else 1
     try:
+        if unknown:
+            raise ConfigError("unknown arguments: %s" % " ".join(unknown))
         job = Job(args)
         result = _COMMANDS[args.subcommand](job)
         result["conventions"] = job.conventions()

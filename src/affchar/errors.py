@@ -15,7 +15,7 @@ class DomainError(AffcharError):
 
 
 class BallExhausted(AffcharError):
-    """A length/height ball was too small for the requested computation
+    """A length ball was too small for the requested computation
     (exit code 3)."""
 
 

@@ -662,13 +662,11 @@ def _elements(ball, x, y):
 
 def kl_polynomial(ball, x, y):
     """P_{x,y} as a polynomial in q, from b_y built by the mu-correction
-    recursion."""
+    recursion.  x <= y iff x is a key of b_y, since P_{x,y}(0) = 1."""
     x, y = _elements(ball, x, y)
-    if not ball.leq(x, y):
+    h = _kl_module(ball)._column(y).get(x.key)
+    if h is None:
         raise DomainError("kl_polynomial requires x <= y in Bruhat order")
-    if x.key not in ball.elements or y.key not in ball.elements:
-        raise BallExhausted("KL recursion requires both elements in the ball")
-    h = _kl_module(ball)._column(y)[x.key]
     return _laurent(_p_from_h(h, y.length - x.length))
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from affchar.affine import (AffineCoroot, dot_pair, is_real_coroot,
+                            reflect_coroot)
 from affchar.rootdata import build_root_system
 
 # One profile for every property test: the same examples on every run, no
@@ -55,6 +57,32 @@ def finite_dot_orbit(rs, lam):
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def integral_coroots(lw, m_max):
+    """The integral positive real coroots (g, m) of lw with m <= m_max,
+    sorted by (m, g), by a direct check of each one: (g, m) is real and
+    <lam, g> + m k is an integer.  The brute-force reference of
+    ``affine.integral_system``."""
+    rs = lw.rs
+    out = []
+    for gamma in rs.positive_coroots:
+        for g in (gamma, tuple(-x for x in gamma)):
+            for m in range(0 if g == gamma else 1, m_max + 1):
+                cr = AffineCoroot(g, m)
+                if (is_real_coroot(rs, cr)
+                        and dot_pair(lw, cr, shifted=False).denominator == 1):
+                    out.append(cr)
+    return sorted(out, key=lambda cr: (cr.m, cr.gamma))
+
+
+def reflection_simples(rs, coroots):
+    """The coroots whose reflection keeps every other one of `coroots`
+    positive: the simples of W_lambda when `coroots` holds enough of its
+    positive integral coroots."""
+    return [c for c in coroots
+            if all(reflect_coroot(rs, c, other).is_positive()
+                   for other in coroots if other != c)]
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
                             integral_system, integrality_progression,
                             is_real_coroot, orbit_and_representative,
                             reflect_coroot, simple_affine_coroots)
-from conftest import rand_fraction, rand_weight
+from conftest import integral_coroots, rand_fraction, rand_weight
 
 
 def lw2(sl2, a, k):
@@ -128,21 +128,25 @@ def test_classify_wall_is_automatic_integral(sl2, rng):
 
 def test_integral_system_examples(sl2):
     # integral level: everything integral, simples are the affine simples
-    isys = integral_system(lw2(sl2, 0, -3), 4)
-    assert len(isys.positive_coroots) == 2 * 4 + 1
+    lw = lw2(sl2, 0, -3)
+    isys = integral_system(lw)
+    assert len(integral_coroots(lw, 4)) == 2 * 4 + 1
     simple_set = {(cr.gamma, cr.m) for cr in isys.simples}
     assert simple_set == {((F(1),), 0), ((F(-1),), 1)}
     assert isys.coxeter_matrix == [[1, 0], [0, 1]]
 
     # k = 1/2: integral coroots need even m
-    isys = integral_system(lw2(sl2, 0, F(1, 2)), 6)
-    assert all(cr.m % 2 == 0 for cr in isys.positive_coroots)
+    lw = lw2(sl2, 0, F(1, 2))
+    isys = integral_system(lw)
+    assert all(cr.m % 2 == 0 for cr in integral_coroots(lw, 6))
     simple_set = {(cr.gamma, cr.m) for cr in isys.simples}
     assert simple_set == {((F(1),), 0), ((F(-1),), 2)}
 
     # non-integral weight at integral level: no m = 0 coroots survive
-    isys = integral_system(lw2(sl2, F(1, 2), -3), 6)
-    assert all(cr.m != 0 for cr in isys.positive_coroots)
+    lw = lw2(sl2, F(1, 2), -3)
+    isys = integral_system(lw)
+    assert all(cr.m != 0 for cr in integral_coroots(lw, 6))
+    assert all(cr.m != 0 for cr in isys.simples)
 
 
 def test_integrality_progression_against_ball(sl2, sl3, rng):
@@ -178,7 +182,7 @@ def test_integral_weyl_group_presentation_faithful(sl2, sl3):
     ]
     for rs, k, lam in cases:
         lw = LevelWeight(rs, lam, Level(k))
-        isys = integral_system(lw, 6)
+        isys = integral_system(lw)
         ball = build_ball(isys.coxeter_matrix, 4)
         group = AffineWeylGroup(rs, Level(k))
         # keys of W, faithful also outside the ball
@@ -203,7 +207,7 @@ def test_integral_weyl_group_presentation_faithful(sl2, sl3):
                         orbit.add(key)
                         new.append(img)
             frontier = new
-        for cr in isys.positive_coroots:
+        for cr in integral_coroots(lw, 6):
             if cr.m <= 2:
                 assert (cr.gamma, cr.m) in orbit
 

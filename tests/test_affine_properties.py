@@ -1,5 +1,6 @@
 """Property tests of AffineWeylGroup against exact affine maps, and of
-the antidominance verdict against brute-force enumeration.
+the antidominance verdict and the integral Weyl group against brute-force
+enumeration.
 
 The reference is the representation the affine Weyl group had before its
 balls became BruhatBalls: each element is the exact affine map
@@ -9,14 +10,15 @@ keyed by the whole map, finds every element first by its ShortLex word.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
-                            classify_weight, dot_pair, is_real_coroot,
-                            simple_affine_coroots)
+                            classify_weight, dot_pair, integral_system,
+                            is_real_coroot, simple_affine_coroots)
 from affchar.rootdata import Level, build_root_system
-from conftest import root_of_coroot
+from conftest import integral_coroots, reflection_simples, root_of_coroot
 
 SETTINGS = settings(max_examples=40)
 
@@ -147,3 +149,28 @@ def test_antidominance_is_checked_on_every_integral_coroot(data):
                     if p.denominator == 1 and p > 0:
                         positive_integral.append(cr)
     assert classify_weight(lw).antidominant == (not positive_integral)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_integral_system_matches_brute_force(data):
+    # the closed-form simples of W_lambda are the coroots whose reflection
+    # keeps every other positive integral coroot positive, found among all
+    # of them up to twice the largest first m along a finite coroot plus
+    # 3 d.  Integral m repeat with period dividing r d (r <= 3 the lacing
+    # number, d the denominator of k), so every first m is at most 3 d,
+    # and the window holds the first two along every direction
+    rs = data.draw(st.sampled_from([ROOT_SYSTEMS[i] for i in (0, 1, 3, 5)]),
+                   label="A1, A2, B2 or G2")
+    # k has denominator exactly d, so the first m can reach r d
+    d = data.draw(st.integers(1, 12), label="denominator")
+    k = F(data.draw(st.integers(-12 * d, 12 * d).filter(
+        lambda n: gcd(n, d) == 1 and n != -rs.h_dual * d), label="k * d"), d)
+    lam = tuple(F(data.draw(st.integers(-6 * d, 6 * d)), d)
+                for _ in range(rs.rank))
+    lw = LevelWeight(rs, lam, Level(k))
+    firsts = {}
+    for cr in integral_coroots(lw, 3 * d):
+        firsts.setdefault(cr.gamma, cr.m)
+    window = integral_coroots(lw, 2 * max(firsts.values(), default=0) + 3 * d)
+    assert integral_system(lw).simples == reflection_simples(rs, window)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import re
+from fractions import Fraction as F
 
 import pytest
 
+from affchar.affine import LevelWeight, integral_system
 from affchar.cli import _COMMANDS, emit_report, main, parse_tsv, _flatten
+from affchar.rootdata import Level, build_root_system
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +138,28 @@ def test_misclassified_antidominant_weight_exits_2(capsys):
                              "--w", "1", "--trunc", "4", "--length-bound", "4")
     assert code == 2 and out == ""
     assert err.startswith("domain error:")
+
+
+def test_integral_weyl_group_needs_no_height_window(capsys):
+    # sl2 at k = -65/11, lam = -3: the simple coroot (-alpha, 11) lies past
+    # a height window of the length bound, which dropped it with exit 0;
+    # both reports equal those of a window of 30, and the blocks report
+    # marks all five blocks truncated, since the length-8 ball cannot hold
+    # the reflection in (-alpha, 11)
+    for argv, sha256 in [
+        ("blocks --type A --rank 1 --level=-65/11 --weight=-3 "
+         "--length-bound 8",
+         "a0044a68bbf42696ca4df277d6e70be38aba4332970e48f52853d3b047806255"),
+        ("character-simple --type A --rank 1 --level=-65/11 --weight=-3 "
+         "--w 1 --trunc 6 --length-bound 2",
+         "3bc686fda3ef47eeb21c8293dde5da317f9b60a5024ab2c44e9686a97531eb54"),
+    ]:
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    lw = LevelWeight(build_root_system("A", 1), (-3,), Level(F(-65, 11)))
+    assert [(cr.gamma, cr.m) for cr in integral_system(lw).simples] == [
+        ((1,), 0), ((-1,), 11)]
 
 
 def test_exit_code_resource_exhaustion(capsys):
@@ -432,13 +457,13 @@ def test_affine_report_digest(capsys, argv, sha256):
 
 @pytest.mark.parametrize("argv,sha256", [
     ("classify --type A --rank 2 --level=-5 --weight=0,0",
-     "eb6ff29e43f1f479f3355822702318766d7e9122456f6497d696eb4be408a577"),
+     "ff2cde100691b9848f713ccbc8ef8589a2c1593f0eebc5dcf07ddcf1d92fc7c2"),
     # not antidominant: the integral coroots ((1,1), 0) and ((2,3), 0)
     # pair with lam + rho_hat to 2 and 5
     ("classify --type B --rank 2 --level=-7/2 --weight=1/2,-1/2",
-     "f9f60d01c26d81b78a2bb7d33b9362d257fa20dfc41822ff1f97a30ca248a142"),
+     "9e5caa6856d5517ff4a0da97e5ceb46bb5bd7fe8dfea2c211bb82ce8ed9c903c"),
     ("classify --type G --rank 2 --level=-9/2 --weight=1/2,-1/3",
-     "44e17783d75d3301255c8684706f969928d0fe3d59737ba9e2777db1244eb378"),
+     "c622705fa23e89da5f96c6db11cfeb84d16b1b9f3900859302ee0a8c4d0e7078"),
     ("orbit --type A --rank 2 --level=-5 --weight=-2,-3 --length-bound 4",
      "1d47ae702636e871d52b159dcb30ba8887f36d1a9eec0cb407ed6e6b178b650c"),
     ("roots --type B --rank 3",
@@ -549,6 +574,16 @@ def test_malformed_word_exits_1(capsys, argv):
      "--length-bound 4 --trunc 4 --multiplicities foo", None),
     ("antispherical --coxeter-matrix [[1,3],[3,1]] --parabolic 0 --w 1,0 "
      "--antispherical-param foo", None),
+    # options that no longer exist: the integral Weyl group is exact and
+    # antidominance is decided in closed form
+    ("blocks --type A --rank 1 --level=-4 --weight=-2 --length-bound 4 "
+     "--height-bound 4", None),
+    ("classify --type A --rank 1 --level=-4 --weight=-2 --ball-radius 10",
+     None),
+    ("character-simple --type A --rank 1 --level=-4 --weight=-2 --w 1 "
+     "--trunc 4", {"height_bound": 4}),
+    ("classify --type A --rank 1 --level=-4 --weight=-2",
+     {"ball_radius": 10}),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()

@@ -25,6 +25,7 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from affchar.cli import parse_tsv
+from affchar.errors import DomainError
 from affchar.hecke import (INFINITE_BOND, PARABOLIC_PARAMS, LaurentPoly,
                            ParabolicModule, build_ball, kl_polynomial,
                            kl_table_tsv, query_ball)
@@ -161,3 +162,20 @@ def test_parabolic_bases_from_kl_polynomials(matrix, bound, data):
             if mod.is_minimal(z):
                 assert ParabolicModule(small, parabolic, param)\
                     .canonical_basis(z.word) == mod.canonical_basis(z)
+
+
+def test_kl_polynomial_is_defined_exactly_on_the_interval():
+    # kl_polynomial reads x <= y off the keys of b_y (P_{x,y}(0) = 1), so
+    # it must succeed exactly on the pairs the Bruhat order relates
+    balls = [whole_group(name)[0] for name in sorted(FINITE)]
+    balls.append(build_ball([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 6))
+    for ball in balls:
+        els = ball.all_elements()
+        for y in els:
+            for x in els:
+                try:
+                    poly = kl_polynomial(ball, x, y)
+                except DomainError:
+                    assert not ball.leq(x, y)
+                else:
+                    assert ball.leq(x, y) and poly.c.get(0) == 1

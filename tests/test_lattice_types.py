@@ -9,6 +9,7 @@ import pytest
 from affchar.affine import (LevelWeight, classify_weight, integral_system,
                             simple_affine_coroots)
 from affchar.rootdata import Level, build_root_system
+from conftest import integral_coroots
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
          ("B", 4), ("C", 3), ("D", 4), ("E", 6), ("E", 7), ("E", 8),
@@ -47,9 +48,10 @@ def test_affine_coroots_are_int(letter, rank):
     # and a weight on a wall, so classify_weight reports walls
     level = Level(-rs.h_dual - F(1, 2))
     lw = LevelWeight(rs, (0,) * rank, level)
-    isys = integral_system(lw, 4)
-    assert isys.positive_coroots and isys.simples
-    assert _coroots_int(isys.positive_coroots)
+    isys = integral_system(lw)
+    positives = integral_coroots(lw, 4)
+    assert positives and isys.simples
+    assert _coroots_int(positives)
     assert _coroots_int(isys.simples)
     walls = classify_weight(LevelWeight(rs, (-1,) * rank,
                                         Level(-rs.h_dual - 2))).walls
