@@ -6,8 +6,8 @@ fractions.Fraction.
 """
 
 from .errors import AffcharError, DomainError, BallExhausted, TruncationOverflow
-from .rootdata import (RootSystem, Level, SemisimpleData, build_root_system,
-                       form_value, casimir_eigenvalue)
+from .rootdata import (RootSystem, Level, build_root_system, form_value,
+                       casimir_eigenvalue)
 from . import affine, characters, hecke, qseries, sugawara, wstruct
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "TruncationOverflow",
     "RootSystem",
     "Level",
-    "SemisimpleData",
     "build_root_system",
     "form_value",
     "casimir_eigenvalue",

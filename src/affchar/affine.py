@@ -71,7 +71,7 @@ class AffineCoroot:
         raise DomainError("zero coroot has no sign")
 
 
-def simple_affine_coroots(rs, index_set=None):
+def simple_affine_coroots(rs):
     """alphacheck_i for i in {0} u I; index 0 is -theta_check + (k/kb) c."""
     out = {0: AffineCoroot(tuple(-t for t in rs.theta_check), 1)}
     for i in range(rs.rank):

@@ -105,7 +105,7 @@ def ch_verma_W(chi, trunc):
     return eta_factor(1, -chi.rs.rank, trunc).shift(off.e_m)
 
 
-def ds_transform(series, rs, level=None):
+def ds_transform(series, rs):
     """Multiply a character by the Drinfeld-Sokolov prefactor
     q^{ds_exponent} * prod (1 - q^i)^{dim - rank}."""
     pref = eta_factor(1, rs.dim - rs.rank, series.trunc).shift(ds_exponent(rs))
@@ -244,14 +244,6 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
     if multiplicities not in MULTIPLICITY_RULES:
         raise DomainError("unknown multiplicity rule %r" % (multiplicities,))
     isys = integral_system(lw)
-    if not isys.simples:
-        # trivial integral Weyl group: the block is a single Verma
-        if tuple(w_word):
-            raise DomainError(
-                "trivial integral Weyl group: only w = e exists")
-        chi = hc_project(rs, lw.lam, lw.level)
-        return SimpleCharacter(ch_verma_W(chi, trunc), (), [((), 1, chi)],
-                               [()], [[1]], multiplicities)
     ball = query_ball(isys.coxeter_matrix, length_bound, (tuple(w_word),))
     parabolic = [i for i, cr in enumerate(isys.simples) if cr.m == 0]
     param = "q" if multiplicities == "kl" else multiplicities.split(":")[1]

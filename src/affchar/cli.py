@@ -37,7 +37,7 @@ _KNOWN_KEYS = {
     "type", "rank", "level", "weight", "trunc", "length_bound", "depth",
     "f0_bound", "lam_check", "modes", "w", "x", "y", "coxeter_matrix",
     "parabolic", "antispherical_param", "multiplicities", "energy_sign",
-    "w0_twist", "flip_flow_sign", "kind", "n", "m", "h", "max_u", "max_q",
+    "w0_twist", "flip_flow_sign", "kind", "n", "h", "max_u", "max_q",
     "format",
 }
 
@@ -218,9 +218,9 @@ def _coxeter_from_job(job):
         except json.JSONDecodeError as exc:
             raise ConfigError("coxeter_matrix is not valid JSON: %s" % exc)
     if not (isinstance(mat, list) and all(isinstance(row, list) and all(
-            e is None or isinstance(e, (int, float)) for e in row)
-            for row in mat)):
-        raise ConfigError("coxeter_matrix must be a list of number rows")
+            e is None or type(e) is int for e in row) for row in mat)):
+        raise ConfigError("coxeter_matrix must be a list of rows of integers "
+                          "or null")
     return mat
 
 
@@ -302,7 +302,7 @@ def _cmd_ds_transform(job):
     trunc = _positive_int(job.get("trunc", 20), "trunc")
     chi = chars.hc_project(lw.rs, lw.lam, lw.level)
     src = chars.ch_verma_Oprime(chi, trunc)
-    out = chars.ds_transform(src, lw.rs, lw.level)
+    out = chars.ds_transform(src, lw.rs)
     target = chars.ch_verma_W(chi, trunc)
     return {"chi": chi.to_json_dict(),
             "input_series": src.to_json_dict(),
@@ -348,10 +348,9 @@ def _cmd_sugawara_check(job):
 
 def _cmd_jumps(job):
     n = _fraction(job.require("n"), "n")
-    if "h" in job.cfg:
-        h = _positive_int(job.require("h"), "h")
-    else:
-        h = job.root_system().coxeter_number
+    h = job.get("h")
+    h = (job.root_system().coxeter_number if h is None
+         else _positive_int(h, "h"))
     return {"n": str(n), "h": h, "jump": str(wstruct.ideal_jump(n, h))}
 
 
@@ -431,6 +430,7 @@ def parse_tsv(text):
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="affchar",
+        allow_abbrev=False,
         description="exact affine Weyl / Kazhdan-Lusztig / W-algebra "
                     "character computations")
     parser.add_argument("--config", help="JSON config file")

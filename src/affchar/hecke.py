@@ -140,29 +140,24 @@ class LaurentPoly:
 
 
 def validate_coxeter_matrix(m):
-    """The Coxeter matrix with infinite bonds as INFINITE_BOND; a
+    """The Coxeter matrix with infinite bonds (None) as INFINITE_BOND; a
     DomainError if it is not square, symmetric, unit-diagonal or has a
     bond other than 2, 3, 4, 6 or infinity."""
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise DomainError("Coxeter matrix is not square")
+    out = [[INFINITE_BOND if e is None else e for e in row] for row in m]
     for i in range(n):
-        if len(m[i]) != n:
-            raise DomainError("Coxeter matrix is not square")
-        if m[i][i] != 1:
+        if out[i][i] != 1:
             raise DomainError("Coxeter matrix diagonal must be 1")
         for j in range(n):
-            if i == j:
-                continue
-            e = m[i][j]
-            if e in (None, float("inf")):
-                e = INFINITE_BOND
-            if e not in _BOND_TO_GCM:
+            e = out[i][j]
+            if i != j and e not in _BOND_TO_GCM:
                 raise DomainError(
                     "unsupported bond label %r (want 2,3,4,6 or infinity)" % (e,))
-            if (m[j][i] if m[j][i] not in (None, float("inf")) else INFINITE_BOND) != e:
+            if out[j][i] != e:
                 raise DomainError("Coxeter matrix must be symmetric")
-    return [[1 if i == j else
-             (INFINITE_BOND if m[i][j] in (None, float("inf")) else m[i][j])
-             for j in range(n)] for i in range(n)]
+    return out
 
 
 class BallElement:
@@ -597,10 +592,6 @@ class ParabolicModule:
                     if a:
                         add(key, p - shift, col, a)
             add(y.key, d, col, -1)
-        if not unknowns:
-            if any(row.get(ncol, 0) for row in eq.values()):
-                raise DomainError("inconsistent trivial system")
-            return {w.key: (1,)}
         sol = _solve_int_system(list(eq.values()), ncol)
         coeffs = {}
         for (y, d), val in zip(unknowns, sol):
@@ -702,7 +693,11 @@ def inverse_multiplicity_matrix(matrix):
     return inv
 
 
-def kl_table_tsv(ball, pairs, convention="q=v^-2,Hs:(Hs-v^-1)(Hs+v)=0"):
+# the normalization tag of every kl_table_tsv line
+KL_CONVENTION = "q=v^-2,Hs:(Hs-v^-1)(Hs+v)=0"
+
+
+def kl_table_tsv(ball, pairs):
     """TSV dump of KL polynomials: y-word, w-word, coefficient list,
     convention tag, one line per pair in the given order.  Every x is read
     off the one column b_y of its y, and the text of each distinct
@@ -713,8 +708,6 @@ def kl_table_tsv(ball, pairs, convention="q=v^-2,Hs:(Hs-v^-1)(Hs+v)=0"):
     texts = {}
     last = col = yname = None
     for x, y in pairs:
-        if isinstance(x, tuple) or isinstance(y, tuple):
-            x, y = _elements(ball, x, y)
         if y is not last:
             last, col = y, mod._column(y)
             yname = "".join(str(i) for i in y.word) or "e"
@@ -727,7 +720,7 @@ def kl_table_tsv(ball, pairs, convention="q=v^-2,Hs:(Hs-v^-1)(Hs+v)=0"):
             p = _p_from_h(h, base)
             lo = next(k for k, a in enumerate(p) if a)
             text = texts[h, base] = "%s\t%s" % (
-                ",".join(str(c) for c in (lo,) + p[lo:]), convention)
+                ",".join(str(c) for c in (lo,) + p[lo:]), KL_CONVENTION)
         xname = names.get(x)
         if xname is None:
             xname = names[x] = "".join(str(i) for i in x.word) or "e"

@@ -203,8 +203,16 @@ class RootSystem:
         self.theta_check = self.positive_coroots[-1]
         self.h_dual = 1 + sum(self.theta_check)
 
-        self._gram_weight = self._weight_gram()
-        self._gram_coweight = self._coweight_gram()
+        # basic-form Gram matrices on the fundamental (co)weights, inverted
+        # from (alpha_m, alpha_l) = A[m][l] halfsq[m] and
+        # kappa_b(acheck_m, acheck_l) = A[m][l] / halfsq[l]
+        ainv, hs = self.cartan_inv, self.halfsq
+        self._gram_weight = tuple(
+            tuple(ainv[j][i] * hs[j] for j in range(rank))
+            for i in range(rank))
+        self._gram_coweight = tuple(
+            tuple(ainv[i][j] / hs[j] for j in range(rank))
+            for i in range(rank))
 
     # -- construction helpers -------------------------------------------
 
@@ -226,30 +234,6 @@ class RootSystem:
                         nxt.append(rb)
             frontier = nxt
         return tuple(sorted(seen, key=lambda b: (sum(b), b)))
-
-    def _weight_gram(self):
-        n = self.rank
-        ainv = self.cartan_inv
-        # (alpha_m, alpha_l) = A[m][l] * halfsq[m]
-        g = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                g[i][j] = sum(
-                    ainv[m][i] * ainv[l][j] * self.cartan[m][l] * self.halfsq[m]
-                    for m in range(n) for l in range(n))
-        return tuple(tuple(row) for row in g)
-
-    def _coweight_gram(self):
-        n = self.rank
-        ainv = self.cartan_inv
-        # kappa_b(acheck_m, acheck_l) = A[m][l] / halfsq[l]
-        g = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                g[i][j] = sum(
-                    ainv[i][m] * ainv[j][l] * self.cartan[m][l] / self.halfsq[l]
-                    for m in range(n) for l in range(n))
-        return tuple(tuple(row) for row in g)
 
     # -- coordinate changes and pairings ---------------------------------
 
@@ -330,40 +314,6 @@ class RootSystem:
 def build_root_system(type_label, rank):
     """Construct the root system of a simple type, e.g. ('A', 2)."""
     return RootSystem(type_label, int(rank))
-
-
-class SemisimpleData:
-    """A semisimple algebra as a list of simple factors with per-factor
-    levels.  Level predicates and Casimir data restrict factorwise; the
-    rest of the package works with one simple factor at a time."""
-
-    def __init__(self, factors):
-        self.factors = tuple((rs, Level(F(lvl.k if isinstance(lvl, Level)
-                                           else lvl)))
-                             for rs, lvl in factors)
-        if not self.factors:
-            raise DomainError("need at least one simple factor")
-
-    def is_noncritical(self):
-        return all(not lvl.is_critical(rs) for rs, lvl in self.factors)
-
-    def is_negative(self):
-        return all(lvl.is_negative(rs) for rs, lvl in self.factors)
-
-    def is_positive(self):
-        return all(not lvl.is_negative(rs) for rs, lvl in self.factors)
-
-    def casimir_eigenvalue(self, lam_per_factor):
-        if len(lam_per_factor) != len(self.factors):
-            raise DomainError("one weight per simple factor required")
-        return sum(casimir_eigenvalue(rs, lam)
-                   for (rs, _), lam in zip(self.factors, lam_per_factor))
-
-    def form_value(self, xs, ys):
-        if len(xs) != len(self.factors) or len(ys) != len(self.factors):
-            raise DomainError("one coweight per simple factor required")
-        return sum(form_value(rs, lvl, x, y)
-                   for (rs, lvl), x, y in zip(self.factors, xs, ys))
 
 
 def form_value(rs, level, x, y):

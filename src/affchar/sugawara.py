@@ -363,14 +363,6 @@ class SpectralFlow:
         return out
 
 
-def spectral_flow_twist(module, lam_check, flip_sign=False):
-    """The flow by `lam_check` (a CoweightData or its coordinates);
-    raises DomainError unless it is a cocharacter of the adjoint torus."""
-    if not isinstance(lam_check, CoweightData):
-        lam_check = CoweightData(tuple(lam_check))
-    return SpectralFlow(module, lam_check, flip_sign)
-
-
 def _zero_flow(module):
     """The flow by the zero coweight, the identity on generator modes."""
     return SpectralFlow(module, CoweightData((F(0),) * module.rs.rank))
@@ -541,9 +533,7 @@ def check_dss(module, lam_check, n, flip_sign=False):
     where both sides act exactly, and pin the flowed energy of the
     highest-weight line.  Both sides are compared in the Sugawara
     scaling of `_scaled_sugawara`."""
-    if not isinstance(lam_check, CoweightData):
-        lam_check = CoweightData(tuple(lam_check))
-    flow = spectral_flow_twist(module, lam_check, flip_sign)
+    flow = SpectralFlow(module, lam_check, flip_sign)
     lhs_op = _scaled_sugawara(module, n, flow)
     rhs_s = _scaled_sugawara(module, n, _zero_flow(module))
     h_n = ("h", n)

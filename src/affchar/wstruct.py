@@ -44,19 +44,6 @@ def ideal_jump(n, h):
     return F(ceil, h)
 
 
-@dataclass(frozen=True)
-class JumpProfile:
-    coxeter_number: int
-    exponents: tuple
-
-    @classmethod
-    def of(cls, rs):
-        return cls(rs.coxeter_number, tuple(rs.exponents))
-
-    def jump(self, n):
-        return ideal_jump(n, self.coxeter_number)
-
-
 def generator_windows(n, m, rs):
     """Per-Kazhdan-Kostant-degree energy windows [i n, i m) for the
     generators of the kernel ideal, degrees 1 <= i <= h."""

@@ -56,7 +56,7 @@ def test_criterion_01_ds_character_identity():
                 continue
             lam = tuple(_rand_fraction(rng) for _ in range(rs.rank))
             chi = hc_project(rs, lam, Level(k))
-            lhs = ds_transform(ch_verma_Oprime(chi, 30), rs, Level(k))
+            lhs = ds_transform(ch_verma_Oprime(chi, 30), rs)
             rhs = ch_verma_W(chi, 30)
             ok = ok and equal_to_order(lhs, rhs, 30)
             done += 1

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from affchar.affine import LevelWeight, integral_system
+from affchar import cli
 from affchar.cli import _COMMANDS, emit_report, main, parse_tsv, _flatten
 from affchar.rootdata import Level, build_root_system
 
@@ -14,6 +15,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def digest_cases(argnames, *cases):
+    """Digest pins parametrized with their argv alone as the test id, so
+    re-pinning a digest keeps the test's name."""
+    return pytest.mark.parametrize(argnames, cases,
+                                   ids=[case[0] for case in cases])
 
 
 def test_roots_json(capsys):
@@ -318,32 +326,35 @@ def test_kl_table_dump(capsys):
     assert all(line.split("\t")[2] == "0,1" for line in lines[1:])
 
 
-@pytest.mark.parametrize("matrix,pairs,sha256,bound", [
-    ("[[1,3,3],[3,1,3],[3,3,1]]", 1969,
-     "83a82fa2995a2be24528ab89e6b99844de61c69f6f76d791acfa8e769da2feb0", 7),
-    ("[[1,6,2],[6,1,3],[2,3,1]]", 1313,
-     "8e14e3174baf50c024c14dd912aed9409af9636803072d554b039f2d714fd38f", 7),
-    ("[[1,4,2],[4,1,4],[2,4,1]]", 1603,
-     "f1a9861c8d86784d6bc58dcd91665adebb3ad25d36111c0819ebd041e1903652", 7),
-    ("[[1,4,0],[4,1,0],[0,0,1]]", 3685,
-     "9c13881b059b73379799a9bc7a525702f50c3d8965824b7b3d9319625f554dd9", 6),
-    ("[[1,null,null],[null,1,null],[null,null,1]]", 3991,
-     "4b614bf257794f2e665b3e83b586247913b650dbf36de7bfc9b5330981d45e5c", 6),
-    ("[[1,3,2,2],[3,1,3,2],[2,3,1,3],[2,2,3,1]]", 3781,
-     "12a4da68cb0596626f21228fdf0eebcdd8042964515af575b146d2c443bdbf66", 10),
-])
-def test_kl_table_digest(capsys, matrix, pairs, sha256, bound):
+@digest_cases(
+    "argv,pairs,sha256",
+    ("kl --coxeter-matrix [[1,3,3],[3,1,3],[3,3,1]] --length-bound 7", 1969,
+     "83a82fa2995a2be24528ab89e6b99844de61c69f6f76d791acfa8e769da2feb0"),
+    ("kl --coxeter-matrix [[1,6,2],[6,1,3],[2,3,1]] --length-bound 7", 1313,
+     "8e14e3174baf50c024c14dd912aed9409af9636803072d554b039f2d714fd38f"),
+    ("kl --coxeter-matrix [[1,4,2],[4,1,4],[2,4,1]] --length-bound 7", 1603,
+     "f1a9861c8d86784d6bc58dcd91665adebb3ad25d36111c0819ebd041e1903652"),
+    ("kl --coxeter-matrix [[1,4,0],[4,1,0],[0,0,1]] --length-bound 6", 3685,
+     "9c13881b059b73379799a9bc7a525702f50c3d8965824b7b3d9319625f554dd9"),
+    ("kl --coxeter-matrix [[1,null,null],[null,1,null],[null,null,1]] "
+     "--length-bound 6", 3991,
+     "4b614bf257794f2e665b3e83b586247913b650dbf36de7bfc9b5330981d45e5c"),
+    ("kl --coxeter-matrix [[1,3,2,2],[3,1,3,2],[2,3,1,3],[2,2,3,1]] "
+     "--length-bound 10", 3781,
+     "12a4da68cb0596626f21228fdf0eebcdd8042964515af575b146d2c443bdbf66"),
+)
+def test_kl_table_digest(capsys, argv, pairs, sha256):
     # exact affine A2, G2, C2, hyperbolic, universal rank-3 and finite A4
     # tables, pinned byte for byte
-    code, out, _ = run_cli(capsys, "kl", "--coxeter-matrix", matrix,
-                           "--length-bound", str(bound))
+    code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     data = json.loads(out)
     assert data["pairs"] == pairs
     assert hashlib.sha256(data["table_tsv"].encode()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("argv,sha256", [
+@digest_cases(
+    "argv,sha256",
     ("vacuum-char --type B --rank 3 --n 2 --max-u 30 --max-q 120 "
      "--energy-sign kernel",
      "067fd7a585602b679b017c85d407a93ff6cb9bd0af5f8a2da92e940e37175055"),
@@ -352,7 +363,7 @@ def test_kl_table_digest(capsys, matrix, pairs, sha256, bound):
      "eebbca32ec35a222e3fa8967b519bd3ed79e56da4f1837b5a08d5b76fc6aaff5"),
     ("ds-transform --type G --rank 2 --level=2/5 --weight=2,-1/3 --trunc 90",
      "f0d2013bda5adbc6f81af6668cb12924046f4f9e43b0fc9f3467ca86f3e6de0b"),
-])
+)
 def test_series_report_digest(capsys, argv, sha256):
     # B3 and G2 vacuum characters (1966 and 2146 coefficients) and a G2
     # transform to order 90, pinned byte for byte
@@ -382,7 +393,8 @@ def test_antispherical_cli(capsys):
     assert rows[()] == [2, 1]   # v^2
 
 
-@pytest.mark.parametrize("argv,sha256", [
+@digest_cases(
+    "argv,sha256",
     ("antispherical --coxeter-matrix [[1,3,3],[3,1,3],[3,3,1]] "
      "--length-bound 8 --parabolic 0 --w 1,2,0,1,0,2,1,0 "
      "--antispherical-param q",
@@ -402,7 +414,7 @@ def test_antispherical_cli(capsys):
     ("kl --coxeter-matrix [[1,4,0],[4,1,0],[0,0,1]] --length-bound 9 "
      "--x= --y 0,2,0,1,2,0,1,2,0",
      "1e353e5e9338f46597b695f8b28895a8a9f307e176874c6b62b5f6788b8d41fa"),
-])
+)
 def test_hecke_report_digest(capsys, argv, sha256):
     # parabolic canonical bases of affine A2 (J = {0}) and affine G2
     # (J = {1}) for both parameters, and the hyperbolic point query
@@ -412,7 +424,8 @@ def test_hecke_report_digest(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("argv,sha256", [
+@digest_cases(
+    "argv,sha256",
     ("blocks --type A --rank 2 --level=-10 --weight=-2,-3 --length-bound 10",
      "a6f8e4288762e7d147a0bb824a7d5069c97fc66ff21aba8a29817acb93d6079f"),
     ("blocks --type A --rank 2 --level=-8 --weight=-3,-3 --length-bound 11",
@@ -444,7 +457,7 @@ def test_hecke_report_digest(capsys, argv, sha256):
      "--w 2,0,3,1,3 --length-bound 8 --trunc 20 "
      "--multiplicities parabolic:-1",
      "e5a36f5a67539099d99c1459f7ea76ae9ef23cfc2ac2878d6098efd8715fc98a"),
-])
+)
 def test_affine_report_digest(capsys, argv, sha256):
     # affine A2 and A3 blocks and A2 simple characters under the KL and
     # parabolic rules; B2, C2 and G2 blocks and simple characters, among
@@ -455,7 +468,8 @@ def test_affine_report_digest(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("argv,sha256", [
+@digest_cases(
+    "argv,sha256",
     ("classify --type A --rank 2 --level=-5 --weight=0,0",
      "ff2cde100691b9848f713ccbc8ef8589a2c1593f0eebc5dcf07ddcf1d92fc7c2"),
     # not antidominant: the integral coroots ((1,1), 0) and ((2,3), 0)
@@ -481,7 +495,7 @@ def test_affine_report_digest(capsys, argv, sha256):
     ("character-verma --type C --rank 3 --level=-7/3 --weight=1,-1/2,2 "
      "--kind oprime --trunc 12",
      "bdf1f46221829502043dad52281297c4a2e8a2b4c5e79f766ddeddec30a97f11"),
-])
+)
 def test_lattice_report_digest(capsys, argv, sha256):
     # reports that print coroot or root data: A2 walls, non-integral B2
     # and G2 walls, an A2 orbit, B3/F4/E6 root data, w0-twisted
@@ -491,7 +505,8 @@ def test_lattice_report_digest(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("argv,sha256", [
+@digest_cases(
+    "argv,sha256",
     ("sugawara-check --type A --rank 1 --level=2 --weight=-1 --lam-check=2 "
      "--depth 4 --f0-bound 2 --modes=-2,-1,0,1,2",
      "1d625355806bf0ad0cec04c0b431dfec0d4ecb05a7af8850e7f9217a2d880120"),
@@ -502,7 +517,7 @@ def test_lattice_report_digest(capsys, argv, sha256):
     ("sugawara-check --type A --rank 1 --level=1/2 --weight=2/3 "
      "--lam-check=-1 --depth 3 --f0-bound 1 --modes=0,2",
      "a986ab82c2b786268979a094db04704a7bd1c7fbed1c61e7401842e07cb55bab"),
-])
+)
 def test_sugawara_report_digest(capsys, argv, sha256):
     # an alpha-check depth-4, f0-2 job, a flipped rho-check job at
     # D = lcm(4, 3) = 12 (every mode mismatches by design) and a job whose
@@ -584,6 +599,13 @@ def test_malformed_word_exits_1(capsys, argv):
      "--trunc 4", {"height_bound": 4}),
     ("classify --type A --rank 1 --level=-4 --weight=-2",
      {"ball_radius": 10}),
+    # Coxeter-matrix entries are JSON integers or null (infinity)
+    ("kl --coxeter-matrix [[true,3],[3,true]]", None),
+    ("kl --coxeter-matrix [[1,3.0],[3.0,1]]", None),
+    ("kl --coxeter-matrix [[1,1e400],[1e400,1]]", None),
+    # m was accepted by every subcommand and read by none
+    ("jumps --h 6 --n 5/6 --m 3", None),
+    ("jumps --h 6 --n 5/6", {"m": 3}),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()
@@ -594,3 +616,37 @@ def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    "kl --coxeter-matrix [[1,3],[3,1]] --len 2 --x 0 --y 1,0",
+    "jumps --h 6 --n 5/6 --ma 3",
+])
+def test_abbreviated_flags_exit_1(capsys, argv):
+    # only flags spelled in full are accepted, so a prefix (unique or
+    # ambiguous) is an unknown argument, not an alias
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("config error: unknown arguments")
+
+
+def test_every_config_key_is_read(capsys, monkeypatch):
+    read = set()
+    get, require = cli.Job.get, cli.Job.require
+
+    def recording_get(self, key, default=None):
+        read.add(key)
+        return get(self, key, default)
+
+    def recording_require(self, key):
+        read.add(key)
+        return require(self, key)
+
+    monkeypatch.setattr(cli.Job, "get", recording_get)
+    monkeypatch.setattr(cli.Job, "require", recording_require)
+    for argv in _EVERY_SUBCOMMAND:
+        code, _, err = run_cli(capsys, *argv.split())
+        assert code == 0, (argv, err)
+    assert {argv.split()[0] for argv in _EVERY_SUBCOMMAND} == set(_COMMANDS)
+    # a key no subcommand reads is an input that changes nothing
+    assert sorted(cli._KNOWN_KEYS - read) == []

@@ -49,6 +49,9 @@ def test_bad_matrices_rejected():
         build_ball([[1, 3], [4, 1]], 2)
     with pytest.raises(DomainError):
         build_ball([[2, 3], [3, 1]], 2)
+    # a short row is not square, wherever it sits
+    with pytest.raises(DomainError):
+        build_ball([[1, 3], []], 2)
 
 
 def test_bruhat_subword_property():

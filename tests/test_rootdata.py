@@ -94,6 +94,20 @@ def test_casimir_dot_symmetry(letter, rank, rng):
         assert casimir_eigenvalue(rs, lam) == casimir_eigenvalue(rs, mirror)
 
 
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_forms_on_simple_roots_and_coroots(letter, rank):
+    # (alpha_i, alpha_j) = A[i][j] halfsq[i] and kappa_b(acheck_i, acheck_j)
+    # = A[i][j] / halfsq[j]: the Gram matrices on every type, entry by entry
+    rs = build_root_system(letter, rank)
+    for i in range(rank):
+        for j in range(rank):
+            assert rs.weight_form(rs.simple_roots[i], rs.simple_roots[j]) == \
+                rs.cartan[i][j] * rs.halfsq[i]
+            assert rs.coweight_form(rs.simple_coroots[i],
+                                    rs.simple_coroots[j]) == \
+                rs.cartan[i][j] / rs.halfsq[j]
+
+
 def test_level_predicates(sl2):
     assert Level(F(-2)).is_critical(sl2)
     assert not Level(F(-1, 2)).is_critical(sl2)
@@ -107,27 +121,3 @@ def test_serialization(sl3):
     d = sl3.to_json_dict()
     assert d == {"type": "A", "rank": 2, "exponents": [1, 2],
                  "coxeter_number": 3, "dual_coxeter_number": 3, "dim": 8}
-
-
-def test_semisimple_factor_list(sl2, sl3):
-    from affchar.rootdata import SemisimpleData
-    g = SemisimpleData([(sl2, Level(F(-3))), (sl3, Level(F(-4)))])
-    assert g.is_noncritical() and g.is_negative()
-    # one critical factor poisons the whole algebra
-    bad = SemisimpleData([(sl2, Level(F(-2))), (sl3, Level(F(1)))])
-    assert not bad.is_noncritical()
-    mixed = SemisimpleData([(sl2, Level(F(-3))), (sl3, Level(F(1)))])
-    assert not mixed.is_negative() and not mixed.is_positive()
-    # additivity across factors
-    lam = ((F(1),), (F(1), F(0)))
-    total = g.casimir_eigenvalue(lam)
-    assert total == casimir_eigenvalue(sl2, lam[0]) + \
-        casimir_eigenvalue(sl3, lam[1])
-    xs = ((F(1),), (F(0), F(1)))
-    assert g.form_value(xs, xs) == \
-        form_value(sl2, Level(F(-3)), xs[0], xs[0]) + \
-        form_value(sl3, Level(F(-4)), xs[1], xs[1])
-    with pytest.raises(DomainError):
-        g.casimir_eigenvalue((lam[0],))
-    with pytest.raises(DomainError):
-        SemisimpleData([])

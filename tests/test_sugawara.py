@@ -8,8 +8,9 @@ from affchar.qseries import eta_factor
 from affchar.rootdata import Level
 from affchar.characters import energy_offsets, hc_project
 from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, CoweightData,
+                              SpectralFlow,
                               build_truncated_verma, check_dss,
-                              coweight_mode, spectral_flow_twist,
+                              coweight_mode,
                               sugawara_mode)
 from conftest import rand_fraction
 
@@ -104,7 +105,7 @@ def test_sugawara_hw_matches_energy_offsets(rng):
 
 def test_spectral_flow_examples():
     m = build_truncated_verma(0, 1, 3, 1)
-    tw = spectral_flow_twist(m, RHO_CHECK)
+    tw = SpectralFlow(m, RHO_CHECK)
     # h_0 shifts by kappa(h, rho_check) = k = 1 on the identity coset
     assert tw.gen_image(("h", 0)) == [(F(1), ("h", 0)), (F(1), None)]
     assert tw.gen_image(("e", -1)) == [(F(1), ("e", 0))]
@@ -115,7 +116,7 @@ def test_spectral_flow_examples():
 
 def test_spectral_flow_zero_coweight_is_identity():
     m = build_truncated_verma(F(2, 3), F(5, 4), 3, 1)
-    tw = spectral_flow_twist(m, CoweightData((F(0),)))
+    tw = SpectralFlow(m, CoweightData((F(0),)))
     for gen in [("e", -1), ("h", 0), ("f", 2), ("h", -2)]:
         assert tw.gen_image(gen) == [(F(1), gen)]
     rep = check_dss(m, CoweightData((F(0),)), 0)
@@ -125,12 +126,12 @@ def test_spectral_flow_zero_coweight_is_identity():
 def test_spectral_flow_requires_adjoint_cocharacter():
     m = build_truncated_verma(0, 1, 2, 1)
     with pytest.raises(DomainError):
-        spectral_flow_twist(m, CoweightData((F(1, 2),)))
+        SpectralFlow(m, CoweightData((F(1, 2),)))
 
 
 def test_spectral_flow_flip_sign():
     m = build_truncated_verma(0, 1, 2, 1)
-    tw = spectral_flow_twist(m, RHO_CHECK, flip_sign=True)
+    tw = SpectralFlow(m, RHO_CHECK, flip_sign=True)
     assert tw.gen_image(("e", 0)) == [(F(1), ("e", -1))]
     assert tw.kappa_self == F(1, 2)
     assert tw.h_shift == -1
@@ -138,8 +139,8 @@ def test_spectral_flow_flip_sign():
 
 def test_spectral_flow_involution_on_operators():
     m = build_truncated_verma(F(1, 3), F(3, 2), 3, 1)
-    pos = spectral_flow_twist(m, RHO_CHECK)
-    neg = spectral_flow_twist(m, CoweightData((F(-1),)))
+    pos = SpectralFlow(m, RHO_CHECK)
+    neg = SpectralFlow(m, CoweightData((F(-1),)))
     for gen in [("e", -2), ("f", 1), ("h", 0), ("h", -1)]:
         out = {}
         for c1, g1 in neg.gen_image(gen):
@@ -163,8 +164,8 @@ def test_check_dss_small_grid():
 
 def test_flip_sign_is_the_opposite_flow():
     m = build_truncated_verma(0, 1, 3, 1)
-    flipped = spectral_flow_twist(m, CoweightData((F(-1),)), flip_sign=True)
-    straight = spectral_flow_twist(m, RHO_CHECK)
+    flipped = SpectralFlow(m, CoweightData((F(-1),)), flip_sign=True)
+    straight = SpectralFlow(m, RHO_CHECK)
     for gen in [("e", -2), ("e", 0), ("f", 1), ("h", 0), ("h", -1)]:
         assert flipped.gen_image(gen) == straight.gen_image(gen)
 

@@ -25,7 +25,7 @@ from affchar.errors import TruncationOverflow
 from affchar.sugawara import (_BRACKET, ALPHA_CHECK, RHO_CHECK,
                               CoweightData, GradedModule, SpectralFlow,
                               _integral, _is_creation, _key, _sugawara_terms,
-                              _zero_flow, check_dss, spectral_flow_twist,
+                              _zero_flow, check_dss,
                               sugawara_mode)
 
 _KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
@@ -170,7 +170,7 @@ def test_sugawara_modes_match_fraction_reference(ak, n, lam, flip, data):
     module = GradedModule(a, k, 3, 1)
     ref = FractionStraightening(module)
     twist = (None if lam is None
-             else spectral_flow_twist(module, lam, flip_sign=flip))
+             else SpectralFlow(module, lam, flip_sign=flip))
     op = sugawara_mode(module, n, twist=twist)
     for _ in range(5):
         mono = data.draw(st.sampled_from(module.basis))
@@ -215,7 +215,7 @@ def reference_check_dss(module, lam, n, flip):
     """`check_dss` with every side of every vector straightened, in the
     order Ad S_n, S_n, lam_check_n; a vector is skipped iff one of them
     leaves the window."""
-    flow = spectral_flow_twist(module, lam, flip_sign=flip)
+    flow = SpectralFlow(module, lam, flip_sign=flip)
     lhs_op = reference_scaled_sugawara(module, n, flow)
     rhs_s = reference_scaled_sugawara(module, n, _zero_flow(module))
     lam_mult = _integral(lam.h_coefficient(module.rs) * module.four_kh)

@@ -4,9 +4,8 @@ import pytest
 
 from affchar.errors import DomainError
 from affchar.qseries import eta_factor, equal_to_order
-from affchar.wstruct import (JumpProfile, generator_windows,
-                             ideal_jump, vacuum_graded_character,
-                             vanishing_violations)
+from affchar.wstruct import (generator_windows, ideal_jump,
+                             vacuum_graded_character, vanishing_violations)
 from conftest import rand_fraction
 
 
@@ -39,12 +38,6 @@ def test_jump_laws_random(rng):
         # weakly monotone against a nearby smaller parameter
         n2 = max(F(0), n - F(rng.randint(0, 3), h * 2))
         assert ideal_jump(n2, h) <= j
-
-
-def test_jump_profile(sl2):
-    prof = JumpProfile.of(sl2)
-    assert prof.coxeter_number == 2
-    assert prof.jump(F(3, 10)) == F(1, 2)
 
 
 def test_generator_windows(sl2, sl3):
