@@ -489,52 +489,49 @@ def block_decomposition(lw, length_bound):
     isys = integral_system(lw)
     group = AffineWeylGroup(rs, lw.level)
     ball = group.ball(length_bound)
-    elements = ball.elements
     refl_words = [group.reflection_word(cr) for cr in isys.simples]
 
     uf = _UnionFind()
     truncated_roots = set()
-    weight = {}
+    weight = []
     finite_idx = range(1, rs.rank + 1)
-    for key, el in elements.items():
-        uf.find(key)
+    for el in ball.elements:
+        k = el.id
+        uf.find(k)
         # ShortLex: el = s_i v with v = s_i el shorter, so already weighed
         if el.word:
-            v = ball.key_of(el.word[1:])
-            weight[key] = dot_reflect(weight[v],
-                                      group.simple_coroots[el.word[0]])
+            weight.append(dot_reflect(weight[ball.id_of(el.word[1:])],
+                                      group.simple_coroots[el.word[0]]))
         else:
-            weight[key] = lw
+            weight.append(lw)
         for i in finite_idx:
-            left = ball.key_of((i,) + el.word)
-            if left in elements:
-                uf.union(key, left)
+            left = ball.id_of((i,) + el.word)
+            if left >= 0:
+                uf.union(k, left)
             else:
-                truncated_roots.add(key)
+                truncated_roots.add(k)
         for word in refl_words:
-            right = ball.key_of(word, key)
-            if right in elements:
-                uf.union(key, right)
+            right = ball.id_of(el.word + word)
+            if right >= 0:
+                uf.union(k, right)
             else:
-                truncated_roots.add(key)
+                truncated_roots.add(k)
 
+    # ids are ShortLex ranks, so each component, its cosets and the
+    # components themselves come out in ShortLex order of their first
+    # member: the minimal-length representative
     comps = {}
-    for key, el in elements.items():
-        comps.setdefault(uf.find(key), []).append(el)
+    for el in ball.elements:
+        comps.setdefault(uf.find(el.id), []).append(el)
 
     blocks = []
     for members in comps.values():
-        members.sort(key=lambda e: (e.length, e.word))
         rep = members[0]
-        truncated = any(m.key in truncated_roots for m in members)
+        truncated = any(m.id in truncated_roots for m in members)
         by_coset = {}
         for m in members:
-            ckey = finite_dominant_representative(rs, weight[m.key].lam)
-            cur = by_coset.get(ckey)
-            if cur is None or (m.length, m.word) < (cur.length, cur.word):
-                by_coset[ckey] = m
-        labels = [(by_coset[ck].word, ck) for ck in sorted(by_coset)]
-        labels.sort(key=lambda t: (len(t[0]), t[0]))
-        blocks.append(Block(rep.word, weight[rep.key].lam, labels, truncated))
-    blocks.sort(key=lambda b: (len(b.representative_word), b.representative_word))
+            by_coset.setdefault(
+                finite_dominant_representative(rs, weight[m.id].lam), m)
+        labels = [(m.word, ck) for ck, m in by_coset.items()]
+        blocks.append(Block(rep.word, weight[rep.id].lam, labels, truncated))
     return blocks

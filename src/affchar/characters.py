@@ -253,7 +253,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
         raise DomainError("w is not minimal in its finite coset")
 
     ideal = [y for y in ball.interval_below(w_el) if jmod.is_minimal(y)]
-    pos = {y.key: i for i, y in enumerate(ideal)}
+    pos = {y.id: i for i, y in enumerate(ideal)}
     n = len(ideal)
     # the KL rule reads the regular module's canonical basis on the ideal;
     # a parabolic one lies in the ideal already
@@ -264,8 +264,8 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
         basis = mod.canonical_basis(w)
         if mod is jmod and not basis.keys() <= pos.keys():
             raise AssertionError("canonical basis outside the ideal")
-        col = {pos[key]: poly.eval_at_one()
-               for key, poly in basis.items() if key in pos}
+        col = {pos[k]: poly.eval_at_one()
+               for k, poly in basis.items() if k in pos}
         if col.get(len(cols)) != 1 or max(col) != len(cols):
             raise AssertionError("multiplicity matrix is not unitriangular")
         cols.append(col)

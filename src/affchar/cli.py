@@ -22,7 +22,7 @@ from .rootdata import Level, build_root_system
 from .affine import (LevelWeight, classify_weight,
                      orbit_and_representative, block_decomposition)
 from .hecke import (PARABOLIC_PARAMS, build_ball, query_ball, kl_polynomial,
-                    antispherical_basis, kl_table_tsv,
+                    antispherical_basis, kl_table_pairs, kl_table_tsv,
                     validate_coxeter_matrix)
 from .qseries import equal_to_order
 from . import characters as chars
@@ -65,7 +65,8 @@ def _load_config(path):
     unknown = sorted(set(data) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-    return data
+    # a top-level null means the key is absent, whatever the key
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def _fraction(value, name):
@@ -239,8 +240,7 @@ def _cmd_kl(job):
     if job.get("x") is None and job.get("y") is None:
         # full table dump of the ball
         ball = build_ball(matrix, bound)
-        els = ball.all_elements()
-        pairs = [(x, y) for y in els for x in ball.interval_below(y)]
+        pairs = kl_table_pairs(ball)
         return {"table_tsv": kl_table_tsv(ball, pairs),
                 "pairs": len(pairs)}
     # a point query needs only the ball of its longer word

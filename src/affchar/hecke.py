@@ -11,15 +11,23 @@ h_{y,w}(v) = v^{l(w)-l(y)} P_{y,w}(v^{-2}), i.e. q = v^{-2}.
 
 Coxeter groups are realized through the integer reflection representation
 of a generalized Cartan matrix chosen per bond label (2, 3, 4, 6, or
-infinity, encoded as 0).  An element w is keyed by the integer vector
-w^{-1}(rho^v), with coordinates c_j = <alpha_j, w^{-1} rho^v>.  The key is
-faithful because rho^v lies in the open fundamental chamber of the Tits
-cone, whose points have trivial stabilizer (Humphreys, Reflection Groups
-and Coxeter Groups, 5.13).  Right multiplication is O(n):
-key(w s_i)_j = c_j - c_i gcm[i][j], and s_i is a right descent of w iff
-c_i < 0.  Bruhat order is read off the lower interval [e, y], built by the
-lifting property (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.2.7)
-from right multiplication alone and memoized per y.
+infinity, encoded as 0).  A ``BruhatBall`` numbers its elements by their
+ShortLex rank, the ``id``, as it builds them breadth first: w is reached
+from the vector w^{-1}(rho^v) of its ShortLex predecessor, whose
+coordinates c_j = <alpha_j, w^{-1} rho^v> change as c_j - c_i gcm[i][j]
+under right multiplication by s_i, and s_i is a right descent iff
+c_i < 0.  The vector is faithful, because rho^v lies in the open
+fundamental chamber of the Tits cone, whose points have trivial
+stabilizer (Humphreys, Reflection Groups and Coxeter Groups, 5.13); the
+one dict from vectors to ids serves only to read words (``id_of``,
+``element_by_word``), which may be non-reduced or leave the ball.
+Everything else runs on ids: the build fills a right-multiplication
+table, right[id][i] the id of w s_i or -1 outside the ball, so s_i is a
+right descent iff right[id][i] < id.  Bruhat order is read off the lower
+interval [e, y], a set of ids built by the lifting property
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.2.7) from the table
+alone and memoized per y; left descents, which only parabolic modules
+read, are a bitmask per id computed on first use.
 
 ``ParabolicModule`` is the one canonical-basis engine: one right Hecke
 action, one bar expansion of the standard basis.  With empty J it is
@@ -30,8 +38,9 @@ down (production) and a solve of the bar-invariance plus degree-bound
 system by sparse integer elimination (oracle).  Tests require them to
 agree.
 
-Inside the module every coefficient lies in Z[v] and is a tuple of ints
-indexed by the power of v, with no trailing zeros (() is 0); the finished
+Module vectors are dicts keyed by id.  Every coefficient lies in Z[v]
+and is a tuple of ints indexed by the power of v, with no trailing
+zeros (() is 0); the finished
 canonical-basis columns are interned per module, so equal coefficients
 share one tuple.  The one action, ``act_gen``, is right multiplication by
 v H_s + c for c in Z[v].  The factor v keeps it in Z[v]: v H_s sends N_y
@@ -161,20 +170,21 @@ def validate_coxeter_matrix(m):
 
 
 class BallElement:
-    __slots__ = ("word", "length", "key")
+    __slots__ = ("word", "length", "id")
 
-    def __init__(self, word, key):
+    def __init__(self, word, id_):
         self.word = word
         self.length = len(word)
-        self.key = key
+        self.id = id_
 
     def __repr__(self):
         return "w[%s]" % ("".join(str(i) for i in self.word) or "e")
 
 
 class BruhatBall:
-    """All elements of a Coxeter group up to a length bound, in ShortLex
-    order, with Bruhat order read off memoized lower intervals."""
+    """All elements of a Coxeter group up to a length bound, numbered in
+    ShortLex order, with a right-multiplication table and Bruhat order
+    read off memoized lower intervals."""
 
     def __init__(self, coxeter_matrix, length_bound):
         m = validate_coxeter_matrix(coxeter_matrix)
@@ -189,97 +199,128 @@ class BruhatBall:
                 a, b = _BOND_TO_GCM[m[i][j]]
                 gcm[i][j], gcm[j][i] = a, b
         self.gcm = tuple(tuple(row) for row in gcm)
-        self._id = (1,) * n
-        self.elements = {}
-        self._below = {self._id: {self._id}}
+        # elements[id], right[id][i] = id of w s_i (-1 outside the ball)
+        self.elements = []
+        self.right = []
+        self._ids = {}
+        self._below = {0: {0}}
+        self._left = {}
+        # the regular module H, built on first use by the KL functions
+        self.kl_module = None
         self._build()
 
-    def _reflect(self, key, i):
-        """key(w s_i) from key(w): c_j - c_i gcm[i][j]."""
-        ci = key[i]
-        return tuple(c - ci * a for c, a in zip(key, self.gcm[i]))
+    def __repr__(self):
+        return "BruhatBall(%r, %d)" % ([list(r) for r in self.coxeter_matrix],
+                                       self.length_bound)
 
-    def key_of(self, word, key=None):
-        """Key of w s_{word[0]} ... s_{word[-1]}, where w is the element
-        keyed by `key` (the identity by default).  The word need not be
-        reduced, and the product need not lie in the ball."""
-        key = self._id if key is None else key
+    def key_of(self, word):
+        """The faithful vector w^{-1}(rho^v) of the element w of a word; the
+        word need not be reduced, and w need not lie in the ball."""
+        key = (1,) * self.n_gens
         for i in word:
             if not 0 <= i < self.n_gens:
                 raise DomainError("generator index %r out of range" % (i,))
-            key = self._reflect(key, i)
+            ci = key[i]
+            key = tuple([c - ci * a for c, a in zip(key, self.gcm[i])])
         return key
 
     def _build(self):
-        # breadth first through ascents (c_i > 0); a ShortLex-sorted layer
-        # discovers the next layer in ShortLex order
-        e = BallElement((), self._id)
-        self.elements[self._id] = e
-        layer, self._counts = [e], [1]
+        # breadth first through ascents (c_i > 0 on the key of w): a
+        # ShortLex-sorted layer discovers the next layer in ShortLex
+        # order, so ids are ShortLex ranks.  Each ascent w -> w s_i fills
+        # right[w][i] and right[w s_i][i]; every descent of an element is
+        # an ascent of an element one layer down, so the table is full
+        # but for ascents out of the last layer
+        n, gcm = self.n_gens, self.gcm
+        els, right, ids = self.elements, self.right, self._ids
+        keys = [(1,) * n]
+        ids[keys[0]] = 0
+        els.append(BallElement((), 0))
+        right.append([-1] * n)
+        self._counts = [1]
+        start = 0
         for _ in range(self.length_bound):
-            nxt = []
-            for el in layer:
-                for i, ci in enumerate(el.key):
+            stop = len(els)
+            for w in range(start, stop):
+                key, row = keys[w], right[w]
+                for i, ci in enumerate(key):
                     if ci > 0:
-                        key = self._reflect(el.key, i)
-                        if key not in self.elements:
-                            new = BallElement(el.word + (i,), key)
-                            self.elements[key] = new
-                            nxt.append(new)
-            layer = nxt
-            self._counts.append(len(nxt))
+                        nkey = tuple([c - ci * a
+                                      for c, a in zip(key, gcm[i])])
+                        ws = ids.get(nkey)
+                        if ws is None:
+                            ws = ids[nkey] = len(els)
+                            els.append(BallElement(els[w].word + (i,), ws))
+                            keys.append(nkey)
+                            right.append([-1] * n)
+                        row[i] = ws
+                        right[ws][i] = w
+            start = stop
+            self._counts.append(len(els) - stop)
 
     # -- element access -------------------------------------------------------
 
+    def id_of(self, word):
+        """The id of the element of a word, -1 outside the ball; the word
+        need not be reduced."""
+        return self._ids.get(self.key_of(word), -1)
+
     def element_by_word(self, word):
-        el = self.elements.get(self.key_of(word))
-        if el is None:
+        k = self.id_of(word)
+        if k < 0:
             raise BallExhausted(
                 "element of word %r lies outside the length-%d ball"
                 % (word, self.length_bound))
-        return el
+        return self.elements[k]
 
     def __len__(self):
         return len(self.elements)
 
     def all_elements(self):
-        return list(self.elements.values())
+        return list(self.elements)
 
     def counts_by_length(self):
         return list(self._counts)
 
-    def right_mult(self, el, i):
-        got = self.elements.get(self._reflect(el.key, i))
+    def left_descents(self, k):
+        """Bitmask of the left descents of element k, memoized: the right
+        descents of its inverse, whose key reflects (1, ..., 1) through
+        the reversed word."""
+        got = self._left.get(k)
         if got is None:
-            raise BallExhausted("right multiplication left the ball")
+            inverse = self.key_of(reversed(self.elements[k].word))
+            got = self._left[k] = sum(1 << i for i, c in enumerate(inverse)
+                                      if c < 0)
         return got
 
     def left_longer(self, i, el):
-        """True iff l(s_i el) > l(el), i.e. s_i is not a right descent of
-        el^{-1}, whose key reflects (1, ..., 1) through the reversed word.
-        Exact also when s_i el lies outside the ball."""
-        return self.key_of(reversed(el.word))[i] > 0
+        """True iff l(s_i el) > l(el).  Exact also when s_i el lies
+        outside the ball."""
+        return not self.left_descents(el.id) >> i & 1
 
     # -- Bruhat order -------------------------------------------------------
 
     def _lower(self, y):
-        """Keys of [e, y], memoized per y.  For a right descent s of y,
-        [e, y] = [e, ys] u [e, ys] s (lifting property)."""
-        got = self._below.get(y.key)
+        """Ids of [e, y], memoized per id y.  For the last letter s of the
+        word of y, a right descent, [e, y] = [e, ys] u [e, ys] s (lifting
+        property); every z s there has length at most l(y), so it lies in
+        the ball."""
+        got = self._below.get(y)
         if got is None:
-            s = y.word[-1]
-            got = self._lower(self.right_mult(y, s))
-            got = self._below[y.key] = got | {self._reflect(k, s) for k in got}
+            s = self.elements[y].word[-1]
+            right = self.right
+            got = self._lower(right[y][s])
+            got = self._below[y] = got | {right[z][s] for z in got}
         return got
 
     def leq(self, x, y):
         """Bruhat order: x lies in [e, y]."""
-        return x.key in self._lower(y)
+        return x.id in self._lower(y.id)
 
     def interval_below(self, y):
-        """[e, y] in ShortLex order."""
-        return sorted((self.elements[k] for k in self._lower(y)),
-                      key=lambda e: (e.length, e.word))
+        """[e, y] in ShortLex order, which is id order."""
+        els = self.elements
+        return [els[k] for k in sorted(self._lower(y.id))]
 
 
 def build_ball(coxeter_matrix, length_bound):
@@ -424,7 +465,8 @@ class ParabolicModule:
     convention requires.  With no parabolic generators the module is H
     itself and ``param`` plays no role.
 
-    Vectors are dicts {key: Z[v] tuple} over the standard basis N_y.
+    Vectors are dicts {id: Z[v] tuple} over the standard basis N_y, keyed
+    by the ball's element ids.
     """
 
     def __init__(self, ball, parabolic_gens, param="q"):
@@ -436,137 +478,138 @@ class ParabolicModule:
             if not 0 <= i < ball.n_gens:
                 raise DomainError("parabolic generator %r out of range" % (i,))
         self.param = param
+        self._jmask = sum(1 << i for i in self.parabolic)
         # v H_s on the inducing line: v v^{-1} = 1, or v (-v) = -v^2
         self._v_eps = (1,) if param == "q" else (0, 0, -1)
-        self._nbasis = {ball._id: {ball._id: (1,)}}
+        self._nbasis = {0: {0: (1,)}}
         self._coeffs = {}
         self._solved = {}
         self._bars = {}
 
+    def _is_min(self, k):
+        """Element k is minimal in W_J k: no left descent in J."""
+        return not (self._jmask and self.ball.left_descents(k) & self._jmask)
+
     def is_minimal(self, el):
-        return all(self.ball.left_longer(i, el) for i in self.parabolic)
+        return self._is_min(el.id)
 
     def minimal_elements(self):
-        return [el for el in self.ball.all_elements() if self.is_minimal(el)]
+        return [el for el in self.ball.elements if self._is_min(el.id)]
 
     def _as_minimal(self, w):
         if isinstance(w, tuple):
             w = self.ball.element_by_word(w)
-        if not self.is_minimal(w):
+        if not self._is_min(w.id):
             raise DomainError("w is not minimal in its coset")
         return w
 
     def act_gen(self, vec, i, scalar=()):
         """vec (v H_{s_i} + scalar) for a Z[v] scalar.  v H_s maps N_y to
-        v N_{ys} + (1 - v^2) N_y if ys < y (s_i is a right descent iff
-        c_i < 0), to v N_{ys} if ys > y is minimal, and to v eps N_y
-        otherwise, so the action never leaves Z[v]."""
-        ball = self.ball
-        els = ball.elements
-        parabolic = self.parabolic
+        v N_{ys} + (1 - v^2) N_y if ys < y (ys has the smaller id), to
+        v N_{ys} if ys > y is minimal, and to v eps N_y otherwise, so the
+        action never leaves Z[v]."""
+        right = self.ball.right
+        jmask = self._jmask
         down = _add(_ONE_MINUS_V2, scalar)
         stay = _add(self._v_eps, scalar)
         out = {}
-        for key, t in vec.items():
-            ys = els.get(ball._reflect(key, i))
-            if ys is None:
+        for y, t in vec.items():
+            ys = right[y][i]
+            if ys < 0:
                 raise BallExhausted("right multiplication left the ball")
-            skey = ys.key
-            if key[i] < 0:
+            if ys < y:
                 moved, diag = True, down
             else:
-                moved = not parabolic or self.is_minimal(ys)
+                moved = not jmask or self._is_min(ys)
                 diag = scalar if moved else stay
             if moved:
-                got = out.get(skey)
+                got = out.get(ys)
                 vt = (0,) + t
-                out[skey] = vt if got is None else _add(got, vt)
+                out[ys] = vt if got is None else _add(got, vt)
             if diag:
-                got = out.get(key)
+                got = out.get(y)
                 dt = _mul(t, diag)
-                out[key] = dt if got is None else _add(got, dt)
+                out[y] = dt if got is None else _add(got, dt)
         return {k: t for k, t in out.items() if t}
 
     def bar_standard(self, y):
         """v^{l(y)} bar(N_y) = N_e prod_s (v H_s + v^2 - 1) over the word
         of y, in Z[v]; memoized per module, so the returned dict must not
         be mutated."""
-        got = self._bars.get(y.key)
+        got = self._bars.get(y.id)
         if got is not None:
             return got
-        vec = {self.ball._id: (1,)}
+        vec = {0: (1,)}
         for i in y.word:
             vec = self.act_gen(vec, i, _V2_MINUS_ONE)
-        self._bars[y.key] = vec
+        self._bars[y.id] = vec
         return vec
 
     # -- canonical basis: production recursion -----------------------------
 
     def canonical_basis(self, w):
-        """n_w over the standard basis, {key: LaurentPoly in v}, via the
+        """n_w over the standard basis, {id: LaurentPoly in v}, via the
         inductive mu-correction algorithm.  w must be a minimal coset
         representative."""
         w = self._as_minimal(w)
-        return {key: _laurent(t) for key, t in self._column(w).items()}
+        return {k: _laurent(t) for k, t in self._column(w.id).items()}
 
     def _column(self, w):
-        """n_w as {key: Z[v] tuple}, memoized per module, so the returned
-        dict must not be mutated.  n_w = v^{-1} n_{w1} (v H_s + v^2) minus
-        the mu-corrections, for a right descent s = s_i of w with
-        w1 = w s minimal."""
-        got = self._nbasis.get(w.key)
+        """n_w for the element of id w, as {id: Z[v] tuple}, memoized per
+        module, so the returned dict must not be mutated.  n_w = v^{-1}
+        n_{w1} (v H_s + v^2) minus the mu-corrections, for a right descent
+        s = s_i of w with w1 = w s minimal."""
+        got = self._nbasis.get(w)
         if got is not None:
             return got
-        ball = self.ball
-        els = ball.elements
-        i = next(i for i in w.word[::-1]
-                 if w.key[i] < 0 and self.is_minimal(ball.right_mult(w, i)))
+        row = self.ball.right[w]
+        i = next(i for i in reversed(self.ball.elements[w].word)
+                 if row[i] < w and self._is_min(row[i]))
         cand = {}
-        for key, t in self.act_gen(
-                self._column(ball.right_mult(w, i)), i, _V2).items():
+        for y, t in self.act_gen(self._column(row[i]), i, _V2).items():
             if t[0]:
                 raise AssertionError("canonical basis coefficient not in vZ[v]")
-            cand[key] = t[1:]
+            cand[y] = t[1:]
         # every entry of n_y below its head lies in vZ[v], so subtracting
         # c0 n_y clears the constant term at y and no other: the
         # corrections commute and read the constant terms of cand as built
-        for ykey, t in list(cand.items()):
+        for y, t in list(cand.items()):
             c0 = t[0]
-            if c0 and ykey != w.key:
-                for key, s in self._column(els[ykey]).items():
-                    got = cand.get(key)
+            if c0 and y != w:
+                for z, s in self._column(y).items():
+                    got = cand.get(z)
                     ns = _mul(s, (-c0,))
-                    cand[key] = ns if got is None else _add(got, ns)
-        if cand.get(w.key) != (1,):
+                    cand[z] = ns if got is None else _add(got, ns)
+        if cand.get(w) != (1,):
             raise AssertionError("canonical basis recursion lost its head term")
         intern = self._coeffs.setdefault
         col = {}
-        for key, t in cand.items():
+        for y, t in cand.items():
             if t:
-                if t[0] and key != w.key:
+                if t[0] and y != w:
                     raise AssertionError(
                         "canonical basis coefficient not in vZ[v]")
-                col[key] = intern(t, t)
-        self._nbasis[w.key] = col
+                col[y] = intern(t, t)
+        self._nbasis[w] = col
         return col
 
     # -- canonical basis: direct bar-invariance solve (oracle) -------------
 
     def canonical_basis_via_solve(self, w):
         """n_w solved once per w, in a memo apart from the recursion's;
-        {key: LaurentPoly in v}."""
+        {id: LaurentPoly in v}."""
         w = self._as_minimal(w)
-        return {key: _laurent(t) for key, t in self._solved_column(w).items()}
+        return {k: _laurent(t) for k, t in self._solved_column(w).items()}
 
     def _solved_column(self, w):
-        got = self._solved.get(w.key)
+        got = self._solved.get(w.id)
         if got is None:
-            got = self._solved[w.key] = self._solve(w)
+            got = self._solved[w.id] = self._solve(w)
         return got
 
     def _solve(self, w):
         below = [z for z in self.ball.interval_below(w)
-                 if self.is_minimal(z) and z.key != w.key]
+                 if z.id != w.id and self._is_min(z.id)]
         unknowns = [(y, d) for y in below
                     for d in range(1, w.length - y.length + 1)]
         ncol = len(unknowns)
@@ -576,30 +619,30 @@ class ParabolicModule:
         # bar(N_y) = v^{-l(y)} bar_standard(y), so its powers shift by -l(y)
         eq = {}
 
-        def add(key, power, col, val):
-            row = eq.setdefault((key, power), {})
+        def add(k, power, col, val):
+            row = eq.setdefault((k, power), {})
             row[col] = row.get(col, 0) + val
 
-        for key, t in self.bar_standard(w).items():
+        for k, t in self.bar_standard(w).items():
             for p, a in enumerate(t):
                 if a:
-                    add(key, p - w.length, ncol, -a)
-        add(w.key, 0, ncol, 1)
+                    add(k, p - w.length, ncol, -a)
+        add(w.id, 0, ncol, 1)
         for col, (y, d) in enumerate(unknowns):
             shift = y.length + d
-            for key, t in self.bar_standard(y).items():
+            for k, t in self.bar_standard(y).items():
                 for p, a in enumerate(t):
                     if a:
-                        add(key, p - shift, col, a)
-            add(y.key, d, col, -1)
+                        add(k, p - shift, col, a)
+            add(y.id, d, col, -1)
         sol = _solve_int_system(list(eq.values()), ncol)
         coeffs = {}
         for (y, d), val in zip(unknowns, sol):
             if val:
-                coeffs.setdefault(y.key, {})[d] = val
-        out = {w.key: (1,)}
-        for ykey, c in coeffs.items():
-            out[ykey] = tuple(c.get(d, 0) for d in range(max(c) + 1))
+                coeffs.setdefault(y.id, {})[d] = val
+        out = {w.id: (1,)}
+        for y, c in coeffs.items():
+            out[y] = tuple(c.get(d, 0) for d in range(max(c) + 1))
         return out
 
 
@@ -611,7 +654,7 @@ def antispherical_basis(ball, parabolic_gens, w, param="q"):
     """
     mod = ParabolicModule(ball, parabolic_gens, param)
     n = mod.canonical_basis(w)
-    return {ball.elements[key]: poly for key, poly in n.items()}
+    return {ball.elements[k]: poly for k, poly in n.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +664,9 @@ def antispherical_basis(ball, parabolic_gens, w, param="q"):
 def _kl_module(ball):
     """H as ParabolicModule(ball, ()), kept on the ball so each route
     computes every canonical-basis element once per ball."""
-    mod = getattr(ball, "_kl_module", None)
-    if mod is None:
-        mod = ParabolicModule(ball, ())
-        ball._kl_module = mod
-    return mod
+    if ball.kl_module is None:
+        ball.kl_module = ParabolicModule(ball, ())
+    return ball.kl_module
 
 
 def _p_from_h(h, base):
@@ -653,9 +694,9 @@ def _elements(ball, x, y):
 
 def kl_polynomial(ball, x, y):
     """P_{x,y} as a polynomial in q, from b_y built by the mu-correction
-    recursion.  x <= y iff x is a key of b_y, since P_{x,y}(0) = 1."""
+    recursion.  x <= y iff x is an id of b_y, since P_{x,y}(0) = 1."""
     x, y = _elements(ball, x, y)
-    h = _kl_module(ball)._column(y).get(x.key)
+    h = _kl_module(ball)._column(y.id).get(x.id)
     if h is None:
         raise DomainError("kl_polynomial requires x <= y in Bruhat order")
     return _laurent(_p_from_h(h, y.length - x.length))
@@ -665,8 +706,17 @@ def kl_polynomial_via_solve(ball, x, y):
     """P_{x,y} in q, from b_y solved directly from bar-invariance.
     Independent of the mu-correction recursion."""
     x, y = _elements(ball, x, y)
-    h = _kl_module(ball)._solved_column(y).get(x.key, ())
+    h = _kl_module(ball)._solved_column(y).get(x.id, ())
     return _laurent(_p_from_h(h, y.length - x.length))
+
+
+def kl_table_pairs(ball):
+    """Every pair x <= y of the ball, y in ShortLex order and x in
+    ShortLex order below it, read off the ids of b_y: x <= y iff
+    P_{x,y}(0) = 1, and ShortLex order is id order."""
+    mod = _kl_module(ball)
+    els = ball.elements
+    return [(els[x], y) for y in els for x in sorted(mod._column(y.id))]
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +759,9 @@ def kl_table_tsv(ball, pairs):
     last = col = yname = None
     for x, y in pairs:
         if y is not last:
-            last, col = y, mod._column(y)
+            last, col = y, mod._column(y.id)
             yname = "".join(str(i) for i in y.word) or "e"
-        h = col.get(x.key)
+        h = col.get(x.id)
         if h is None:
             raise DomainError("kl_polynomial requires x <= y in Bruhat order")
         base = y.length - x.length

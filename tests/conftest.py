@@ -121,7 +121,7 @@ def zv_combine(*terms):
 
 
 def is_bar_invariant(mod, basis, w):
-    """bar(n_w) = n_w for n_w = basis, {key: LaurentPoly in v}, checked in
+    """bar(n_w) = n_w for n_w = basis, {id: LaurentPoly in v}, checked in
     Z[v] after multiplying by v^{l(w)}: bar_standard(y) is v^{l(y)}
     bar(N_y), so v^{l(w)} bar(n_w) = sum_y v^{l(w)-l(y)} h_y(v^{-1})
     bar_standard(y), and every h_y has degree at most l(w) - l(y)."""

@@ -1,13 +1,14 @@
 """Property tests of BruhatBall over random Coxeter matrices.
 
 The reference is a small breadth-first search over the integer matrices
-of the reflection representation, keyed by the whole matrix: the
-representation the ball used before it keyed elements by w^{-1}(rho^v).
+of the reflection representation, keyed by the whole matrix: it shares
+nothing with the ball's w^{-1}(rho^v) vectors, ids or
+right-multiplication table.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from affchar.hecke import INFINITE_BOND, build_ball
+from affchar.hecke import INFINITE_BOND, build_ball, kl_table_pairs
 
 _GCM = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3),
         INFINITE_BOND: (-2, -2)}
@@ -114,8 +115,8 @@ def test_bruhat_order_is_the_subword_order(case):
     for y in els:
         below = ball.interval_below(y)
         assert below == sorted(below, key=_shortlex)
-        assert {x.key for x in below} == {x.key for x in els
-                                          if ball.leq(x, y)}
+        assert {x.id for x in below} == {x.id for x in els
+                                        if ball.leq(x, y)}
         assert ({x.word for x in below}
                 == {ref.word[ref.of_word(w)] for w in _subwords(y.word)})
         assert ball.leq(y, y)
@@ -123,3 +124,40 @@ def test_bruhat_order_is_the_subword_order(case):
             # antisymmetric, and transitive through x
             assert x is y or x.length < y.length
             assert all(ball.leq(z, y) for z in ball.interval_below(x))
+
+
+@SETTINGS
+@given(coxeter_balls())
+def test_ids_and_right_table_match_matrix_reference(case):
+    m, bound = case
+    ball, ref = build_ball(m, bound), MatrixBall(m, bound)
+    els = ball.all_elements()
+    assert [el.id for el in els] == list(range(len(ball)))
+    assert els == sorted(els, key=_shortlex)
+    for el in els:
+        mat = ref.of_word(el.word)
+        for i, g in enumerate(ref.gens):
+            got = ball.right[el.id][i]
+            assert got == ball.id_of(el.word + (i,))
+            word = ref.word.get(ref.mul(mat, g))
+            assert (got == -1) == (word is None)
+            if word is not None:
+                assert els[got].word == word
+                # a right descent iff the product has the smaller id
+                assert (got < el.id) == (len(word) < el.length)
+
+
+@SETTINGS
+@given(coxeter_balls())
+def test_intervals_and_table_pairs_in_shortlex_order(case):
+    m, bound = case
+    ball = build_ball(m, bound)
+    els = ball.all_elements()
+    pairs = kl_table_pairs(ball)
+    want = []
+    for y in els:
+        below = ball.interval_below(y)
+        assert below == sorted((x for x in els if ball.leq(x, y)),
+                               key=_shortlex)
+        want += [(x, y) for x in below]
+    assert pairs == want

@@ -618,6 +618,83 @@ def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     assert err.startswith("config error:")
 
 
+# per config key, a job that reads it, with the key left out of the argv
+_NULL_CASES = {
+    "type": "classify --rank 1 --level=-4 --weight=-2",
+    "rank": "classify --type A --level=-4 --weight=-2",
+    "level": "classify --type A --rank 1 --weight=-2",
+    "weight": "classify --type A --rank 1 --level=-4",
+    "trunc": "character-verma --type A --rank 1 --level=-3/2 --weight 1/2",
+    "length_bound": "kl --coxeter-matrix [[1,3],[3,1]]",
+    "depth": "sugawara-check --level 1 --weight 0 --f0-bound 1 --modes 0",
+    "f0_bound": "sugawara-check --level 1 --weight 0 --depth 2 --modes 0",
+    "lam_check": "sugawara-check --level 1 --weight 0 --depth 2 "
+                 "--f0-bound 1 --modes 0",
+    "modes": "sugawara-check --level 1 --weight 0 --depth 2 --f0-bound 1",
+    "flip_flow_sign": "sugawara-check --level 1 --weight 0 --depth 2 "
+                      "--f0-bound 1 --modes 0",
+    "w": "character-simple --type A --rank 1 --level=-4 --weight=-2 "
+         "--trunc 4 --length-bound 2",
+    "x": "kl --coxeter-matrix [[1,3],[3,1]] --y 0,1",
+    "y": "kl --coxeter-matrix [[1,3],[3,1]] --x 0",
+    "coxeter_matrix": "kl --length-bound 2",
+    "parabolic": "antispherical --coxeter-matrix [[1,3],[3,1]] --w 1,0",
+    "antispherical_param": "antispherical --coxeter-matrix [[1,3],[3,1]] "
+                           "--parabolic 0 --w 1,0",
+    "multiplicities": "character-simple --type A --rank 1 --level=-4 "
+                      "--weight=-2 --w 1,0 --trunc 4 --length-bound 2",
+    "energy_sign": "vacuum-char --type A --rank 1 --max-u 2 --max-q 3",
+    "w0_twist": "psi-s --type A --rank 1 --level=-4 --weight=-2",
+    "kind": "character-verma --type A --rank 1 --level=-3/2 --weight 1/2 "
+            "--trunc 4",
+    "n": "jumps --h 6",
+    "h": "jumps --type A --rank 2 --n 5/6",
+    "max_u": "vacuum-char --type A --rank 1 --max-q 3",
+    "max_q": "vacuum-char --type A --rank 1 --max-u 2",
+    "format": "roots --type A --rank 1",
+}
+
+
+def test_null_cases_cover_every_config_key():
+    assert sorted(_NULL_CASES) == sorted(cli._KNOWN_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(_NULL_CASES))
+def test_null_config_value_means_absent(tmp_path, capsys, key):
+    # a top-level JSON null behaves exactly as the key left out: the
+    # default where there is one, "missing required field" where not
+    def run(config):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        return run_cli(capsys, "--config", str(cfg), *_NULL_CASES[key].split())
+
+    absent = run({})
+    assert run({key: None}) == absent
+    if absent[0] == 1:
+        assert absent[2] == "config error: missing required field %r\n" % key
+    else:
+        # y absent is y = e, and the case's x = s_0 is not below it
+        assert absent[0] == (2 if key == "y" else 0)
+
+
+def test_null_length_bound_takes_the_default_and_null_rank_is_missing(
+        tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"length_bound": None}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "kl",
+                           "--coxeter-matrix", "[[1,3],[3,1]]")
+    assert code == 0 and json.loads(out)["pairs"] == 19
+    cfg.write_text(json.dumps({"rank": None, "type": "A"}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "roots")
+    assert (code, out) == (1, "")
+    assert err == "config error: missing required field 'rank'\n"
+    # null entries inside the Coxeter matrix are infinite bonds
+    cfg.write_text(json.dumps({"coxeter_matrix": [[1, None], [None, 1]]}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "kl",
+                           "--length-bound", "2")
+    assert code == 0 and json.loads(out)["pairs"] == 13
+
+
 @pytest.mark.parametrize("argv", [
     "kl --coxeter-matrix [[1,3],[3,1]] --len 2 --x 0 --y 1,0",
     "jumps --h 6 --n 5/6 --ma 3",

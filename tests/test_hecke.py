@@ -67,8 +67,8 @@ def test_bruhat_subword_property():
     below_by_subword = set()
     for w in subwords(y.word):
         el = s4.element_by_word(w)
-        below_by_subword.add(el.key)
-    below_by_leq = {x.key for x in s4.all_elements() if s4.leq(x, y)}
+        below_by_subword.add(el.id)
+    below_by_leq = {x.id for x in s4.all_elements() if s4.leq(x, y)}
     assert below_by_subword == below_by_leq
 
 
@@ -167,7 +167,7 @@ def test_act_gen_hecke_relations(matrix, parabolic, param, bonds):
     for y in mod.minimal_elements():
         if y.length + 2 > bound:
             continue
-        vec = {y.key: (1,)}
+        vec = {y.id: (1,)}
         for s in range(ball.n_gens):
             hs = mod.act_gen(vec, s)
             assert zv_combine(((1,), mod.act_gen(hs, s)), ((-1, 0, 1), hs),
@@ -191,12 +191,12 @@ def test_antispherical_degrees_and_normalization():
     for wlen in range(0, 7):
         w = ball.element_by_word((0, 1, 0, 1, 0, 1, 0)[:wlen])
         n = mod.canonical_basis(w)
-        assert n[w.key] == LaurentPoly({0: 1})
-        for key, poly in n.items():
-            el = ball.elements[key]
+        assert n[w.id] == LaurentPoly({0: 1})
+        for k, poly in n.items():
+            el = ball.elements[k]
             assert mod.is_minimal(el)
             assert ball.leq(el, w)
-            if key != w.key:
+            if k != w.id:
                 assert poly.min_power() >= 1
 
 
