@@ -3,29 +3,19 @@ polynomials, and W-algebra characters.
 
 No floating point is used anywhere; all values are integers or
 fractions.Fraction.
+
+Importing the package loads no layer: import the one you need, as
+``from affchar import hecke`` or ``from affchar.rootdata import
+build_root_system``.
 """
 
 from .errors import AffcharError, DomainError, BallExhausted, TruncationOverflow
-from .rootdata import (RootSystem, Level, build_root_system, form_value,
-                       casimir_eigenvalue)
-from . import affine, characters, hecke, qseries, sugawara, wstruct
 
 __all__ = [
     "AffcharError",
     "DomainError",
     "BallExhausted",
     "TruncationOverflow",
-    "RootSystem",
-    "Level",
-    "build_root_system",
-    "form_value",
-    "casimir_eigenvalue",
-    "affine",
-    "characters",
-    "hecke",
-    "qseries",
-    "sugawara",
-    "wstruct",
 ]
 
 __version__ = "0.1.0"

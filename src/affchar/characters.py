@@ -117,6 +117,7 @@ def ds_transform(series, rs):
 # ---------------------------------------------------------------------------
 
 VERMA, SIMPLE, DUAL_VERMA = "verma", "simple", "dual_verma"
+MODULE_KINDS = (VERMA, SIMPLE, DUAL_VERMA)
 KAC_MOODY, W_ALGEBRA = "kac_moody", "w_algebra"
 
 
@@ -128,7 +129,7 @@ class ModuleLabel:
     level: Level
 
     def __post_init__(self):
-        if self.kind not in (VERMA, SIMPLE, DUAL_VERMA):
+        if self.kind not in MODULE_KINDS:
             raise DomainError("unknown module kind %r" % (self.kind,))
         if self.side not in (KAC_MOODY, W_ALGEBRA):
             raise DomainError("unknown side %r" % (self.side,))

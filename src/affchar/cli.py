@@ -9,25 +9,22 @@ self-describing.
 
 Exit codes: 0 success, 1 malformed config or unknown subcommand,
 2 domain rejection (e.g. critical level), 3 resource or ball exhaustion.
+
+A job loads only the layers its subcommand runs: every layer but
+``hecke`` is imported inside the handlers and ``Job`` methods that use it.
 """
 
 import argparse
+import importlib
 import json
 import re
 import sys
 from fractions import Fraction
 
 from .errors import DomainError, BallExhausted, TruncationOverflow
-from .rootdata import Level, build_root_system
-from .affine import (LevelWeight, classify_weight,
-                     orbit_and_representative, block_decomposition)
-from .hecke import (PARABOLIC_PARAMS, build_ball, query_ball, kl_polynomial,
+from .hecke import (build_ball, query_ball, kl_polynomial,
                     antispherical_basis, kl_table_pairs, kl_table_tsv,
                     validate_coxeter_matrix)
-from .qseries import equal_to_order
-from . import characters as chars
-from . import sugawara as sug
-from . import wstruct
 
 F = Fraction
 
@@ -41,12 +38,13 @@ _KNOWN_KEYS = {
     "format",
 }
 
-# convention fields and the values the library accepts for them; every
-# report echoes them, so they are checked before any subcommand runs
+# convention fields and the (layer, name) of the values the library
+# accepts for them; every report echoes them, so they are checked before
+# any subcommand runs, loading the layer only when the field is given
 _CHOICES = {
-    "antispherical_param": PARABOLIC_PARAMS,
-    "multiplicities": chars.MULTIPLICITY_RULES,
-    "energy_sign": wstruct.CONVENTIONS,
+    "antispherical_param": ("hecke", "PARABOLIC_PARAMS"),
+    "multiplicities": ("characters", "MULTIPLICITY_RULES"),
+    "energy_sign": ("wstruct", "CONVENTIONS"),
 }
 
 
@@ -141,8 +139,12 @@ class Job:
             flag = getattr(args, key, None)
             if flag is not None:
                 cfg[key] = flag
-        for key, allowed in _CHOICES.items():
-            if key in cfg and str(cfg[key]) not in allowed:
+        for key, (layer, name) in _CHOICES.items():
+            if key not in cfg:
+                continue
+            allowed = getattr(importlib.import_module("." + layer, __package__),
+                              name)
+            if str(cfg[key]) not in allowed:
                 raise ConfigError("field %r must be one of %s, not %r"
                                   % (key, ", ".join(allowed), cfg[key]))
         self.cfg = cfg
@@ -156,13 +158,16 @@ class Job:
         return self.cfg[key]
 
     def root_system(self):
+        from .rootdata import build_root_system
         return build_root_system(str(self.require("type")),
                                  _positive_int(self.require("rank"), "rank"))
 
     def level(self):
+        from .rootdata import Level
         return Level(_fraction(self.require("level"), "level"))
 
     def level_weight(self):
+        from .affine import LevelWeight
         rs = self.root_system()
         lam = _weight(self.require("weight"), "weight", rs.rank)
         return LevelWeight(rs, lam, self.level())
@@ -189,11 +194,13 @@ def _cmd_roots(job):
 
 
 def _cmd_classify(job):
+    from .affine import classify_weight
     lw = job.level_weight()
     return {"classification": classify_weight(lw).to_json_dict()}
 
 
 def _cmd_orbit(job):
+    from .affine import orbit_and_representative
     lw = job.level_weight()
     bound = _positive_int(job.get("length_bound", 8), "length_bound")
     res = orbit_and_representative(lw, bound)
@@ -203,6 +210,7 @@ def _cmd_orbit(job):
 
 
 def _cmd_blocks(job):
+    from .affine import block_decomposition
     lw = job.level_weight()
     bound = _positive_int(job.get("length_bound", 6), "length_bound")
     blocks = block_decomposition(lw, bound)
@@ -269,6 +277,7 @@ def _cmd_antispherical(job):
 
 
 def _cmd_character_verma(job):
+    from . import characters as chars
     lw = job.level_weight()
     trunc = _positive_int(job.get("trunc", 20), "trunc")
     chi = chars.hc_project(lw.rs, lw.lam, lw.level)
@@ -287,6 +296,7 @@ def _cmd_character_verma(job):
 
 
 def _cmd_character_simple(job):
+    from . import characters as chars
     lw = job.level_weight()
     trunc = _positive_int(job.get("trunc", 20), "trunc")
     bound = _positive_int(job.get("length_bound", 8), "length_bound")
@@ -298,6 +308,8 @@ def _cmd_character_simple(job):
 
 
 def _cmd_ds_transform(job):
+    from . import characters as chars
+    from .qseries import equal_to_order
     lw = job.level_weight()
     trunc = _positive_int(job.get("trunc", 20), "trunc")
     chi = chars.hc_project(lw.rs, lw.lam, lw.level)
@@ -311,9 +323,13 @@ def _cmd_ds_transform(job):
 
 
 def _cmd_psi_s(job):
+    from . import characters as chars
+    kind = str(job.get("kind", "verma"))
+    if kind not in chars.MODULE_KINDS:
+        raise ConfigError("field 'kind' must be one of %s, not %r"
+                          % (", ".join(chars.MODULE_KINDS), kind))
     rs = job.root_system()
     level = job.level()
-    kind = str(job.get("kind", "verma"))
     lam = _weight(job.require("weight"), "weight", rs.rank)
     label = chars.ModuleLabel(kind, chars.KAC_MOODY, lam, level)
     image = chars.psi_s_label(rs, label, w0_twist=_bool(job.get("w0_twist", False), "w0_twist"))
@@ -325,6 +341,7 @@ def _cmd_psi_s(job):
 
 
 def _cmd_sugawara_check(job):
+    from . import sugawara as sug
     k = _fraction(job.require("level"), "level")
     a = _weight(job.require("weight"), "weight", 1)[0]
     depth = _positive_int(job.get("depth", 5), "depth")
@@ -334,6 +351,14 @@ def _cmd_sugawara_check(job):
     modes = _ints(job.get("modes", list(range(-2, 3))), "modes",
                   "a list of integers")
     flip = _bool(job.get("flip_flow_sign", False), "flip_flow_sign")
+    # the truncated Verma modules are affine sl2's: a type or rank given
+    # must name it, and a job that gives neither is sl2
+    if job.get("type") is not None or job.get("rank") is not None:
+        cartan = (str(job.get("type", "A")),
+                  _positive_int(job.get("rank", 1), "rank"))
+        if cartan != ("A", 1):
+            raise DomainError("sugawara-check runs on sl2 (type A, rank 1) "
+                              "only, not type %s rank %d" % cartan)
     module = sug.build_truncated_verma(a, k, depth, f0)
     rows = []
     all_passed = True
@@ -347,20 +372,22 @@ def _cmd_sugawara_check(job):
 
 
 def _cmd_jumps(job):
+    from .wstruct import ideal_jump
     n = _fraction(job.require("n"), "n")
     h = job.get("h")
     h = (job.root_system().coxeter_number if h is None
          else _positive_int(h, "h"))
-    return {"n": str(n), "h": h, "jump": str(wstruct.ideal_jump(n, h))}
+    return {"n": str(n), "h": h, "jump": str(ideal_jump(n, h))}
 
 
 def _cmd_vacuum_char(job):
+    from .wstruct import vacuum_graded_character
     rs = job.root_system()
     n = _positive_int(job.get("n", 0), "n")
     max_u = _positive_int(job.get("max_u", 6), "max_u")
     max_q = _positive_int(job.get("max_q", 12), "max_q")
     conv = str(job.get("energy_sign", "appendix"))
-    ch = wstruct.vacuum_graded_character(rs, n, max_u, max_q, convention=conv)
+    ch = vacuum_graded_character(rs, n, max_u, max_q, convention=conv)
     return {"vacuum_character": ch.to_json_dict()}
 
 

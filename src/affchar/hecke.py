@@ -750,29 +750,30 @@ KL_CONVENTION = "q=v^-2,Hs:(Hs-v^-1)(Hs+v)=0"
 def kl_table_tsv(ball, pairs):
     """TSV dump of KL polynomials: y-word, w-word, coefficient list,
     convention tag, one line per pair in the given order.  Every x is read
-    off the one column b_y of its y, and the text of each distinct
-    (h_{x,y}, l(y) - l(x)) is formatted once."""
+    off the one column b_y of its y.  Columns are interned, so equal
+    h_{x,y} are one tuple, and its top power v^{l(y)-l(x)} (P_{x,y}(0) = 1)
+    fixes the base: the text of each distinct h is formatted once, looked
+    up by object identity instead of by hashing the tuple again."""
     mod = _kl_module(ball)
     lines = ["y\tw\tcoeffs\tconvention"]
-    names = {}
+    names = [None] * len(ball.elements)
     texts = {}
-    last = col = yname = None
+    last = col = tail = None
     for x, y in pairs:
         if y is not last:
             last, col = y, mod._column(y.id)
-            yname = "".join(str(i) for i in y.word) or "e"
+            tail = "\t%s\t" % ("".join(str(i) for i in y.word) or "e")
         h = col.get(x.id)
         if h is None:
             raise DomainError("kl_polynomial requires x <= y in Bruhat order")
-        base = y.length - x.length
-        text = texts.get((h, base))
+        text = texts.get(id(h))
         if text is None:
-            p = _p_from_h(h, base)
+            p = _p_from_h(h, y.length - x.length)
             lo = next(k for k, a in enumerate(p) if a)
-            text = texts[h, base] = "%s\t%s" % (
+            text = texts[id(h)] = "%s\t%s" % (
                 ",".join(str(c) for c in (lo,) + p[lo:]), KL_CONVENTION)
-        xname = names.get(x)
+        xname = names[x.id]
         if xname is None:
-            xname = names[x] = "".join(str(i) for i in x.word) or "e"
-        lines.append("%s\t%s\t%s" % (xname, yname, text))
+            xname = names[x.id] = "".join(str(i) for i in x.word) or "e"
+        lines.append(xname + tail + text)
     return "\n".join(lines) + "\n"

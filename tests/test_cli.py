@@ -1,9 +1,14 @@
 import hashlib
+import io
 import json
+import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affchar.affine import LevelWeight, integral_system
 from affchar import cli
@@ -606,6 +611,9 @@ def test_malformed_word_exits_1(capsys, argv):
     # m was accepted by every subcommand and read by none
     ("jumps --h 6 --n 5/6 --m 3", None),
     ("jumps --h 6 --n 5/6", {"m": 3}),
+    # an unknown module kind is a config value outside its set, as for
+    # character-verma
+    ("psi-s --type A --rank 1 --level=-4 --weight=-2 --kind bogus", None),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()
@@ -727,3 +735,80 @@ def test_every_config_key_is_read(capsys, monkeypatch):
     assert {argv.split()[0] for argv in _EVERY_SUBCOMMAND} == set(_COMMANDS)
     # a key no subcommand reads is an input that changes nothing
     assert sorted(cli._KNOWN_KEYS - read) == []
+
+
+_SUGAWARA = ("sugawara-check --level 1 --weight 0 --depth 2 --f0-bound 1 "
+             "--modes 0,1")
+
+
+@pytest.mark.parametrize("cartan,code", [
+    ("--type A --rank 1", 0),
+    ("--type A", 0),
+    ("--rank 1", 0),
+    ("--type A --rank 2", 2),
+    ("--rank 2", 2),
+    ("--type G", 2),
+    ("--type C --rank 1", 2),
+    ("--type A --rank x", 1),
+])
+def test_sugawara_check_reads_type_and_rank(capsys, cartan, code):
+    # the truncated Verma modules are affine sl2's: a job that names sl2,
+    # or names nothing, prints the same report; any other type or rank is
+    # a domain error, and a malformed rank a config error
+    _, sl2, _ = run_cli(capsys, *_SUGAWARA.split())
+    got, out, err = run_cli(capsys, *(_SUGAWARA + " " + cartan).split())
+    assert got == code
+    if code == 0:
+        assert out == sl2
+    elif code == 2:
+        assert out == "" and err.startswith("domain error:") and "sl2" in err
+    else:
+        assert out == "" and err.startswith("config error:")
+
+
+# valid and invalid values of each choice key, and small sizes
+_FUZZ_CHOICES = {
+    "antispherical_param": ("q", "-1", "foo", ""),
+    "multiplicities": ("kl", "parabolic:q", "parabolic:-1", "foo"),
+    "energy_sign": ("appendix", "kernel", "foo"),
+    "kind": ("w", "oprime", "verma", "simple", "dual_verma", "bogus"),
+    "format": ("json", "tsv", "pretty", "xml"),
+}
+_FUZZ_SIZES = {"length_bound": 4, "trunc": 8, "depth": 2}
+
+
+@st.composite
+def _fuzzed_jobs(draw):
+    """A job of every subcommand with some choice keys and sizes set,
+    given as flags or in a config file (where the job's own flags win)."""
+    argv = draw(st.sampled_from(_EVERY_SUBCOMMAND)).split()
+    keys = {}
+    for key, values in _FUZZ_CHOICES.items():
+        if draw(st.booleans()):
+            keys[key] = draw(st.sampled_from(values))
+    for key, top in _FUZZ_SIZES.items():
+        if draw(st.booleans()):
+            keys[key] = draw(st.integers(0, top))
+    return argv, keys, draw(st.booleans())
+
+
+@settings(max_examples=150)
+@given(_fuzzed_jobs())
+def test_fuzzed_jobs_exit_with_a_documented_code(job):
+    argv, keys, via_config = job
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if via_config:
+            cfg = os.path.join(tmp, "job.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(keys, fh)
+            argv = ["--config", cfg] + argv
+        else:
+            argv = argv + ["--%s=%s" % (key.replace("_", "-"), value)
+                           for key, value in keys.items()]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, keys)
+    assert "Traceback" not in err.getvalue()
+    # a report is printed whole or not at all
+    assert (out.getvalue() != "") == (code == 0), (argv, keys, err.getvalue())

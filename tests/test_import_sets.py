@@ -1,0 +1,64 @@
+"""Which affchar layers a process loads.
+
+Each case runs in a fresh interpreter, since this test process has every
+layer loaded already.  A job must load only the layers its subcommand
+runs, so an eager import added back to the package or to the CLI fails
+here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import affchar
+
+SRC = str(Path(affchar.__file__).resolve().parent.parent)
+
+# prints the loaded affchar modules, and whether dataclasses is loaded, as
+# the last line of standard output
+_PROBE = """
+import json, sys
+%s
+print(json.dumps([sorted(m for m in sys.modules
+                         if m == "affchar" or m.startswith("affchar.")),
+                  "dataclasses" in sys.modules]))
+"""
+
+_RUN_CLI = "from affchar import cli\ncli.main(%r)"
+
+
+def _loaded(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _PROBE % code], env=env,
+                          capture_output=True, text=True, check=True)
+    modules, dataclasses = json.loads(proc.stdout.splitlines()[-1])
+    return {m.partition(".")[2] or "affchar" for m in modules}, dataclasses
+
+
+def test_importing_the_package_loads_no_layer():
+    assert _loaded("import affchar")[0] == {"affchar", "errors"}
+
+
+@pytest.mark.parametrize("argv", [
+    "kl --coxeter-matrix [[1,3],[3,1]] --length-bound 3",
+    "kl --coxeter-matrix [[1,4],[4,1]] --length-bound 4 --x 0 --y 0,1",
+])
+def test_kl_loads_only_hecke(argv):
+    modules, dataclasses = _loaded(_RUN_CLI % argv.split())
+    assert modules == {"affchar", "cli", "errors", "hecke"}
+    assert not dataclasses
+
+
+@pytest.mark.parametrize("argv", [
+    "sugawara-check --type A --rank 1 --level 1 --weight 0 --depth 2 "
+    "--f0-bound 1 --modes 0",
+    "vacuum-char --type A --rank 2 --max-u 2 --max-q 4",
+])
+def test_sugawara_and_vacuum_jobs_load_no_character_layer(argv):
+    modules, _ = _loaded(_RUN_CLI % argv.split())
+    assert not modules & {"affine", "characters"}
