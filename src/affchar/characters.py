@@ -163,10 +163,11 @@ def psi_s_label(rs, label, w0_twist=False):
     when no finite simple pairing <Lam, alphacheck_i> is a nonnegative
     integer; otherwise it dies.  With ``w0_twist`` the survival condition
     is read off the antidominant orbit translate of Lam, the convention
-    for the non-abstract Cartan.
+    for the non-abstract Cartan.  The critical level is excluded.
     """
     if label.side != KAC_MOODY:
         raise DomainError("psi_s_label expects a Kac-Moody-side label")
+    label.level.require_noncritical(rs)
     lam = tuple(F(a) for a in label.parameter)
     chi = hc_project(rs, lam, label.level)
     if label.kind == VERMA:

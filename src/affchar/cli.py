@@ -22,9 +22,8 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, BallExhausted, TruncationOverflow
-from .hecke import (build_ball, query_ball, kl_polynomial,
-                    antispherical_basis, kl_table_pairs, kl_table_tsv,
-                    validate_coxeter_matrix)
+from .hecke import (ParabolicModule, build_ball, query_ball, kl_polynomial,
+                    kl_table_pairs, kl_table_tsv, validate_coxeter_matrix)
 
 F = Fraction
 
@@ -268,11 +267,11 @@ def _cmd_antispherical(job):
     w = _word(job.get("w"), "w")
     ball = query_ball(matrix, bound, (w,))
     param = str(job.get("antispherical_param", "q"))
-    basis = antispherical_basis(ball, parabolic, w, param=param)
-    rows = []
-    for el in sorted(basis, key=lambda e: (e.length, e.word)):
-        rows.append({"y": list(el.word),
-                     "coeffs_in_v": basis[el].coeff_list()})
+    mod = ParabolicModule(ball, parabolic, param)
+    basis = mod.canonical_basis(ball.element_by_word(w))
+    # ids are ShortLex ranks, so id order is (length, word) order
+    rows = [{"y": list(ball.elements[k].word),
+             "coeffs_in_v": basis[k].coeff_list()} for k in sorted(basis)]
     return {"w": list(w), "parabolic": list(parabolic), "basis": rows}
 
 

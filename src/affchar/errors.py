@@ -22,10 +22,26 @@ class BallExhausted(AffcharError):
 class TruncationOverflow(AffcharError):
     """A truncated computation cannot be done exactly within its resources
     (exit code 3): an exact operator application left the tracked window
-    of a truncated module, or a requested window is too large (its step
-    count, checked before any work, is over the budget).  Carries the
+    of a truncated module, or a requested job is too large (its step
+    count, checked before any work, is over STEP_BUDGET).  Carries the
     offending data."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+# Largest number of elementary steps one kernel may take: a series
+# coefficient update, or one term of a root-system pairing.  The kernels
+# count their steps before any work and refuse larger jobs with
+# TruncationOverflow (exit code 3) instead of running for hours.
+STEP_BUDGET = 10 ** 8
+
+
+def check_step_budget(what, steps):
+    """Raise TruncationOverflow when a kernel would take more than
+    STEP_BUDGET steps."""
+    if steps > STEP_BUDGET:
+        raise TruncationOverflow(
+            "%s needs %d steps, over the budget of %d"
+            % (what, steps, STEP_BUDGET), witness=steps)

@@ -56,8 +56,8 @@ it.  The oracle needs bar(N_y), which has powers v^{-1}; ``bar_standard``
 expands v^{l(y)} bar(N_y) = N_e prod_s (v H_s + v^2 - 1) with the same
 action, and the solve shifts its exponents by -l(y).  ``LaurentPoly``
 appears only at the API edge: ``canonical_basis``,
-``canonical_basis_via_solve``, ``antispherical_basis``, ``kl_polynomial``
-and ``kl_polynomial_via_solve`` convert once per call.
+``canonical_basis_via_solve``, ``kl_polynomial`` and
+``kl_polynomial_via_solve`` convert once per call.
 """
 
 from math import gcd
@@ -293,11 +293,6 @@ class BruhatBall:
                                       if c < 0)
         return got
 
-    def left_longer(self, i, el):
-        """True iff l(s_i el) > l(el).  Exact also when s_i el lies
-        outside the ball."""
-        return not self.left_descents(el.id) >> i & 1
-
     # -- Bruhat order -------------------------------------------------------
 
     def _lower(self, y):
@@ -497,8 +492,6 @@ class ParabolicModule:
         return [el for el in self.ball.elements if self._is_min(el.id)]
 
     def _as_minimal(self, w):
-        if isinstance(w, tuple):
-            w = self.ball.element_by_word(w)
         if not self._is_min(w.id):
             raise DomainError("w is not minimal in its coset")
         return w
@@ -644,17 +637,6 @@ class ParabolicModule:
         for y, c in coeffs.items():
             out[y] = tuple(c.get(d, 0) for d in range(max(c) + 1))
         return out
-
-
-def antispherical_basis(ball, parabolic_gens, w, param="q"):
-    """Canonical-basis coefficients y -> n_{y,w} of the parabolic module.
-
-    Returns a dict mapping BallElement y (minimal coset representatives
-    y <= w) to LaurentPoly in v.
-    """
-    mod = ParabolicModule(ball, parabolic_gens, param)
-    n = mod.canonical_basis(w)
-    return {ball.elements[k]: poly for k, poly in n.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ componentwise check.
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, TruncationOverflow
+from .errors import DomainError, check_step_budget
 
 F = Fraction
 
@@ -165,21 +165,6 @@ def geometric(step, trunc):
     return QSeries(0, out, trunc)
 
 
-# Largest number of coefficient updates one series kernel may make; the
-# kernels count their steps before allocating and refuse larger jobs with
-# TruncationOverflow (exit code 3) instead of running for hours.
-STEP_BUDGET = 10 ** 8
-
-
-def check_step_budget(what, steps):
-    """Raise TruncationOverflow when a kernel would take more than
-    STEP_BUDGET steps."""
-    if steps > STEP_BUDGET:
-        raise TruncationOverflow(
-            "%s needs %d steps, over the budget of %d"
-            % (what, steps, STEP_BUDGET), witness=steps)
-
-
 @lru_cache(maxsize=None)
 def eta_factor(m_start, exponent, trunc):
     """prod_{i >= m_start} (1 - q^i)^exponent, exact to order trunc.
@@ -190,7 +175,7 @@ def eta_factor(m_start, exponent, trunc):
     and times 1/(1 - q^i) is a[m] += a[m - i] for m going up from i to
     trunc (each a[m - i] read is already multiplied, so one pass applies
     the whole geometric series).  That is |exponent| * sum_i (trunc - i + 1)
-    integer updates, checked against STEP_BUDGET before any work.
+    integer updates, checked against errors.STEP_BUDGET before any work.
     """
     if m_start < 1:
         raise DomainError("eta_factor requires m_start >= 1")

@@ -22,7 +22,7 @@ Everything is immutable after construction and safe to share.
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_step_budget
 
 F = Fraction
 
@@ -30,7 +30,13 @@ _LETTERS = "ABCDEFG"
 
 
 def _chain(n):
-    """Tridiagonal simply-laced Cartan matrix of size n."""
+    """Tridiagonal simply-laced Cartan matrix of size n.
+
+    Every classical type starts here, and only they have unbounded rank,
+    so the rank is checked against the step budget first: the closure of
+    the positive roots tests n reflections of each of at most n^2 roots,
+    n steps each."""
+    check_step_budget("a root system of rank %d" % n, n ** 4)
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         a[i][i] = 2
@@ -157,7 +163,9 @@ class RootSystem:
         self.cartan_inv = tuple(tuple(row) for row in _mat_inv(cartan))
         self.halfsq = tuple(halfsq)
 
-        self.positive_roots = self._close_positive_roots()
+        halfsq_of = self._close_positive_roots()
+        self.positive_roots = tuple(sorted(halfsq_of,
+                                           key=lambda b: (sum(b), b)))
         nroots = 2 * len(self.positive_roots)
         self.dim = nroots + rank
         heights = [sum(b) for b in self.positive_roots]
@@ -188,7 +196,7 @@ class RootSystem:
         coroots = []
         self.coroot_roots, self.coroot_lacing = {}, {}
         for beta in self.positive_roots:
-            rb = self.root_halfsq(beta)
+            rb = halfsq_of[beta]
             gamma = tuple(int(b * h / rb) for b, h in zip(beta, self.halfsq))
             root = self.root_to_weight_coords(beta)
             for sign in (1, -1):
@@ -217,10 +225,12 @@ class RootSystem:
     # -- construction helpers -------------------------------------------
 
     def _close_positive_roots(self):
-        simples = [tuple(int(i == j) for i in range(self.rank))
-                   for j in range(self.rank)]
-        seen = set(simples)
-        frontier = list(simples)
+        """The positive roots in simple-root coordinates, each mapped to
+        its (beta, beta)/2: a reflection keeps length, so each new root
+        takes its parent's."""
+        seen = {tuple(int(i == j) for i in range(self.rank)): self.halfsq[j]
+                for j in range(self.rank)}
+        frontier = list(seen)
         while frontier:
             nxt = []
             for b in frontier:
@@ -230,10 +240,10 @@ class RootSystem:
                     rb[i] -= p
                     rb = tuple(rb)
                     if all(x >= 0 for x in rb) and rb not in seen:
-                        seen.add(rb)
+                        seen[rb] = seen[b]
                         nxt.append(rb)
             frontier = nxt
-        return tuple(sorted(seen, key=lambda b: (sum(b), b)))
+        return seen
 
     # -- coordinate changes and pairings ---------------------------------
 
@@ -242,12 +252,6 @@ class RootSystem:
         return tuple(
             sum(b * self.cartan[i][j] for j, b in enumerate(beta))
             for i in range(self.rank))
-
-    def root_halfsq(self, beta):
-        """(beta, beta)/2 for beta in simple-root coordinates."""
-        return sum(
-            beta[i] * beta[j] * self.cartan[i][j] * self.halfsq[i]
-            for i in range(self.rank) for j in range(self.rank)) / 2
 
     def pair_weight_coroot(self, lam, gamma):
         """<lam, gamma> with lam in omega-coordinates, gamma in

@@ -22,13 +22,17 @@ lam_check>) and h_0 -> h_0 + kappa(h, lam_check); the sign convention
 matches the adolescent-Whittaker one (flag `flip_sign` gives the
 opposite, Arakawa-style flow).
 
-Structure constants are tabulated per letter so the construction is not
-tied to rank one, but only the sl2 instance is exercised.
+The module is affine sl2's only: the structure constants are tabulated
+per letter, and the root data are in closed form.  h_dual = 2, and for
+lam_check = x omega_check, omega_check = alphacheck/2: <alpha, lam_check>
+= x, kappa(alphacheck, lam_check) = k x and kappa(lam_check, lam_check)
+= k x^2 / 2.
 
 Every coefficient inside the module is a Python int.  With
 D = lcm(den a, den k), A = a D and K = k D, the straightened expansion
-``apply_gen(g, mono)`` stores c * D**(1 + len(mono) - len(m)) for the
-true coefficient c of each result monomial m.  The power depends only on
+``apply_gen(g, mono)``, memoized per module by ``functools.cache``,
+stores c * D**(1 + len(mono) - len(m)) for the true coefficient c of
+each result monomial m.  The power depends only on
 lengths, so expansions compose: a word of w generators applied to mono
 carries D**(w + len(mono) - len(m)), and a coefficient is zero, or two
 coefficients of the same monomial are equal, exactly when their true
@@ -52,13 +56,16 @@ Values are turned back into `Fraction` only at the public edges:
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from dataclasses import dataclass, field
 
 from .errors import DomainError, TruncationOverflow
-from .rootdata import build_root_system, casimir_eigenvalue
 
 F = Fraction
+
+# the dual Coxeter number of sl2
+_H_DUAL = 2
 
 # finite sl2 structure: [x, y] = sum coeff * letter, plus kappa_b(x, y)
 _BRACKET = {
@@ -74,7 +81,6 @@ _BRACKET = {
 }
 _KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 _RANK = {"e": 0, "h": 1, "f": 2}
-_WEIGHT = {"e": 2, "h": 0, "f": -2}
 
 
 def _key(gen):
@@ -112,7 +118,6 @@ class GradedModule:
             raise DomainError(
                 "depth bound %d exceeds the supported window "
                 "(estimated basis size %d)" % (depth_bound, est))
-        self.rs = build_root_system("A", 1)
         self.a = F(a)
         self.k = F(k)
         if self.k == -2:
@@ -123,10 +128,11 @@ class GradedModule:
         self.K = _integral(self.k * self.D)
         # 4 (k + h_dual) D as an int; the Sugawara scaling of an entry m of
         # S_n mono is four_kh * D**(1 + len(mono) - len(m))
-        self.four_kh = 4 * (self.K + self.rs.h_dual * self.D)
+        self.four_kh = 4 * (self.K + _H_DUAL * self.D)
         self.depth_bound = depth_bound
         self.f0_bound = f0_bound
-        self._nf_cache = {}
+        # one memo per module; the recursion below reads it through self
+        self.apply_gen = cache(self.apply_gen)
         self.basis = self._enumerate_basis()
 
     @staticmethod
@@ -171,9 +177,6 @@ class GradedModule:
     def depth(mono):
         return -sum(mode for _, mode in mono)
 
-    def weight(self, mono):
-        return self.a + sum(_WEIGHT[l] for l, _ in mono)
-
     def f0_count(self, mono):
         return sum(1 for g in mono if g == ("f", 0))
 
@@ -182,15 +185,6 @@ class GradedModule:
     def apply_gen(self, g, mono):
         """Exact PBW expansion of g . mono in the untruncated Verma
         module, D-scaled (module docstring); memoized, no window check."""
-        key = (g, mono)
-        got = self._nf_cache.get(key)
-        if got is not None:
-            return got
-        res = self._apply_gen_uncached(g, mono)
-        self._nf_cache[key] = res
-        return res
-
-    def _apply_gen_uncached(self, g, mono):
         if not mono:
             if _is_creation(g):
                 return {(g,): 1}
@@ -250,14 +244,12 @@ class GradedModule:
 
     # -- sampled bracket verification ----------------------------------------
 
-    def verify_brackets(self, modes=(-1, 0, 1), letters=("e", "h", "f"),
-                        sample_vectors=None):
+    def verify_brackets(self, modes=(-1, 0, 1), letters=("e", "h", "f")):
         """Check [X_m, Y_n] v = (bracket) v on sample vectors; returns the
         number of identities checked, raising on any mismatch."""
-        if sample_vectors is None:
-            sample_vectors = [m for m in self.basis
-                              if self.depth(m) <= max(1, self.depth_bound - 2)
-                              and self.f0_count(m) < self.f0_bound][:12]
+        samples = [m for m in self.basis
+                   if self.depth(m) <= max(1, self.depth_bound - 2)
+                   and self.f0_count(m) < self.f0_bound][:12]
         checked = 0
         for l1 in letters:
             for l2 in letters:
@@ -266,7 +258,7 @@ class GradedModule:
                         g1, g2 = (l1, m1), (l2, m2)
                         terms, central = _bracket(g1, g2)
                         central *= self.k
-                        for v in sample_vectors:
+                        for v in samples:
                             try:
                                 lhs = self.apply_word((g1, g2), v)
                                 rhs0 = self.apply_word((g2, g1), v)
@@ -305,30 +297,31 @@ def build_truncated_verma(a, k, depth_bound, f0_bound):
 
 @dataclass(frozen=True)
 class CoweightData:
-    """An integral coweight of the adjoint torus for spectral flow."""
+    """An integral coweight of the adjoint torus for spectral flow:
+    lam_check = x omega_check, with coords = (x,)."""
 
     coords: tuple  # fundamental-coweight coordinates
 
-    def pairing_with_root(self, rs):
-        alpha = rs.root_to_weight_coords((F(1),))
-        p = rs.pair_weight_coweight(alpha, self.coords)
-        if p.denominator != 1:
+    def pairing_with_root(self):
+        """<alpha, lam_check> = x, an integer."""
+        x = F(self.coords[0])
+        if x.denominator != 1:
             raise DomainError(
                 "coweight %r is not a cocharacter of the adjoint torus"
                 % (self.coords,))
-        return int(p)
+        return int(x)
 
-    def h_coefficient(self, rs):
-        """lam_check = x * alphacheck; returns x."""
-        return rs.coweight_to_coroot_coords(self.coords)[0]
+    def h_coefficient(self):
+        """The coefficient x/2 of alphacheck in lam_check."""
+        return F(self.coords[0]) / 2
 
-    def kappa_with_h(self, rs, k):
-        """kappa(alphacheck, lam_check)."""
-        acheck = rs.simple_coroots[0]
-        return F(k) * rs.coweight_form(acheck, self.coords)
+    def kappa_with_h(self, k):
+        """kappa(alphacheck, lam_check) = k x."""
+        return F(k) * self.coords[0]
 
-    def kappa_self(self, rs, k):
-        return F(k) * rs.coweight_form(self.coords, self.coords)
+    def kappa_self(self, k):
+        """kappa(lam_check, lam_check) = k x^2 / 2."""
+        return F(k) * self.coords[0] ** 2 / 2
 
 
 RHO_CHECK = CoweightData((F(1),))
@@ -345,10 +338,9 @@ class SpectralFlow:
     def __init__(self, module, lam_check, flip_sign=False):
         if flip_sign:
             lam_check = CoweightData(tuple(-c for c in lam_check.coords))
-        rs = module.rs
-        self.p = lam_check.pairing_with_root(rs)
-        self.h_shift = lam_check.kappa_with_h(rs, module.k)
-        self.kappa_self = lam_check.kappa_self(rs, module.k)
+        self.p = lam_check.pairing_with_root()
+        self.h_shift = lam_check.kappa_with_h(module.k)
+        self.kappa_self = lam_check.kappa_self(module.k)
 
     def gen_image(self, gen):
         """Ad(gen) as [(coeff, gen or None)]; None marks a scalar."""
@@ -365,7 +357,7 @@ class SpectralFlow:
 
 def _zero_flow(module):
     """The flow by the zero coweight, the identity on generator modes."""
-    return SpectralFlow(module, CoweightData((F(0),) * module.rs.rank))
+    return SpectralFlow(module, CoweightData((F(0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +475,7 @@ def sugawara_mode(module, n, twist=None):
 
 def coweight_mode(module, lam_check, n):
     """lam_check_n = x h_n for lam_check = x alphacheck."""
-    x = lam_check.h_coefficient(module.rs)
+    x = lam_check.h_coefficient()
 
     def apply_fn(mono):
         return {m: x * c for m, c in module.apply_word((("h", n),), mono).items()}
@@ -540,7 +532,7 @@ def check_dss(module, lam_check, n, flip_sign=False):
     # lam_check_n = x h_n: apply_gen carries one D fewer than the
     # Sugawara scaling, hence the multiplier x 4 (k + h_dual) D; the
     # constant sits on mono itself, two powers of D
-    x = lam_check.h_coefficient(module.rs)
+    x = lam_check.h_coefficient()
     lam_mult = _integral(x * module.four_kh)
     const = (_integral(flow.kappa_self / 2 * module.four_kh
                        * module.D) if n == 0 else 0)
@@ -578,9 +570,10 @@ def check_dss(module, lam_check, n, flip_sign=False):
     if set(vec) - {()}:
         raise AssertionError("flowed energy operator does not fix the unit line")
     actual = F(vec[()], module.four_kh * module.D)
-    c1 = casimir_eigenvalue(module.rs, (module.a,))
-    expected = (c1 / (2 * (module.k + module.rs.h_dual))
-                - lam_check.kappa_self(module.rs, module.k) / 2)
+    # the Casimir eigenvalue of Lam = a omega is c1 = a (a + 2) / 2
+    c1 = module.a * (module.a + 2) / 2
+    expected = (c1 / (2 * (module.k + _H_DUAL))
+                - lam_check.kappa_self(module.k) / 2)
     report.hw_expected = expected
     report.hw_actual = actual
     return report

@@ -22,8 +22,8 @@ orientation the coefficient of u^j q^m vanishes whenever m > n j.
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .qseries import QSeries, check_step_budget
+from .errors import DomainError, check_step_budget
+from .qseries import QSeries
 
 F = Fraction
 
@@ -131,7 +131,7 @@ def vacuum_graded_character(rs, n, max_u, max_q, convention="appendix"):
     e >= -neg and kk >= kk_min, so limit(j + kk) <= limit(j) - neg, and a
     term dropped at (j, m) with m > limit(j) only feeds terms beyond the
     limits of the later rows, all above max_q.  The pass count is checked
-    against qseries.STEP_BUDGET before any row is built.
+    against errors.STEP_BUDGET before any row is built.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")

@@ -37,6 +37,12 @@ def test_roots_json(capsys):
     assert data["conventions"]["antispherical_param"] == "q"
 
 
+def test_roots_over_the_step_budget_exits_3(capsys):
+    code, out, err = run_cli(capsys, "roots", "--type", "A", "--rank", "1000")
+    assert code == 3 and out == ""
+    assert err.startswith("resource exhausted:") and "budget" in err
+
+
 def test_determinism_byte_identical(capsys):
     args = ("character-simple", "--type", "A", "--rank", "1", "--level", "-4",
             "--weight", "-2", "--w", "1,0", "--trunc", "12",
@@ -551,7 +557,8 @@ def test_non_simply_laced_real_coroots(capsys):
 
 
 @pytest.mark.parametrize("subcommand",
-                         ["classify", "orbit", "blocks", "character-simple"])
+                         ["classify", "orbit", "blocks", "character-simple",
+                          "psi-s"])
 def test_critical_level_exits_2(capsys, subcommand):
     code, out, err = run_cli(capsys, subcommand, "--type", "A", "--rank", "1",
                              "--level=-2", "--weight=0")

@@ -2,7 +2,7 @@ import pytest
 
 from affchar.errors import BallExhausted, DomainError
 from affchar.hecke import (INFINITE_BOND, LaurentPoly, ParabolicModule,
-                           antispherical_basis, build_ball,
+                           build_ball,
                            inverse_multiplicity_matrix, kl_polynomial,
                            kl_polynomial_via_solve, kl_table_tsv)
 
@@ -207,9 +207,10 @@ def test_antispherical_degrees_and_normalization():
 def test_antispherical_a1_tilde_both_params(param, expected):
     ball = build_ball(A1_TILDE, 8)
     w = ball.element_by_word((0, 1, 0, 1))
-    n = antispherical_basis(ball, [1], w, param=param)
+    n = ParabolicModule(ball, [1], param).canonical_basis(w)
     got = {}
-    for el, poly in n.items():
+    for k, poly in n.items():
+        el = ball.elements[k]
         word = "".join(str(i) for i in el.word)
         if poly == LaurentPoly({0: 1}):
             got[word] = "1"
@@ -221,7 +222,8 @@ def test_antispherical_a1_tilde_both_params(param, expected):
     assert got == expected
     # the q parameter realizes v^(l(w) - l(y)) on the whole chain
     if param == "q":
-        for el, poly in n.items():
+        for k, poly in n.items():
+            el = ball.elements[k]
             assert poly == LaurentPoly({w.length - el.length: 1})
 
 
@@ -244,19 +246,22 @@ def test_antispherical_matches_solve_oracle():
 def test_antispherical_a2_golden():
     ball = build_ball(A2, 6)
     w = ball.element_by_word((1, 0))
-    n = antispherical_basis(ball, [0], w, param="q")
-    got = {"".join(str(i) for i in el.word): poly for el, poly in n.items()}
+    n = ParabolicModule(ball, [0], "q").canonical_basis(w)
+    got = {"".join(str(i) for i in ball.elements[k].word): poly
+           for k, poly in n.items()}
     assert got == {"10": LaurentPoly({0: 1}), "1": LaurentPoly({1: 1}),
                    "": LaurentPoly({2: 1})}
-    n2 = antispherical_basis(ball, [0], w, param="-1")
-    got2 = {"".join(str(i) for i in el.word): poly for el, poly in n2.items()}
+    n2 = ParabolicModule(ball, [0], "-1").canonical_basis(w)
+    got2 = {"".join(str(i) for i in ball.elements[k].word): poly
+            for k, poly in n2.items()}
     assert got2 == {"10": LaurentPoly({0: 1}), "1": LaurentPoly({1: 1})}
 
 
 def test_antispherical_rejects_nonminimal():
     ball = build_ball(A1_TILDE, 6)
     with pytest.raises(DomainError):
-        antispherical_basis(ball, [1], (1,), param="q")
+        ParabolicModule(ball, [1], "q").canonical_basis(
+            ball.element_by_word((1,)))
     with pytest.raises(DomainError):
         ParabolicModule(ball, [1], "bogus")
 

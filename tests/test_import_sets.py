@@ -62,3 +62,11 @@ def test_kl_loads_only_hecke(argv):
 def test_sugawara_and_vacuum_jobs_load_no_character_layer(argv):
     modules, _ = _loaded(_RUN_CLI % argv.split())
     assert not modules & {"affine", "characters"}
+
+
+def test_sugawara_check_loads_no_root_data():
+    # the Sugawara oracle is sl2's, with its constants in closed form
+    argv = ("sugawara-check --level=-1/2 --weight 1 --depth 2 --f0-bound 1 "
+            "--modes 0 --lam-check 2")
+    modules, _ = _loaded(_RUN_CLI % argv.split())
+    assert modules == {"affchar", "cli", "errors", "hecke", "sugawara"}

@@ -9,9 +9,8 @@ multiply by a mode's geometric series one power at a time.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affchar.errors import TruncationOverflow
-from affchar.qseries import (STEP_BUDGET, QSeries, check_step_budget,
-                             eta_factor, geometric, one)
+from affchar.errors import STEP_BUDGET, TruncationOverflow, check_step_budget
+from affchar.qseries import QSeries, eta_factor, geometric, one
 from affchar.rootdata import build_root_system
 from affchar.wstruct import vacuum_graded_character
 

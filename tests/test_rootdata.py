@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from affchar.errors import DomainError
+from affchar.errors import DomainError, TruncationOverflow
 from affchar.rootdata import (Level, build_root_system, casimir_eigenvalue,
                               form_value)
 from conftest import coweight_form_on_coroots, rand_fraction, rand_weight
@@ -50,6 +50,33 @@ def test_small_type_facts():
 def test_invalid_types_rejected():
     for letter, rank in [("A", 0), ("B", 1), ("F", 3), ("G", 3), ("E", 5),
                          ("H", 3), ("Z", 1)]:
+        with pytest.raises(DomainError):
+            build_root_system(letter, rank)
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_coroots_use_the_quadratic_form_of_each_root(letter, rank):
+    # the closure hands each root its parent's (beta, beta)/2; the
+    # reference evaluates the form on every root
+    rs = build_root_system(letter, rank)
+    for beta, gamma in zip(rs.positive_roots, rs.positive_coroots):
+        half = sum(beta[i] * beta[j] * rs.cartan[i][j] * rs.halfsq[i]
+                   for i in range(rank) for j in range(rank)) / 2
+        assert gamma == tuple(b * h / half
+                              for b, h in zip(beta, rs.halfsq))
+        assert rs.coroot_lacing[gamma] == 1 / half
+
+
+def test_rank_over_the_step_budget_is_refused_before_any_work():
+    # rank^4 against 10^8 steps: rank 101 is the first refused
+    for letter in "ABCD":
+        with pytest.raises(TruncationOverflow) as exc:
+            build_root_system(letter, 101)
+        assert exc.value.witness == 101 ** 4
+    with pytest.raises(TruncationOverflow):
+        build_root_system("A", 10 ** 6)
+    # a rank the type does not have is still a domain error
+    for letter, rank in [("E", 101), ("G", 1000)]:
         with pytest.raises(DomainError):
             build_root_system(letter, rank)
 

@@ -5,7 +5,7 @@ import pytest
 
 from affchar.errors import DomainError, TruncationOverflow
 from affchar.qseries import eta_factor
-from affchar.rootdata import Level
+from affchar.rootdata import Level, build_root_system
 from affchar.characters import energy_offsets, hc_project
 from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, CoweightData,
                               SpectralFlow,
@@ -98,7 +98,7 @@ def test_sugawara_hw_matches_energy_offsets(rng):
             continue
         m = build_truncated_verma(a, k, 0, 0)
         val = sugawara_mode(m, 0).apply(()).get((), F(0))
-        rs = m.rs
+        rs = build_root_system("A", 1)
         chi = hc_project(rs, (a,), Level(k))
         assert val == energy_offsets(chi).conformal_weight
 

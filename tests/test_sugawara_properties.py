@@ -19,9 +19,11 @@ the production loop evaluates first and however it caches its terms.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from affchar.errors import TruncationOverflow
+from affchar.errors import DomainError, TruncationOverflow
+from affchar.rootdata import build_root_system, casimir_eigenvalue
 from affchar.sugawara import (_BRACKET, ALPHA_CHECK, RHO_CHECK,
                               CoweightData, GradedModule, SpectralFlow,
                               _integral, _is_creation, _key, _sugawara_terms,
@@ -218,7 +220,7 @@ def reference_check_dss(module, lam, n, flip):
     flow = SpectralFlow(module, lam, flip_sign=flip)
     lhs_op = reference_scaled_sugawara(module, n, flow)
     rhs_s = reference_scaled_sugawara(module, n, _zero_flow(module))
-    lam_mult = _integral(lam.h_coefficient(module.rs) * module.four_kh)
+    lam_mult = _integral(lam.h_coefficient() * module.four_kh)
     const = (_integral(flow.kappa_self / 2 * module.four_kh * module.D)
              if n == 0 else 0)
 
@@ -264,3 +266,35 @@ def test_check_dss_matches_every_side_reference(ak, lam, flip, n, depth, f0):
     assert (rep.tested, rep.skipped) == (tested, skipped)
     assert rep.mismatches == mismatches
     assert rep.hw_actual == hw == rep.hw_expected
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=200)
+@given(rationals, rationals.filter(lambda k: k != -2), rationals)
+def test_closed_forms_match_the_root_data_route(x, k, a):
+    # the sl2 constants of `CoweightData` and of the highest-weight line,
+    # against the general root-data route they replaced
+    rs = build_root_system("A", 1)
+    lam = CoweightData((x,))
+    p = rs.pair_weight_coweight(rs.root_to_weight_coords((F(1),)), lam.coords)
+    if p.denominator == 1:
+        assert lam.pairing_with_root() == p
+        assert type(lam.pairing_with_root()) is int
+    else:
+        with pytest.raises(DomainError):
+            lam.pairing_with_root()
+    kappa_h = k * rs.coweight_form(rs.simple_coroots[0], lam.coords)
+    kappa_self = k * rs.coweight_form(lam.coords, lam.coords)
+    closed = (lam.h_coefficient(), lam.kappa_with_h(k), lam.kappa_self(k))
+    assert closed == (rs.coweight_to_coroot_coords(lam.coords)[0], kappa_h,
+                      kappa_self)
+    assert all(type(c) is F for c in closed)
+    # the expected hw shift of an integral coweight, through c1(a)
+    integral = CoweightData((F(x.numerator),))
+    rep = check_dss(GradedModule(a, k, 0, 0), integral, 0)
+    c1 = casimir_eigenvalue(rs, (a,))
+    kappa_int = k * rs.coweight_form(integral.coords, integral.coords)
+    assert rep.hw_expected == c1 / (2 * (k + rs.h_dual)) - kappa_int / 2
+    assert rep.hw_expected == rep.hw_actual
