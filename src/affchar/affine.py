@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .hecke import BruhatBall
 from .rootdata import Level
 
 F = Fraction
@@ -162,6 +161,7 @@ class AffineWeylGroup:
 
     def ball(self, length_bound):
         """All elements of length <= length_bound, in ShortLex order."""
+        from .hecke import BruhatBall
         return BruhatBall(self.coxeter_matrix, length_bound)
 
     def reflection_word(self, cr):

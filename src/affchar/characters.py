@@ -26,7 +26,6 @@ from .qseries import QSeries, eta_factor
 from .affine import (classify_weight, dot_act_word, integral_system,
                      finite_antidominant_element,
                      finite_dominant_representative)
-from .hecke import ParabolicModule, inverse_multiplicity_matrix, query_ball
 
 F = Fraction
 
@@ -199,6 +198,7 @@ class SimpleCharacter:
     def inverse_matrix(self):
         """The whole inverse of the multiplicity matrix; the
         contributions are its last column."""
+        from .hecke import inverse_multiplicity_matrix
         return inverse_multiplicity_matrix(self.multiplicity_matrix)
 
     def to_json_dict(self):
@@ -236,6 +236,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
     ``w_word`` (``hecke.query_ball``).  The integral Weyl group is exact
     (``affine.integral_system``).
     """
+    from .hecke import ParabolicModule, query_ball
     rs = lw.rs
     cls = classify_weight(lw)
     if not (cls.antidominant and cls.regular and lw.level.is_negative(rs)):

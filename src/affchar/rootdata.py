@@ -160,6 +160,9 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.cartan = tuple(tuple(row) for row in cartan)
+        # the nonzero (j, A[i][j]) of each Cartan row: at most four
+        self._cartan_rows = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in cartan)
         self.cartan_inv = tuple(tuple(row) for row in _mat_inv(cartan))
         self.halfsq = tuple(halfsq)
 
@@ -193,11 +196,15 @@ class RootSystem:
         # with gamma') and coroot_lacing kappa_b(gamma, gamma) /
         # kappa_b(theta_check, theta_check) = 1 / ((beta, beta)/2): 1 on
         # short coroots, the lacing number of the type on long ones
+        # halfsq[i] / rb as (numerator, denominator) for each root length
+        # rb, so that each integer gamma_i is one int division
+        scale = {rb: [(h / rb).as_integer_ratio() for h in self.halfsq]
+                 for rb in set(halfsq_of.values())}
         coroots = []
         self.coroot_roots, self.coroot_lacing = {}, {}
         for beta in self.positive_roots:
             rb = halfsq_of[beta]
-            gamma = tuple(int(b * h / rb) for b, h in zip(beta, self.halfsq))
+            gamma = tuple(b * p // q for b, (p, q) in zip(beta, scale[rb]))
             root = self.root_to_weight_coords(beta)
             for sign in (1, -1):
                 g = tuple(sign * x for x in gamma)
@@ -234,12 +241,16 @@ class RootSystem:
         while frontier:
             nxt = []
             for b in frontier:
-                for i in range(self.rank):
-                    p = sum(b[j] * self.cartan[i][j] for j in range(self.rank))
+                for i, row in enumerate(self._cartan_rows):
+                    p = sum(b[j] * a for j, a in row)
+                    # p = 0 gives rb = b; only coordinate i changes, so rb
+                    # is positive iff that coordinate is
+                    if p == 0 or b[i] < p:
+                        continue
                     rb = list(b)
                     rb[i] -= p
                     rb = tuple(rb)
-                    if all(x >= 0 for x in rb) and rb not in seen:
+                    if rb not in seen:
                         seen[rb] = seen[b]
                         nxt.append(rb)
             frontier = nxt
@@ -249,9 +260,8 @@ class RootSystem:
 
     def root_to_weight_coords(self, beta):
         """Simple-root coordinates -> fundamental-weight coordinates."""
-        return tuple(
-            sum(b * self.cartan[i][j] for j, b in enumerate(beta))
-            for i in range(self.rank))
+        return tuple(sum(beta[j] * a for j, a in row)
+                     for row in self._cartan_rows)
 
     def pair_weight_coroot(self, lam, gamma):
         """<lam, gamma> with lam in omega-coordinates, gamma in

@@ -69,4 +69,49 @@ def test_sugawara_check_loads_no_root_data():
     argv = ("sugawara-check --level=-1/2 --weight 1 --depth 2 --f0-bound 1 "
             "--modes 0 --lam-check 2")
     modules, _ = _loaded(_RUN_CLI % argv.split())
-    assert modules == {"affchar", "cli", "errors", "hecke", "sugawara"}
+    assert modules == {"affchar", "cli", "errors", "sugawara"}
+
+
+_BASE = {"affchar", "cli", "errors"}
+_WEIGHTS = _BASE | {"affine", "rootdata"}
+_CHARACTERS = _WEIGHTS | {"characters", "qseries"}
+
+# one job of every subcommand and the exact layers it loads: only the jobs
+# that build a Coxeter ball load hecke
+_MODULES_BY_SUBCOMMAND = [
+    ("roots --type G --rank 2", _BASE | {"rootdata"}),
+    ("classify --type B --rank 2 --level=-7/2 --weight=1/2,-1/2", _WEIGHTS),
+    ("orbit --type A --rank 2 --level=-5/2 --weight=1/3,-1/2 "
+     "--length-bound 3", _WEIGHTS),
+    ("blocks --type G --rank 2 --level=-9 --weight=-5/2,-3 --length-bound 5",
+     _WEIGHTS | {"hecke"}),
+    ("kl --coxeter-matrix [[1,4],[4,1]] --length-bound 5", _BASE | {"hecke"}),
+    ("antispherical --coxeter-matrix [[1,3,3],[3,1,3],[3,3,1]] "
+     "--length-bound 4 --parabolic 1,2 --w 0,1,2", _BASE | {"hecke"}),
+    ("character-verma --type A --rank 1 --level=-3/2 --weight 1/2 --trunc 8",
+     _CHARACTERS),
+    ("character-simple --type B --rank 2 --level=-7 --weight=-2,-2 "
+     "--w 2,0,1 --length-bound 5 --trunc 8", _CHARACTERS | {"hecke"}),
+    ("ds-transform --type C --rank 3 --level=1/3 --weight=1,1/2,-1 "
+     "--trunc 6", _CHARACTERS),
+    ("psi-s --type G --rank 2 --level=-9/2 --weight=1,-3 --kind simple "
+     "--w0-twist true", _CHARACTERS),
+    ("sugawara-check --level=-1/2 --weight 1/3 --depth 2 --f0-bound 1 "
+     "--modes=-1,0,1", _BASE | {"sugawara"}),
+    ("jumps --type E --rank 6 --n 5/12", _BASE | {"rootdata", "wstruct"}),
+    ("vacuum-char --type B --rank 2 --n 1 --max-u 6 --max-q 12",
+     _BASE | {"rootdata", "wstruct"}),
+]
+
+
+def test_the_table_covers_every_subcommand():
+    from affchar import cli
+    assert sorted(argv.split()[0] for argv, _ in _MODULES_BY_SUBCOMMAND) == \
+        sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv,modules", _MODULES_BY_SUBCOMMAND,
+                         ids=[argv.split()[0]
+                              for argv, _ in _MODULES_BY_SUBCOMMAND])
+def test_each_subcommand_loads_exactly_its_layers(argv, modules):
+    assert _loaded(_RUN_CLI % argv.split())[0] == modules

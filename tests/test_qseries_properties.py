@@ -95,6 +95,25 @@ def test_vacuum_character_equals_shifted_copies(cartan, n, max_u, max_q,
         {"%d,%d" % jm: c for jm, c in sorted(coeffs.items())}
 
 
+@pytest.mark.parametrize("cartan,n,max_u,max_q", [
+    pytest.param(("A", 1), 0, 200, 6, id="A1-n0-u200-q6"),
+    pytest.param(("A", 1), 2, 200, 6, id="A1-n2-u200-q6"),
+    pytest.param(("A", 2), 2, 60, 4, id="A2-n2-u60-q4"),
+    pytest.param(("G", 2), 3, 40, 3, id="G2-n3-u40-q3"),
+])
+def test_vacuum_character_on_long_thin_windows(cartan, n, max_u, max_q):
+    # u-windows far deeper than the energy window: the Horner chain stops
+    # at its depth bound (positive energies, and A1 n=2 after its mode of
+    # energy 0) or runs through every row (negative energies), truncating
+    # at each level
+    rs = ROOTS[cartan]
+    coeffs, towers = shifted_copies_vacuum(rs, n, max_u, max_q)
+    assert vacuum_graded_character(rs, n, max_u, max_q).coeffs == coeffs
+    kernel = vacuum_graded_character(rs, n, max_u, max_q, convention="kernel")
+    assert kernel.coeffs == {(j, -m): c for (j, m), c in coeffs.items()}
+    assert kernel.towers == [(kk, -e) for kk, e in towers]
+
+
 def test_step_budget_is_inclusive():
     check_step_budget("a job at the budget", STEP_BUDGET)
     with pytest.raises(TruncationOverflow) as exc:
