@@ -111,7 +111,10 @@ def _cartan_and_lengths(letter, rank):
 
 
 def _mat_inv(a):
-    """Exact inverse of a square Fraction matrix via Gauss elimination."""
+    """Exact inverse of a square Fraction matrix via Gauss-Jordan
+    elimination.  A row operation touches only the nonzero entries of the
+    pivot row: a Cartan matrix has at most four nonzeros per row, so the
+    pivot rows stay sparse on the left half."""
     n = len(a)
     m = [[F(x) for x in row] + [F(i == j) for j in range(n)]
          for i, row in enumerate(a)]
@@ -119,11 +122,14 @@ def _mat_inv(a):
         piv = next(r for r in range(col, n) if m[r][col] != 0)
         m[col], m[piv] = m[piv], m[col]
         d = m[col][col]
-        m[col] = [x / d for x in m[col]]
+        prow = m[col] = [x / d if x else x for x in m[col]]
+        support = [(j, y) for j, y in enumerate(prow) if y]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+            f = m[r][col]
+            if r != col and f != 0:
+                row = m[r]
+                for j, y in support:
+                    row[j] -= f * y
     return [row[n:] for row in m]
 
 

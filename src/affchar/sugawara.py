@@ -28,11 +28,24 @@ lam_check = x omega_check, omega_check = alphacheck/2: <alpha, lam_check>
 = x, kappa(alphacheck, lam_check) = k x and kappa(lam_check, lam_check)
 = k x^2 / 2.
 
+Every PBW monomial the module reaches is interned once and numbered, the
+way `hecke.BruhatBall` numbers its elements: id 0 is |Lam>, and
+`monos[id]` is the tuple.  Interning fills in, once per monomial, its head
+generator `heads[id]`, the id `rests[id]` of the monomial without its
+head, its depth `depths[id]` and the flag `inside[id]` (depth and f_0
+count within the window).  Straightening, the Sugawara modes and
+`check_dss` work on ids only: a vector is an {id: int} dict, its depth is
+one array lookup and the window check one flag lookup per entry, which
+raises TruncationOverflow with the monomial tuple as witness.  Tuples are
+built only at the public edges: `basis` (the window's monomials, sorted
+by depth), `apply_word`, `sugawara_mode(...).apply` and the mismatches of
+a `DssReport`.
+
 Every coefficient inside the module is a Python int.  With
 D = lcm(den a, den k), A = a D and K = k D, the straightened expansion
-``apply_gen(g, mono)``, memoized per module by ``functools.cache``,
-stores c * D**(1 + len(mono) - len(m)) for the true coefficient c of
-each result monomial m.  The power depends only on
+``apply_gen(g, id)``, memoized per module by (generator, id), stores
+c * D**(1 + len(mono) - len(m)) for the true coefficient c of each result
+monomial m, where mono = monos[id].  The power depends only on
 lengths, so expansions compose: a word of w generators applied to mono
 carries D**(w + len(mono) - len(m)), and a coefficient is zero, or two
 coefficients of the same monomial are equal, exactly when their true
@@ -42,12 +55,12 @@ values are.  The Sugawara modes keep S_n mono times
 `check_dss` compares such integer dicts.  One routine,
 `_scaled_sugawara`, gives every Sugawara mode: S_n is its flow by the
 zero coweight; it plans the flowed terms that can act at each depth once
-(int coefficient, left generator, right generator, with the h_0 flow
-scalar folded into the coefficient) and reuses the plan for every vector
-of that depth.  `check_dss` skips a vector iff any of its three sides
-(lam_check_n, S_n, Ad S_n) leaves the window, so the order of evaluation
-cannot change a report, and it evaluates the sides cheapest first: the
-one memoized generator h_n, then S_n, then Ad S_n.
+(int coefficient, left generator, right generator and their memos, with
+the h_0 flow scalar folded into the coefficient) and reuses the plan for
+every vector of that depth.  `check_dss` skips a vector iff any of its
+three sides (lam_check_n, S_n, Ad S_n) leaves the window, so the order of
+evaluation cannot change a report, and it evaluates the sides cheapest
+first: the one memoized generator h_n, then S_n, then Ad S_n.
 
 Values are turned back into `Fraction` only at the public edges:
 `GradedModule.apply_word` (hence `coweight_mode`) and
@@ -55,10 +68,9 @@ Values are turned back into `Fraction` only at the public edges:
 `check_dss` unscales its highest-weight eigenvalue once.
 """
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import cache
 from math import lcm
-from dataclasses import dataclass, field
 
 from .errors import DomainError, TruncationOverflow
 
@@ -131,9 +143,20 @@ class GradedModule:
         self.four_kh = 4 * (self.K + _H_DUAL * self.D)
         self.depth_bound = depth_bound
         self.f0_bound = f0_bound
-        # one memo per module; the recursion below reads it through self
-        self.apply_gen = cache(self.apply_gen)
+        # every monomial reached so far, numbered when first interned; per
+        # id its tuple, head generator, rest id, depth and window flag
+        self.monos = []
+        self.heads = []
+        self.rests = []
+        self.depths = []
+        self.inside = []
+        self._ids = {}
+        # the straightening memo, (generator, id) -> {id: int}, stored as
+        # generator -> {id: {id: int}} so that a lookup hashes one int
+        self._memo = defaultdict(dict)
+        self.intern(())
         self.basis = self._enumerate_basis()
+        self.basis_ids = [self.intern(m) for m in self.basis]
 
     @staticmethod
     def _size_estimate(depth_bound, f0_bound):
@@ -146,7 +169,6 @@ class GradedModule:
         return sum(coeffs) * (f0_bound + 1)
 
     def _enumerate_basis(self):
-        by_depth = {0: [()]}
         gens = [("e", -n) for n in range(1, self.depth_bound + 1)]
         gens += [("h", -n) for n in range(1, self.depth_bound + 1)]
         gens += [("f", -n) for n in range(1, self.depth_bound + 1)]
@@ -180,21 +202,50 @@ class GradedModule:
     def f0_count(self, mono):
         return sum(1 for g in mono if g == ("f", 0))
 
+    # -- monomial ids -------------------------------------------------------
+
+    def intern(self, mono):
+        """The id of the monomial `mono`, numbering it (and its rests)
+        on first sight."""
+        i = self._ids.get(mono)
+        if i is None:
+            if mono:
+                head, rest = mono[0], self.intern(mono[1:])
+                depth = self.depths[rest] - head[1]
+            else:
+                head, rest, depth = None, -1, 0
+            i = self._ids[mono] = len(self.monos)
+            self.monos.append(mono)
+            self.heads.append(head)
+            self.rests.append(rest)
+            self.depths.append(depth)
+            self.inside.append(depth <= self.depth_bound
+                               and self.f0_count(mono) <= self.f0_bound)
+        return i
+
     # -- exact straightening ------------------------------------------------
 
-    def apply_gen(self, g, mono):
-        """Exact PBW expansion of g . mono in the untruncated Verma
-        module, D-scaled (module docstring); memoized, no window check."""
-        if not mono:
+    def apply_gen(self, g, i):
+        """Exact PBW expansion of g . monos[i] in the untruncated Verma
+        module as {id: int}, D-scaled (module docstring); memoized, no
+        window check."""
+        memo = self._memo[g]
+        out = memo.get(i)
+        if out is None:
+            out = memo[i] = self._straighten(g, i)
+        return out
+
+    def _straighten(self, g, i):
+        if i == 0:
             if _is_creation(g):
-                return {(g,): 1}
+                return {self.intern((g,)): 1}
             # on |Lam> only h_0 survives, acting by a; the length stays
             # 0, so it carries D^1.  Positive modes and e_0 kill |Lam>
-            return {(): self.A} if g == ("h", 0) and self.A else {}
-        head = mono[0]
+            return {0: self.A} if g == ("h", 0) and self.A else {}
+        head = self.heads[i]
         if _is_creation(g) and _key(g) <= _key(head):
-            return {(g,) + mono: 1}
-        rest = mono[1:]
+            return {self.intern((g,) + self.monos[i]): 1}
+        rest = self.rests[i]
         out = {}
         # g . head . rest = head . (g . rest) + [g, head] . rest; the
         # bracket terms act on the shorter rest, so they gain one D and
@@ -212,11 +263,13 @@ class GradedModule:
         return {m: c for m, c in out.items() if c != 0}
 
     def _check_window(self, vec, context):
-        for mono, c in vec.items():
-            if c == 0:
-                continue
-            if (self.depth(mono) > self.depth_bound
-                    or self.f0_count(mono) > self.f0_bound):
+        """vec, an {id: int} dict of nonzero entries, if all its
+        monomials lie in the window; else TruncationOverflow with the
+        first one outside as witness."""
+        inside = self.inside
+        for m in vec:
+            if not inside[m]:
+                mono = self.monos[m]
                 raise TruncationOverflow(
                     "result of %s leaves the tracked window at %r"
                     % (context, mono), witness=mono)
@@ -230,7 +283,7 @@ class GradedModule:
         spuriously."""
         word = tuple(word)
         mono = tuple(mono)
-        vec = {mono: 1}
+        vec = {self.intern(mono): 1}
         for g in reversed(word):
             nxt = {}
             for m, c in vec.items():
@@ -240,7 +293,9 @@ class GradedModule:
         vec = self._check_window({m: c for m, c in vec.items() if c != 0},
                                  word)
         top = len(word) + len(mono)
-        return {m: F(c, self.D ** (top - len(m))) for m, c in vec.items()}
+        monos = self.monos
+        return {monos[m]: F(c, self.D ** (top - len(monos[m])))
+                for m, c in vec.items()}
 
     # -- sampled bracket verification ----------------------------------------
 
@@ -295,12 +350,15 @@ def build_truncated_verma(a, k, depth_bound, f0_bound):
 # coweight data for twists
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CoweightData:
     """An integral coweight of the adjoint torus for spectral flow:
     lam_check = x omega_check, with coords = (x,)."""
 
-    coords: tuple  # fundamental-coweight coordinates
+    def __init__(self, coords):
+        self.coords = coords  # fundamental-coweight coordinates
+
+    def __repr__(self):
+        return "CoweightData(coords=%r)" % (self.coords,)
 
     def pairing_with_root(self):
         """<alpha, lam_check> = x, an integer."""
@@ -400,9 +458,9 @@ class ModeOperator:
 
 
 def _scaled_sugawara(module, n, flow):
-    """mono -> Ad_{t^{lam_check}} S_n mono for the SpectralFlow `flow` (S_n
-    mono itself for the zero flow) as an int dict holding each coefficient
-    times 4 (k + h_dual) D**(2 + len(mono) - len(m)); raises
+    """id -> Ad_{t^{lam_check}} S_n monos[id] for the SpectralFlow `flow`
+    (S_n itself for the zero flow) as an {id: int} dict holding each
+    coefficient times 4 (k + h_dual) D**(2 + len(mono) - len(m)); raises
     TruncationOverflow when the exact result leaves the window."""
     if abs(n) > module.depth_bound:
         raise DomainError("|n| exceeds the depth window")
@@ -413,7 +471,8 @@ def _scaled_sugawara(module, n, flow):
     # the flow scalar on h_0 stands where a generator would, so it
     # carries that generator's D
     h_d = _integral(flow.h_shift * module.D)
-    apply_gen = module.apply_gen
+    apply_gen, depths, memo = module.apply_gen, module.depths, module._memo
+    context = "S_%d" % n
     plans = {}
 
     def flowed(g):
@@ -422,7 +481,8 @@ def _scaled_sugawara(module, n, flow):
 
     def plan(d):
         """The flowed terms that can act on a vector of depth d, as
-        (int coeff, left gen or None, right gen or None)."""
+        (int coeff, left gen or None, left memo, right gen or None,
+        right memo); a memo is None with its gen."""
         out = []
         for scale, (g1, g2) in _sugawara_terms(n, n - d - pad, d + pad):
             # the rightmost factor acts first; if its (flowed) mode
@@ -431,28 +491,38 @@ def _scaled_sugawara(module, n, flow):
                 continue
             for c2, h2 in flowed(g2):
                 for c1, h1 in flowed(g1):
-                    out.append((scale * c1 * c2, h1, h2))
+                    out.append((scale * c1 * c2,
+                                h1, None if h1 is None else memo[h1],
+                                h2, None if h2 is None else memo[h2]))
         return out
 
-    def compute(mono):
-        d = module.depth(mono)
+    def compute(i):
+        d = depths[i]
         terms = plans.get(d)
         if terms is None:
             terms = plans[d] = plan(d)
         out = {}
-        for cc, h1, h2 in terms:
-            inter = {mono: 1} if h2 is None else apply_gen(h2, mono)
+        for cc, h1, memo1, h2, memo2 in terms:
+            if h2 is None:
+                inter = {i: 1}
+            else:
+                inter = memo2.get(i)
+                if inter is None:
+                    inter = apply_gen(h2, i)
             for m, c in inter.items():
                 w = cc * c
                 if h1 is None:
                     out[m] = out.get(m, 0) + w
                     continue
-                for m2, c3 in apply_gen(h1, m).items():
+                got = memo1.get(m)
+                if got is None:
+                    got = apply_gen(h1, m)
+                for m2, c3 in got.items():
                     out[m2] = out.get(m2, 0) + w * c3
         out = {m: c for m, c in out.items() if c != 0}
         # the accumulated dict is the exact expansion in the untruncated
         # Verma module; only now does the window matter
-        return module._check_window(out, "S_%d" % n)
+        return module._check_window(out, context)
 
     return compute
 
@@ -462,12 +532,12 @@ def sugawara_mode(module, n, twist=None):
     operator Ad_{t^{lam_check}} S_n (each factor flowed, same index set)."""
     flow = _zero_flow(module) if twist is None else twist
     scaled = _scaled_sugawara(module, n, flow)
-    D, four_kh = module.D, module.four_kh
+    D, four_kh, monos = module.D, module.four_kh, module.monos
 
     def apply_fn(mono):
         top = 2 + len(mono)
-        return {m: F(c * D, four_kh * D ** (top - len(m)))
-                for m, c in scaled(mono).items()}
+        return {monos[m]: F(c * D, four_kh * D ** (top - len(monos[m])))
+                for m, c in scaled(module.intern(tuple(mono))).items()}
 
     label = "S_%d" % n if twist is None else "Ad S_%d" % n
     return ModeOperator(module, label, n, apply_fn)
@@ -487,17 +557,20 @@ def coweight_mode(module, lam_check, n):
 # the spectral-flow identity check
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DssReport:
-    lam_check: tuple
-    n: int
-    k: Fraction
-    depth_bound: int
-    tested: int = 0
-    skipped: int = 0
-    mismatches: list = field(default_factory=list)
-    hw_expected: Fraction = None
-    hw_actual: Fraction = None
+    """The outcome of one `check_dss` run; `mismatches` holds (mono,
+    lhs, rhs) with monomial tuples as keys."""
+
+    def __init__(self, lam_check, n, k, depth_bound):
+        self.lam_check = lam_check
+        self.n = n
+        self.k = k
+        self.depth_bound = depth_bound
+        self.tested = 0
+        self.skipped = 0
+        self.mismatches = []
+        self.hw_expected = None
+        self.hw_actual = None
 
     @property
     def passed(self):
@@ -538,38 +611,40 @@ def check_dss(module, lam_check, n, flip_sign=False):
                        * module.D) if n == 0 else 0)
 
     report = DssReport(lam_check.coords, n, module.k, module.depth_bound)
-    for mono in module.basis:
+    for i in module.basis_ids:
         try:
             # a vector is skipped iff some side leaves the window, so the
             # sides go cheapest first: one generator, S_n, then Ad S_n
-            lam = module._check_window(module.apply_gen(h_n, mono),
-                                       (h_n,))
-            rhs = dict(rhs_s(mono))
-            lhs = lhs_op(mono)
+            lam = module._check_window(module.apply_gen(h_n, i), (h_n,))
+            rhs = rhs_s(i)
+            lhs = lhs_op(i)
             for m, c in lam.items():
                 rhs[m] = rhs.get(m, 0) + lam_mult * c
             if const:
-                rhs[mono] = rhs.get(mono, 0) + const
+                rhs[i] = rhs.get(i, 0) + const
             rhs = {m: c for m, c in rhs.items() if c != 0}
         except TruncationOverflow:
             report.skipped += 1
             continue
         if lhs != rhs:
-            report.mismatches.append((mono, lhs, rhs))
+            monos = module.monos
+            report.mismatches.append(
+                (monos[i], {monos[m]: c for m, c in lhs.items()},
+                 {monos[m]: c for m, c in rhs.items()}))
         report.tested += 1
 
     # Flowed conformal weight of the unit line: flow by -lam_check and
     # apply S_0 + lam_check_0; the eigenvalue drops by kappa(l,l)/2.
     neg = SpectralFlow(module, lam_check, flip_sign=True)
-    vec = dict(_scaled_sugawara(module, 0, neg)(()))
+    vec = _scaled_sugawara(module, 0, neg)(0)
     # lam_check_0 = x h_0 flowed by -lam_check acts on the unit line by
     # x (a + h_shift), which is lam_mult (A + h_shift D) in the scaling
-    # 4 (k + h_dual) D of the unit entry
-    vec[()] = (vec.get((), 0)
-               + lam_mult * (module.A + _integral(neg.h_shift * module.D)))
-    if set(vec) - {()}:
+    # 4 (k + h_dual) D of the unit entry (id 0 is |Lam>)
+    vec[0] = (vec.get(0, 0)
+              + lam_mult * (module.A + _integral(neg.h_shift * module.D)))
+    if set(vec) - {0}:
         raise AssertionError("flowed energy operator does not fix the unit line")
-    actual = F(vec[()], module.four_kh * module.D)
+    actual = F(vec[0], module.four_kh * module.D)
     # the Casimir eigenvalue of Lam = a omega is c1 = a (a + 2) / 2
     c1 = module.a * (module.a + 2) / 2
     expected = (c1 / (2 * (module.k + _H_DUAL))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .errors import DomainError, check_step_budget
+from .errors import DomainError, check_slot_budget, check_step_budget
 
 F = Fraction
 
@@ -186,7 +186,9 @@ def vacuum_graded_character(rs, n, max_u, max_q, convention="appendix"):
     with depth (cap - lo) // e0 when e0 > 0), zeros counts the towers
     from e0 = 0, and the last max_u + 1 rows are for building the rows.
     That count is checked against errors.STEP_BUDGET before any row is
-    built.
+    built, and the (max_u + 1) * (cap - lo + 1) slots that the rows can
+    hold, each of which may end as one output coefficient, against
+    errors.SLOT_BUDGET.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -208,10 +210,11 @@ def vacuum_graded_character(rs, n, max_u, max_q, convention="appendix"):
     levels = sum(_horner_levels(max_u, kk, (cap - lo) // e0 if e0 > 0
                                 else max_u // kk)
                  for kk, e0 in chains)
+    what = ("vacuum character of %s at n=%d, max_u=%d, max_q=%d"
+            % (rs.cartan_type, n, max_u, max_q))
     check_step_budget(
-        "vacuum character of %s at n=%d, max_u=%d, max_q=%d"
-        % (rs.cartan_type, n, max_u, max_q),
-        (levels + (len(zero) + 1) * (max_u + 1)) * (cap - lo + 1))
+        what, (levels + (len(zero) + 1) * (max_u + 1)) * (cap - lo + 1))
+    check_slot_budget(what, (max_u + 1) * (cap - lo + 1))
     limits = [max_q + neg * ((max_u - j) // kk_min) for j in range(max_u + 1)]
     rows = [None] * (max_u + 1)  # None: the row is zero
     rows[0] = [0] * (limits[0] - lo + 1)

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -391,6 +393,43 @@ def test_oversized_series_jobs_exit_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 3 and out == ""
     assert err.startswith("resource exhausted:") and "budget" in err
+
+
+# runs one CLI job under a 1 GiB address-space limit and prints its exit
+# code, its time in seconds and its standard error as the last line
+_BOUNDED_JOB = """
+import json, resource, sys, time
+from contextlib import redirect_stderr
+from io import StringIO
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+from affchar import cli
+err = StringIO()
+start = time.perf_counter()
+with redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, time.perf_counter() - start, err.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "vacuum-char --type A --rank 1 --max-u 0 --max-q 99999999",
+    "vacuum-char --type A --rank 1 --max-u 99999999 --max-q 0",
+])
+def test_vacuum_windows_over_the_slot_budget_exit_3_at_once(argv):
+    # each is charged at most 10^8 steps but would hold 10^8 row slots;
+    # the job runs in a child process under a memory limit, so a missing
+    # slot check fails this test instead of filling the memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _BOUNDED_JOB] + argv.split(),
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, seconds, err = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 3 and seconds < 1
+    assert err.startswith("resource exhausted:")
+    assert "coefficient slots, over the budget" in err
 
 
 def test_antispherical_cli(capsys):

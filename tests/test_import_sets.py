@@ -68,8 +68,9 @@ def test_sugawara_check_loads_no_root_data():
     # the Sugawara oracle is sl2's, with its constants in closed form
     argv = ("sugawara-check --level=-1/2 --weight 1 --depth 2 --f0-bound 1 "
             "--modes 0 --lam-check 2")
-    modules, _ = _loaded(_RUN_CLI % argv.split())
+    modules, dataclasses = _loaded(_RUN_CLI % argv.split())
     assert modules == {"affchar", "cli", "errors", "sugawara"}
+    assert not dataclasses
 
 
 _BASE = {"affchar", "cli", "errors"}

@@ -9,7 +9,8 @@ multiply by a mode's geometric series one power at a time.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affchar.errors import STEP_BUDGET, TruncationOverflow, check_step_budget
+from affchar.errors import (SLOT_BUDGET, STEP_BUDGET, TruncationOverflow,
+                            check_slot_budget, check_step_budget)
 from affchar.qseries import QSeries, eta_factor, geometric, one
 from affchar.rootdata import build_root_system
 from affchar.wstruct import vacuum_graded_character
@@ -119,6 +120,13 @@ def test_step_budget_is_inclusive():
     with pytest.raises(TruncationOverflow) as exc:
         check_step_budget("a job past the budget", STEP_BUDGET + 1)
     assert exc.value.witness == STEP_BUDGET + 1
+
+
+def test_slot_budget_is_inclusive():
+    check_slot_budget("a job at the budget", SLOT_BUDGET)
+    with pytest.raises(TruncationOverflow) as exc:
+        check_slot_budget("a job past the budget", SLOT_BUDGET + 1)
+    assert exc.value.witness == SLOT_BUDGET + 1
 
 
 def test_oversized_windows_refused_before_work():

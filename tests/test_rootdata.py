@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affchar.errors import DomainError, TruncationOverflow
-from affchar.rootdata import (Level, build_root_system, casimir_eigenvalue,
-                              form_value)
+from affchar.rootdata import (Level, _mat_inv, build_root_system,
+                              casimir_eigenvalue, form_value)
 from conftest import coweight_form_on_coroots, rand_fraction, rand_weight
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 3),
@@ -65,6 +66,54 @@ def test_coroots_use_the_quadratic_form_of_each_root(letter, rank):
         assert gamma == tuple(b * h / half
                               for b, h in zip(beta, rs.halfsq))
         assert rs.coroot_lacing[gamma] == 1 / half
+
+
+def dense_mat_inv(a):
+    """Gauss-Jordan inverse over Fraction with every row operation run
+    over the whole row; the reference for `_mat_inv`."""
+    n = len(a)
+    m = [[F(x) for x in row] + [F(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        d = m[col][col]
+        m[col] = [x / d for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+CARTAN_TYPES = ([("A", r) for r in range(1, 13)]
+                + [(t, r) for t in "BC" for r in range(2, 11)]
+                + [("D", r) for r in range(3, 11)]
+                + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def test_inverse_cartan_matrices_match_dense_elimination():
+    for letter, rank in CARTAN_TYPES:
+        rs = build_root_system(letter, rank)
+        assert rs.cartan_inv == tuple(map(tuple, dense_mat_inv(rs.cartan)))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_mat_inv_matches_dense_elimination(rows):
+    # small integer matrices, many with zero pivots that need a row swap;
+    # a singular one finds no pivot either way
+    try:
+        expect = dense_mat_inv(rows)
+    except StopIteration:
+        with pytest.raises(StopIteration):
+            _mat_inv(rows)
+        return
+    got = _mat_inv(rows)
+    assert got == expect
+    assert all(type(x) is F for row in got for x in row)
 
 
 def test_rank_over_the_step_budget_is_refused_before_any_work():

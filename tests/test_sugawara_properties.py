@@ -20,7 +20,7 @@ the production loop evaluates first and however it caches its terms.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affchar.errors import DomainError, TruncationOverflow
 from affchar.rootdata import build_root_system, casimir_eigenvalue
@@ -194,21 +194,23 @@ def reference_scaled_sugawara(module, n, flow):
                 for _, h in flow.gen_image(g)]
 
     def compute(mono):
+        i = module.intern(mono)
         d = module.depth(mono)
         out = {}
         for scale, (g1, g2) in _sugawara_terms(n, n - d - pad, d + pad):
             if g2[1] + shift[g2[0]] > d:
                 continue
             for c2, h2 in images(g2):
-                inter = {mono: 1} if h2 is None else module.apply_gen(h2, mono)
+                inter = {i: 1} if h2 is None else module.apply_gen(h2, i)
                 for c1, h1 in images(g1):
                     for m, c in inter.items():
                         w = scale * c1 * c2 * c
                         got = {m: 1} if h1 is None else module.apply_gen(h1, m)
                         for m2, c3 in got.items():
                             out[m2] = out.get(m2, 0) + w * c3
-        return module._check_window({m: c for m, c in out.items() if c != 0},
-                                    "S_%d" % n)
+        out = module._check_window({m: c for m, c in out.items() if c != 0},
+                                   "S_%d" % n)
+        return {module.monos[m]: c for m, c in out.items()}
 
     return compute
 
@@ -225,7 +227,9 @@ def reference_check_dss(module, lam, n, flip):
              if n == 0 else 0)
 
     def h_n_side(mono):
-        return module._check_window(module.apply_gen(("h", n), mono), "h_n")
+        vec = module._check_window(
+            module.apply_gen(("h", n), module.intern(mono)), "h_n")
+        return {module.monos[m]: c for m, c in vec.items()}
 
     tested, skipped, mismatches = 0, 0, []
     for mono in module.basis:
@@ -266,6 +270,33 @@ def test_check_dss_matches_every_side_reference(ak, lam, flip, n, depth, f0):
     assert (rep.tested, rep.skipped) == (tested, skipped)
     assert rep.mismatches == mismatches
     assert rep.hw_actual == hw == rep.hw_expected
+
+
+@settings(max_examples=30)
+@given(weight_and_level(),
+       st.sampled_from([RHO_CHECK, CoweightData((F(-1),)), ALPHA_CHECK]),
+       st.booleans(), st.integers(-2, 2), st.sampled_from((3, 2, 1)),
+       st.sampled_from((2, 1, 0)))
+@example((F(1), F(1)), RHO_CHECK, False, -1, 2, 1)
+def test_monomial_ids_round_trip_with_their_gradings(ak, lam, flip, n, depth,
+                                                     f0):
+    # every monomial a check interns keeps its tuple, and the depth and
+    # window flag stored at interning are those of the tuple
+    a, k = ak
+    depth = max(depth, abs(n))
+    module = GradedModule(a, k, depth, f0)
+    check_dss(module, lam, n, flip_sign=flip)
+    assert module.monos[0] == ()
+    assert [module.monos[i] for i in module.basis_ids] == module.basis
+    assert len(set(module.monos)) == len(module.monos)
+    for i, mono in enumerate(module.monos):
+        assert module.intern(mono) == i
+        if mono:
+            assert mono == (module.heads[i],) + module.monos[module.rests[i]]
+        assert module.depths[i] == module.depth(mono)
+        assert module.inside[i] == (module.depth(mono) <= depth
+                                    and module.f0_count(mono) <= f0)
+    assert len(module.monos) == len(module._ids)
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
