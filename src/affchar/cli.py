@@ -24,11 +24,8 @@ import importlib
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, BallExhausted, TruncationOverflow
-
-F = Fraction
 
 _DECIMAL_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
@@ -80,8 +77,11 @@ def _load_config(path):
 
 
 def _fraction(value, name):
+    # imported here, its one user, so kl and antispherical jobs never
+    # load fractions (nor decimal, which it imports)
+    from fractions import Fraction
     try:
-        return F(str(value))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ConfigError("field %r is not an exact rational: %r" % (name, value))
 

@@ -38,31 +38,59 @@ down (production) and a solve of the bar-invariance plus degree-bound
 system by sparse integer elimination (oracle).  Tests require them to
 agree.
 
-Module vectors are dicts keyed by id.  Every coefficient lies in Z[v]
-and is a tuple of ints indexed by the power of v, with no trailing
-zeros (() is 0); the finished
-canonical-basis columns are interned per module, so equal coefficients
-share one tuple.  The one action, ``act_gen``, is right multiplication by
-v H_s + c for c in Z[v].  The factor v keeps it in Z[v]: v H_s sends N_y
-to v N_{ys} + (1 - v^2) N_y if ys < y, to v N_{ys} if ys > y is minimal,
-and to v eps N_y if ys is not minimal, where v eps is 1 for param "q" and
--v^2 for "-1".  The recursion multiplies b_{w1} by
-H_s + v = v^{-1} (v H_s + v^2) and divides by v, which is exact: the
-head 1 of b_{w1} sits at w1 < w1 s = w with w minimal, so it takes the
-ascent branch and gives v N_w + v^2 N_{w1}, and every other coefficient t
-lies in vZ[v], so t (1 - v^2) + t v^2, t + t v^2 and v t are all in
-vZ[v].  The corrections c0 b_y keep Z[v] too, so the recursion never leaves
-it.  The oracle needs bar(N_y), which has powers v^{-1}; ``bar_standard``
-expands v^{l(y)} bar(N_y) = N_e prod_s (v H_s + v^2 - 1) with the same
-action, and the solve shifts its exponents by -l(y).  ``LaurentPoly``
-appears only at the API edge: ``canonical_basis``,
-``canonical_basis_via_solve``, ``kl_polynomial`` and
-``kl_polynomial_via_solve`` convert once per call.
+Module vectors are dicts keyed by id.  The recursion stores each
+coefficient h in Z[v] of a column as one Python int, h(2^B), with
+B = length_bound + 2 bits per power of v, fixed per module (Kronecker
+substitution: Kronecker, 1882; Harvey, J. Symbolic Comput. 44 (2009)).
+Multiplying by v is a shift by B bits, a sum of coefficients is one int
+addition, the constant term is h & (2^B - 1) and dividing by v is h >> B.
+Evaluation at 2^B is a ring map, so these steps are exact whatever the
+digits; only reading a digit needs every digit inside (-2^(B-1),
+2^(B-1)), where ``_unpack`` reads them back as balanced digits.  Each
+column checks that before it reads a digit.  Let S(y) be the sum of the
+absolute values of the digits of the finished column n_y.  At v = 1,
+v H_s + v^2 acts as s + 1 or 0 on each N_y, so every digit of
+v^{-1} n_{w1} (v H_s + v^2) is at most 2 S(w1) in absolute value, and a
+correction c0 n_y moves a digit by at most |c0| S(y).  So the recursion
+raises TruncationOverflow (exit 3) unless 2 S(w1) + sum |c0| S(y) <
+2^(B-1); it never guesses a width.  Every finished coefficient is also
+checked to have no negative digit, so S(w) is the digit sum n_w(1),
+read off the sum of the packed column modulo 2^B - 1.
+
+The check never trips where the canonical basis is positive.  Then
+v^{-1} n_{w1} (v H_s + v^2) = n_w + sum c0 n_y has only nonnegative
+terms, so sum c0 S(y) < 2 S(w1) and S(w) <= 2 S(w1) <= 2^{l(w)}, and the
+bound is below 4 S(w1) <= 2^{l(w)+1} <= 2^{B-1}.  Positivity is a
+theorem for J empty (Elias-Williamson, Ann. of Math. 180 (2014)), for
+the "-1" module (Libedinsky-Williamson, The anti-spherical category) and
+for "q" with W_J finite, whose n_{y,w} are the KL coefficients
+h_{w_J y, w_J w} (Deodhar, J. Algebra 111 (1987)).  For "q" with W_J
+infinite no theorem is cited, and there the checks carry the exactness:
+a column either passes the bound and is exact, or the job stops.
+
+The oracle keeps Z[v] as tuples of ints indexed by the power of v, with
+no trailing zeros (() is 0).  Its one action, ``act_gen``, is right
+multiplication by v H_s + c for c in Z[v].  The factor v keeps it in
+Z[v]: v H_s sends N_y to v N_{ys} + (1 - v^2) N_y if ys < y, to v N_{ys}
+if ys > y is minimal, and to v eps N_y if ys is not minimal, where
+v eps is 1 for param "q" and -v^2 for "-1".  The recursion applies the
+same action with c = v^2 on packed ints and divides by v, which is
+exact: the head 1 of b_{w1} sits at w1 < w1 s = w with w minimal, so it
+takes the ascent branch and gives v N_w + v^2 N_{w1}, and every other
+coefficient t lies in vZ[v], so t (1 - v^2) + t v^2, t + t v^2 and v t
+are all in vZ[v].  The corrections c0 b_y keep Z[v] too, so the
+recursion never leaves it.  The oracle needs bar(N_y), which has powers
+v^{-1}; ``bar_standard`` expands v^{l(y)} bar(N_y) = N_e prod_s
+(v H_s + v^2 - 1) with ``act_gen``, and the solve shifts its exponents
+by -l(y).  ``LaurentPoly`` appears only at the API edge:
+``canonical_basis``, ``canonical_basis_via_solve``, ``kl_polynomial``
+and ``kl_polynomial_via_solve`` convert once per call, and only
+``canonical_basis`` and ``kl_polynomial`` unpack.
 """
 
 from math import gcd
 
-from .errors import DomainError, BallExhausted
+from .errors import DomainError, BallExhausted, TruncationOverflow
 
 INFINITE_BOND = 0
 # the one-dimensional inductions a ParabolicModule can be built on
@@ -398,10 +426,9 @@ def _solve_int_system(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# Z[v] coefficients: int tuples indexed by the power of v
+# Z[v] coefficients of the oracle: int tuples indexed by the power of v
 # ---------------------------------------------------------------------------
 
-_V2 = (0, 0, 1)                   # v^2: H_s + v = v^{-1} (v H_s + v^2)
 _V2_MINUS_ONE = (-1, 0, 1)        # v bar(H_s) = v H_s + v^2 - 1
 _ONE_MINUS_V2 = (1, 0, -1)        # what v H_s leaves on N_y when ys < y
 
@@ -441,6 +468,19 @@ def _laurent(coeffs):
     return LaurentPoly({p: a for p, a in enumerate(coeffs) if a})
 
 
+def _unpack(h, width):
+    """The Z[v] tuple of a packed coefficient h = h(2^width), read as
+    balanced digits in (-2^(width-1), 2^(width-1))."""
+    base = 1 << width
+    half = base >> 1
+    out = []
+    while h:
+        d = (h + half) % base - half
+        out.append(d)
+        h = (h - d) >> width
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Antispherical / parabolic module
 # ---------------------------------------------------------------------------
@@ -460,8 +500,9 @@ class ParabolicModule:
     convention requires.  With no parabolic generators the module is H
     itself and ``param`` plays no role.
 
-    Vectors are dicts {id: Z[v] tuple} over the standard basis N_y, keyed
-    by the ball's element ids.
+    Vectors are dicts over the standard basis N_y, keyed by the ball's
+    element ids: the recursion's columns hold packed ints h(2^B), the
+    oracle's vectors Z[v] tuples.
     """
 
     def __init__(self, ball, parabolic_gens, param="q"):
@@ -476,7 +517,11 @@ class ParabolicModule:
         self._jmask = sum(1 << i for i in self.parabolic)
         # v H_s on the inducing line: v v^{-1} = 1, or v (-v) = -v^2
         self._v_eps = (1,) if param == "q" else (0, 0, -1)
-        self._nbasis = {0: {0: (1,)}}
+        # the packing width B of the recursion's coefficients, and the
+        # digit sum S(w) of each finished column n_w
+        self._width = ball.length_bound + 2
+        self._nbasis = {0: {0: 1}}
+        self._mass = {0: 1}
         self._coeffs = {}
         self._solved = {}
         self._bars = {}
@@ -545,44 +590,98 @@ class ParabolicModule:
         inductive mu-correction algorithm.  w must be a minimal coset
         representative."""
         w = self._as_minimal(w)
-        return {k: _laurent(t) for k, t in self._column(w.id).items()}
+        width = self._width
+        return {k: _laurent(_unpack(h, width))
+                for k, h in self._column(w.id).items()}
 
     def _column(self, w):
-        """n_w for the element of id w, as {id: Z[v] tuple}, memoized per
-        module, so the returned dict must not be mutated.  n_w = v^{-1}
-        n_{w1} (v H_s + v^2) minus the mu-corrections, for a right descent
-        s = s_i of w with w1 = w s minimal."""
+        """n_w for the element of id w, as {id: packed coefficient},
+        memoized per module, so the returned dict must not be mutated.
+        n_w = v^{-1} n_{w1} (v H_s + v^2) minus the mu-corrections, for a
+        right descent s = s_i of w with w1 = w s minimal."""
         got = self._nbasis.get(w)
         if got is not None:
             return got
-        row = self.ball.right[w]
-        i = next(i for i in reversed(self.ball.elements[w].word)
+        ball = self.ball
+        right = ball.right
+        row = right[w]
+        i = next(i for i in reversed(ball.elements[w].word)
                  if row[i] < w and self._is_min(row[i]))
+        w1 = row[i]
+        width = self._width
+        mask = (1 << width) - 1
+        jmask = self._jmask
+        spherical = self.param == "q"
+        # act_gen with scalar v^2, divided by v: each t of n_{w1} gives
+        # t N_ys + t/v N_y on a descent ys < y, t N_ys + v t N_y on an
+        # ascent to a minimal ys, and (t/v + v t) N_y ("q") or nothing
+        # ("-1") on a non-minimal ys; t/v needs t in vZ[v]
         cand = {}
-        for y, t in self.act_gen(self._column(row[i]), i, _V2).items():
-            if t[0]:
-                raise AssertionError("canonical basis coefficient not in vZ[v]")
-            cand[y] = t[1:]
+        get = cand.get
+        for y, t in self._column(w1).items():
+            ys = right[y][i]
+            if ys < 0:
+                raise BallExhausted("right multiplication left the ball")
+            if ys < y:
+                if t & mask:
+                    raise AssertionError(
+                        "canonical basis coefficient not in vZ[v]")
+                cand[ys] = get(ys, 0) + t
+                cand[y] = get(y, 0) + (t >> width)
+            elif not jmask or self._is_min(ys):
+                cand[ys] = get(ys, 0) + t
+                cand[y] = get(y, 0) + (t << width)
+            elif spherical:
+                if t & mask:
+                    raise AssertionError(
+                        "canonical basis coefficient not in vZ[v]")
+                cand[y] = get(y, 0) + (t >> width) + (t << width)
         # every entry of n_y below its head lies in vZ[v], so subtracting
         # c0 n_y clears the constant term at y and no other: the
-        # corrections commute and read the constant terms of cand as built
-        for y, t in list(cand.items()):
-            c0 = t[0]
+        # corrections commute and read the constant terms of cand as
+        # built, which are nonnegative since every finished column is.
+        # No digit of cand or of any partial sum of the corrections
+        # exceeds bound in absolute value (module docstring)
+        mass = self._mass
+        bound = 2 * mass[w1]
+        fixes = []
+        for y, t in cand.items():
+            c0 = t & mask
             if c0 and y != w:
-                for z, s in self._column(y).items():
-                    got = cand.get(z)
-                    ns = _mul(s, (-c0,))
-                    cand[z] = ns if got is None else _add(got, ns)
-        if cand.get(w) != (1,):
+                fixes.append((c0, self._column(y)))
+                bound += c0 * mass[y]
+        if bound >= 1 << (width - 1):
+            raise TruncationOverflow(
+                "canonical basis column of %r may hold a digit up to %d, "
+                "past its %d-bit packing width" % (ball.elements[w], bound,
+                                                  width), witness=bound)
+        try:
+            for c0, col in fixes:
+                for z, s in col.items():
+                    cand[z] -= c0 * s
+        except KeyError:
+            # cand is 0 at z as built, and c0 s > 0 is taken away
+            raise AssertionError(
+                "canonical basis coefficient is negative") from None
+        if cand.get(w) != 1:
             raise AssertionError("canonical basis recursion lost its head term")
-        intern = self._coeffs.setdefault
+        coeffs = self._coeffs
+        intern = coeffs.get
         col = {}
         for y, t in cand.items():
             if t:
-                if t[0] and y != w:
+                h = intern(t)
+                if h is None:
+                    if min(_unpack(t, width)) < 0:
+                        raise AssertionError(
+                            "canonical basis coefficient is negative")
+                    h = coeffs[t] = t
+                if h & mask and y != w:
                     raise AssertionError(
                         "canonical basis coefficient not in vZ[v]")
-                col[y] = intern(t, t)
+                col[y] = h
+        # the digit sum: 2^B = 1 modulo 2^B - 1, and S(w) < 2^(B-1)
+        mass[w] = sum(col.values()) % mask
         self._nbasis[w] = col
         return col
 
@@ -678,10 +777,11 @@ def kl_polynomial(ball, x, y):
     """P_{x,y} as a polynomial in q, from b_y built by the mu-correction
     recursion.  x <= y iff x is an id of b_y, since P_{x,y}(0) = 1."""
     x, y = _elements(ball, x, y)
-    h = _kl_module(ball)._column(y.id).get(x.id)
+    mod = _kl_module(ball)
+    h = mod._column(y.id).get(x.id)
     if h is None:
         raise DomainError("kl_polynomial requires x <= y in Bruhat order")
-    return _laurent(_p_from_h(h, y.length - x.length))
+    return _laurent(_p_from_h(_unpack(h, mod._width), y.length - x.length))
 
 
 def kl_polynomial_via_solve(ball, x, y):
@@ -732,10 +832,10 @@ KL_CONVENTION = "q=v^-2,Hs:(Hs-v^-1)(Hs+v)=0"
 def kl_table_tsv(ball, pairs):
     """TSV dump of KL polynomials: y-word, w-word, coefficient list,
     convention tag, one line per pair in the given order.  Every x is read
-    off the one column b_y of its y.  Columns are interned, so equal
-    h_{x,y} are one tuple, and its top power v^{l(y)-l(x)} (P_{x,y}(0) = 1)
-    fixes the base: the text of each distinct h is formatted once, looked
-    up by object identity instead of by hashing the tuple again."""
+    off the one column b_y of its y.  The top digit of a packed h_{x,y} is
+    the 1 at v^{l(y)-l(x)} (P_{x,y}(0) = 1), so the int fixes its own
+    base, and the text of each distinct h is formatted once, keyed by the
+    int."""
     mod = _kl_module(ball)
     lines = ["y\tw\tcoeffs\tconvention"]
     names = [None] * len(ball.elements)
@@ -748,11 +848,11 @@ def kl_table_tsv(ball, pairs):
         h = col.get(x.id)
         if h is None:
             raise DomainError("kl_polynomial requires x <= y in Bruhat order")
-        text = texts.get(id(h))
+        text = texts.get(h)
         if text is None:
-            p = _p_from_h(h, y.length - x.length)
+            p = _p_from_h(_unpack(h, mod._width), y.length - x.length)
             lo = next(k for k, a in enumerate(p) if a)
-            text = texts[id(h)] = "%s\t%s" % (
+            text = texts[h] = "%s\t%s" % (
                 ",".join(str(c) for c in (lo,) + p[lo:]), KL_CONVENTION)
         xname = names[x.id]
         if xname is None:

@@ -124,6 +124,17 @@ def _horner_levels(max_u, kk, depth):
     return kk * q * (q - 1) // 2 + q * r + depth * (max_u + 1 - full)
 
 
+def _row_slots(max_u, max_q, neg, kk_min):
+    """sum(limit(j) - lo + 1 for j in range(max_u + 1)) with limit(j) =
+    max_q + neg * ((max_u - j) // kk_min) and lo = -neg * (max_u //
+    kk_min), in closed form: the entries rows 0..max_u can hold.  The
+    sum of (max_u - j) // kk_min over the rows is that of i // kk_min
+    over i <= max_u, which ``_horner_levels`` gives at full depth."""
+    lo = -neg * (max_u // kk_min)
+    return ((max_u + 1) * (max_q - lo + 1)
+            + neg * _horner_levels(max_u, kk_min, max_u // kk_min))
+
+
 def _divide(acc, a):
     """acc <- acc / (1 - q^a) in place: the ascending pass acc[m] +=
     acc[m - a], run as one running sum per residue class mod a or one
@@ -186,9 +197,9 @@ def vacuum_graded_character(rs, n, max_u, max_q, convention="appendix"):
     with depth (cap - lo) // e0 when e0 > 0), zeros counts the towers
     from e0 = 0, and the last max_u + 1 rows are for building the rows.
     That count is checked against errors.STEP_BUDGET before any row is
-    built, and the (max_u + 1) * (cap - lo + 1) slots that the rows can
-    hold, each of which may end as one output coefficient, against
-    errors.SLOT_BUDGET.
+    built, and the limit(j) - lo + 1 slots that each row j can hold,
+    each of which may end as one output coefficient, summed over the rows
+    (``_row_slots``), against errors.SLOT_BUDGET.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -214,7 +225,7 @@ def vacuum_graded_character(rs, n, max_u, max_q, convention="appendix"):
             % (rs.cartan_type, n, max_u, max_q))
     check_step_budget(
         what, (levels + (len(zero) + 1) * (max_u + 1)) * (cap - lo + 1))
-    check_slot_budget(what, (max_u + 1) * (cap - lo + 1))
+    check_slot_budget(what, _row_slots(max_u, max_q, neg, kk_min))
     limits = [max_q + neg * ((max_u - j) // kk_min) for j in range(max_u + 1)]
     rows = [None] * (max_u + 1)  # None: the row is zero
     rows[0] = [0] * (limits[0] - lo + 1)

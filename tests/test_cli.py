@@ -432,6 +432,34 @@ def test_vacuum_windows_over_the_slot_budget_exit_3_at_once(argv):
     assert "coefficient slots, over the budget" in err
 
 
+def test_vacuum_window_is_charged_its_exact_row_slots(capsys):
+    # with negative mode energies row j holds only limit(j) - lo + 1
+    # entries: E8 at n = 6, max_u = 84 holds 768,181 slots (1,028,245 if
+    # every row had the widest row's width) and prints the report it
+    # printed before any slot budget; at max_u = 96 the exact count,
+    # 1,002,337, is over the budget and the job exits 3 before any work
+    window = "vacuum-char --type E --rank 8 --n 6 --max-q 0 --max-u".split()
+    code, out, _ = run_cli(capsys, *window, "84")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cf3185dc0ee2ce4346e36e88b23f7e5b2f5363b65b933141a5c65bb673865d71")
+    code, out, err = run_cli(capsys, *window, "96")
+    assert code == 3 and out == ""
+    assert "needs 1002337 coefficient slots, over the budget" in err
+
+
+def test_kl_coefficient_of_five_bits(capsys):
+    # h_{x,y} = v^7 (1 + 7 v^-2 + 18 v^-4) has the digit 18, past 4 bits:
+    # the universal rank-3 group reaches it at length 10, and no other
+    # test sees a coefficient of 16 or more, so a packing width of 4 bits
+    # or less fails here
+    code, out, _ = run_cli(capsys, "kl", "--coxeter-matrix",
+                           "[[1,0,0],[0,1,0],[0,0,1]]", "--length-bound",
+                           "10", "--x", "0,1,2", "--y", "0,1,2,0,1,2,0,1,2,0")
+    assert code == 0
+    assert json.loads(out)["polynomial_in_q"] == [0, 1, 7, 18]
+
+
 def test_antispherical_cli(capsys):
     code, out, _ = run_cli(capsys, "antispherical", "--coxeter-matrix",
                            "[[1,0],[0,1]]", "--length-bound", "6",

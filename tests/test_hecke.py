@@ -1,6 +1,6 @@
 import pytest
 
-from affchar.errors import BallExhausted, DomainError
+from affchar.errors import BallExhausted, DomainError, TruncationOverflow
 from affchar.hecke import (INFINITE_BOND, LaurentPoly, ParabolicModule,
                            build_ball,
                            inverse_multiplicity_matrix, kl_polynomial,
@@ -15,6 +15,7 @@ B2 = [[1, 4], [4, 1]]
 G2 = [[1, 6], [6, 1]]
 A2_TILDE = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
 G2_TILDE = [[1, 6, 2], [6, 1, 3], [2, 3, 1]]
+UNIVERSAL_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def covers(ball):
@@ -183,6 +184,21 @@ def test_act_gen_hecke_relations(matrix, parabolic, param, bonds):
                         == _act_word(mod, vec, ((t, s) * m)[:m]))
                 checked.add(m)
     assert checked == bonds
+
+
+def test_a_too_narrow_packing_width_stops_the_recursion():
+    # the recursion bounds every digit before it reads one, so a width
+    # cut below length_bound + 2 bits refuses (exit 3) instead of
+    # returning wrong digits.  In the universal rank-3 group the column
+    # of y = 01201 has digit sum 2^5 = 32 and P_{e,y} = 1 + 2q
+    ball = build_ball(UNIVERSAL_3, 5)
+    y = ball.element_by_word((0, 1, 2, 0, 1))
+    assert kl_polynomial(ball, ball.elements[0], y) == LaurentPoly(
+        {0: 1, 1: 2})
+    narrow = ParabolicModule(ball, ())
+    narrow._width = ball.length_bound + 1
+    with pytest.raises(TruncationOverflow):
+        narrow.canonical_basis(y)
 
 
 def test_antispherical_degrees_and_normalization():

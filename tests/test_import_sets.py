@@ -18,15 +18,18 @@ import affchar
 
 SRC = str(Path(affchar.__file__).resolve().parent.parent)
 
-# prints the loaded affchar modules, and whether dataclasses is loaded, as
-# the last line of standard output
+# standard-library modules that a lean job should not load
+_WATCHED = ("dataclasses", "decimal", "fractions")
+
+# prints the loaded affchar modules, and which watched modules are loaded,
+# as the last line of standard output
 _PROBE = """
 import json, sys
-%s
+%%s
 print(json.dumps([sorted(m for m in sys.modules
                          if m == "affchar" or m.startswith("affchar.")),
-                  "dataclasses" in sys.modules]))
-"""
+                  [m for m in %r if m in sys.modules]]))
+""" % (_WATCHED,)
 
 _RUN_CLI = "from affchar import cli\ncli.main(%r)"
 
@@ -36,8 +39,8 @@ def _loaded(code):
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", _PROBE % code], env=env,
                           capture_output=True, text=True, check=True)
-    modules, dataclasses = json.loads(proc.stdout.splitlines()[-1])
-    return {m.partition(".")[2] or "affchar" for m in modules}, dataclasses
+    modules, watched = json.loads(proc.stdout.splitlines()[-1])
+    return {m.partition(".")[2] or "affchar" for m in modules}, set(watched)
 
 
 def test_importing_the_package_loads_no_layer():
@@ -47,11 +50,15 @@ def test_importing_the_package_loads_no_layer():
 @pytest.mark.parametrize("argv", [
     "kl --coxeter-matrix [[1,3],[3,1]] --length-bound 3",
     "kl --coxeter-matrix [[1,4],[4,1]] --length-bound 4 --x 0 --y 0,1",
+    "antispherical --coxeter-matrix [[1,3,3],[3,1,3],[3,3,1]] "
+    "--length-bound 4 --parabolic 1,2 --w 0,1,2 --antispherical-param -1",
 ])
 def test_kl_loads_only_hecke(argv):
-    modules, dataclasses = _loaded(_RUN_CLI % argv.split())
+    # kl and antispherical jobs: every coefficient is an int, so no
+    # Fraction is built and neither fractions nor decimal is loaded
+    modules, watched = _loaded(_RUN_CLI % argv.split())
     assert modules == {"affchar", "cli", "errors", "hecke"}
-    assert not dataclasses
+    assert not watched
 
 
 @pytest.mark.parametrize("argv", [
@@ -68,9 +75,9 @@ def test_sugawara_check_loads_no_root_data():
     # the Sugawara oracle is sl2's, with its constants in closed form
     argv = ("sugawara-check --level=-1/2 --weight 1 --depth 2 --f0-bound 1 "
             "--modes 0 --lam-check 2")
-    modules, dataclasses = _loaded(_RUN_CLI % argv.split())
+    modules, watched = _loaded(_RUN_CLI % argv.split())
     assert modules == {"affchar", "cli", "errors", "sugawara"}
-    assert not dataclasses
+    assert "dataclasses" not in watched
 
 
 _BASE = {"affchar", "cli", "errors"}

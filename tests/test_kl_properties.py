@@ -18,7 +18,8 @@ or one or two generators and both parabolic parameters, and every row of
 the KL table must satisfy P_{x,y}(0) = 1 and the degree bound
 deg P_{x,y} <= (l(y) - l(x) - 1) / 2 for x < y.  On the same matrices,
 the ball of radius l(z) that a point query about z builds must give z the
-KL polynomials and parabolic canonical bases of the whole ball.
+KL polynomials and parabolic canonical bases of the whole ball.  Three
+theorems close the file: positivity, monotonicity and Carrell-Peterson.
 """
 
 from functools import lru_cache
@@ -197,3 +198,58 @@ def test_kl_polynomial_is_defined_exactly_on_the_interval():
                     assert not ball.leq(x, y)
                 else:
                     assert ball.leq(x, y) and poly.c.get(0) == 1
+
+
+# Three theorems of Kazhdan-Lusztig theory, on every group that hecke
+# accepts: its bonds 2, 3, 4, 6 and infinity each come from a generalized
+# Cartan matrix, so every such group is a Kac-Moody Weyl group.  None of
+# the three runs a second Hecke computation.  They are also the proof
+# obligation behind the packing width of the recursion (see hecke): the
+# width argument rests on positivity.
+
+@settings(max_examples=60)
+@given(coxeter_balls(max_elements=120), st.data())
+def test_canonical_bases_are_positive(ball, data):
+    # every h_{x,y} lies in N[v] (Elias-Williamson, Ann. of Math. 180
+    # (2014)), and so does every antispherical n_{x,w} for any J
+    # (Libedinsky-Williamson, The anti-spherical category); read through
+    # canonical_basis, which unpacks the recursion's coefficients
+    parabolic = data.draw(st.sets(st.integers(0, ball.n_gens - 1),
+                                  min_size=1), label="J")
+    for mod in (ParabolicModule(ball, ()),
+                ParabolicModule(ball, parabolic, "-1")):
+        for w in mod.minimal_elements():
+            for poly in mod.canonical_basis(w).values():
+                assert min(poly.c.values()) > 0
+
+
+@settings(max_examples=50)
+@given(coxeter_balls(max_elements=100))
+def test_kl_polynomials_are_monotone(ball):
+    # x <= y <= w implies P_{x,w} - P_{y,w} in N[q] (Irving, Ann. Sci.
+    # ENS 21 (1988), finite type; Braden-MacPherson, Math. Ann. 321
+    # (2001)), with x <= y read off the lifting-property intervals
+    els = ball.elements
+    for w in els:
+        p = {x: kl_polynomial(ball, els[x], w).c for x in ball._lower(w.id)}
+        for y, py in p.items():
+            for x in ball._lower(y):
+                px = p[x]
+                assert all(px.get(k, 0) >= a for k, a in py.items())
+
+
+@settings(max_examples=60)
+@given(coxeter_balls(max_elements=120))
+def test_carrell_peterson(ball):
+    # P_{x,w} = 1 for every x <= w iff the rank-generating function of
+    # [e, w] is palindromic (Carrell, Proc. Symp. Pure Math. 56 (1994)).
+    # [e, w] comes from BruhatBall._lower, which shares no code with the
+    # mu-recursion
+    els = ball.elements
+    for w in els:
+        below = ball._lower(w.id)
+        ranks = [0] * (w.length + 1)
+        for x in below:
+            ranks[els[x].length] += 1
+        smooth = all(kl_polynomial(ball, els[x], w) == 1 for x in below)
+        assert smooth == (ranks == ranks[::-1])

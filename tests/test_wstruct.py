@@ -4,7 +4,7 @@ import pytest
 
 from affchar.errors import DomainError
 from affchar.qseries import eta_factor, equal_to_order
-from affchar.wstruct import (generator_windows, ideal_jump,
+from affchar.wstruct import (_row_slots, generator_windows, ideal_jump,
                              vacuum_graded_character, vanishing_violations)
 from conftest import rand_fraction
 
@@ -132,3 +132,16 @@ def test_bigraded_serialization(sl2):
     assert csv.splitlines()[0] == "j,m,coefficient"
     with pytest.raises(DomainError):
         ch.coefficient(99, 0)
+
+
+def test_row_slots_closed_form():
+    # the slot charge of vacuum_graded_character against the explicit sum
+    # of the row widths limit(j) - lo + 1
+    for max_u in range(40):
+        for max_q in (0, 1, 7):
+            for neg in (0, 1, 2, 5, 11):
+                for kk_min in (1, 2, 3, 4, 7):
+                    lo = -neg * (max_u // kk_min)
+                    want = sum(max_q + neg * ((max_u - j) // kk_min) - lo + 1
+                               for j in range(max_u + 1))
+                    assert _row_slots(max_u, max_q, neg, kk_min) == want
