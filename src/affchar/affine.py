@@ -21,25 +21,40 @@ weights only through the dot action, folded one reflection at a time.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .rootdata import Level
+from .rootdata import Value, exact
 
 F = Fraction
 
 
-@dataclass(frozen=True)
-class LevelWeight:
-    rs: object
-    lam: tuple
-    level: Level
+class LevelWeight(Value):
+    """A weight lam at a level: omega-coordinates, each an int or a
+    Fraction, kept as Fractions."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(F(a) for a in self.lam))
-        if len(self.lam) != self.rs.rank:
+    __slots__ = ("rs", "lam", "level")
+
+    def __init__(self, rs, lam, level):
+        lam = tuple(lam)
+        if len(lam) != rs.rank:
             raise DomainError("weight has wrong number of coordinates")
+        for a in lam:
+            if a.__class__ is not F:
+                lam = tuple(exact(a, "weight coordinate") for a in lam)
+                break
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "level", level)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rs is other.rs and self.lam == other.lam
+                and self.level == other.level)
+
+    def __hash__(self):
+        return hash((self.rs, self.lam, self.level))
 
     def with_lam(self, lam):
         return LevelWeight(self.rs, lam, self.level)
@@ -53,10 +68,22 @@ class LevelWeight:
         return tuple(a + 1 for a in self.lam)
 
 
-@dataclass(frozen=True)
-class AffineCoroot:
-    gamma: tuple
-    m: int
+class AffineCoroot(Value):
+    """gamma + m (kappa/kappa_b) c: gamma an int tuple, m an int."""
+
+    __slots__ = ("gamma", "m")
+
+    def __init__(self, gamma, m):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gamma == other.gamma and self.m == other.m
+
+    def __hash__(self):
+        return hash((self.gamma, self.m))
 
     def negate(self):
         return AffineCoroot(tuple(-g for g in self.gamma), -self.m)
@@ -185,13 +212,14 @@ class AffineWeylGroup:
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Classification:
-    antidominant: bool
-    dominant: bool
-    regular: bool
-    walls: list
-    simple_pairings: dict
+    def __init__(self, antidominant, dominant, regular, walls,
+                 simple_pairings):
+        self.antidominant = antidominant
+        self.dominant = dominant
+        self.regular = regular
+        self.walls = walls                    # AffineCoroots
+        self.simple_pairings = simple_pairings  # index -> Fraction
 
     def to_json_dict(self):
         return {
@@ -302,10 +330,10 @@ def integrality_progression(pair_value, k):
     return (m0, qq)
 
 
-@dataclass
 class IntegralSystem:
-    simples: list
-    coxeter_matrix: list
+    def __init__(self, simples, coxeter_matrix):
+        self.simples = simples
+        self.coxeter_matrix = coxeter_matrix
 
 
 def integral_system(lw):
@@ -350,15 +378,16 @@ def _coxeter_matrix_of(rs, coroots):
 # orbits and blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OrbitResult:
-    points: list
-    representative: object
-    representative_kind: str
-    distance: object
-    truncated: bool
-    unique_in_ball: bool
-    walls: list
+    def __init__(self, points, representative, representative_kind,
+                 distance, truncated, unique_in_ball, walls):
+        self.points = points                    # LevelWeights, BFS order
+        self.representative = representative    # a LevelWeight or None
+        self.representative_kind = representative_kind
+        self.distance = distance                # an int or None
+        self.truncated = truncated
+        self.unique_in_ball = unique_in_ball
+        self.walls = walls
 
     def to_json_dict(self):
         return {
@@ -416,12 +445,13 @@ def orbit_and_representative(lw, length_bound):
     )
 
 
-@dataclass
 class Block:
-    representative_word: tuple
-    representative_weight: tuple
-    simple_labels: list
-    truncated: bool
+    def __init__(self, representative_word, representative_weight,
+                 simple_labels, truncated):
+        self.representative_word = representative_word
+        self.representative_weight = representative_weight
+        self.simple_labels = simple_labels  # (word, weight) pairs
+        self.truncated = truncated
 
     def to_json_dict(self):
         return {

@@ -18,11 +18,10 @@ oracle in affchar.sugawara pins the conformal-weight summand.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .rootdata import Level, casimir_eigenvalue
-from .qseries import QSeries, eta_factor
+from .rootdata import casimir_eigenvalue
+from .qseries import eta_factor
 from .affine import (classify_weight, dot_act_word, integral_system,
                      finite_antidominant_element,
                      finite_dominant_representative)
@@ -67,11 +66,11 @@ def hc_project(rs, lam, level):
     return CentralCharLabel(rs, level, finite_dominant_representative(rs, lam))
 
 
-@dataclass(frozen=True)
 class EnergyOffsets:
-    conformal_weight: Fraction  # c1 / (2(k + h_dual))
-    e_delta: Fraction
-    e_m: Fraction
+    def __init__(self, conformal_weight, e_delta, e_m):
+        self.conformal_weight = conformal_weight  # c1 / (2(k + h_dual))
+        self.e_delta = e_delta
+        self.e_m = e_m
 
 
 def energy_offsets(chi):
@@ -120,21 +119,19 @@ MODULE_KINDS = (VERMA, SIMPLE, DUAL_VERMA)
 KAC_MOODY, W_ALGEBRA = "kac_moody", "w_algebra"
 
 
-@dataclass(frozen=True)
 class ModuleLabel:
-    kind: str
-    side: str
-    parameter: object  # weight tuple on the Kac-Moody side, else a label
-    level: Level
-
-    def __post_init__(self):
-        if self.kind not in MODULE_KINDS:
-            raise DomainError("unknown module kind %r" % (self.kind,))
-        if self.side not in (KAC_MOODY, W_ALGEBRA):
-            raise DomainError("unknown side %r" % (self.side,))
-        if self.side == W_ALGEBRA and not isinstance(self.parameter,
-                                                     CentralCharLabel):
+    def __init__(self, kind, side, parameter, level):
+        if kind not in MODULE_KINDS:
+            raise DomainError("unknown module kind %r" % (kind,))
+        if side not in (KAC_MOODY, W_ALGEBRA):
+            raise DomainError("unknown side %r" % (side,))
+        if side == W_ALGEBRA and not isinstance(parameter, CentralCharLabel):
             raise DomainError("W-algebra labels carry central characters")
+        self.kind = kind
+        self.side = side
+        # a weight tuple on the Kac-Moody side, else a CentralCharLabel
+        self.parameter = parameter
+        self.level = level
 
 
 class PsiZero:
@@ -185,14 +182,16 @@ def psi_s_label(rs, label, w0_twist=False):
 # simple characters from the parabolic canonical basis
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SimpleCharacter:
-    series: QSeries
-    w_word: tuple
-    contributions: list   # (y word, integer coefficient, CentralCharLabel)
-    minimal_words: list
-    multiplicity_matrix: list
-    multiplicity_rule: str
+    def __init__(self, series, w_word, contributions, minimal_words,
+                 multiplicity_matrix, multiplicity_rule):
+        self.series = series
+        self.w_word = w_word
+        # (y word, integer coefficient, CentralCharLabel)
+        self.contributions = contributions
+        self.minimal_words = minimal_words
+        self.multiplicity_matrix = multiplicity_matrix
+        self.multiplicity_rule = multiplicity_rule
 
     @property
     def inverse_matrix(self):

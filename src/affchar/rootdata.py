@@ -20,7 +20,6 @@ Everything is immutable after construction and safe to share.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 
 from .errors import DomainError, check_step_budget
 
@@ -133,14 +132,51 @@ def _mat_inv(a):
     return [row[n:] for row in m]
 
 
-@dataclass(frozen=True)
-class Level:
+def exact(x, what):
+    """x as a Fraction: an int (not a bool) or a Fraction, kept as given.
+    Anything else, a float, a bool or a string, raises DomainError, so no
+    inexact number enters the arithmetic."""
+    if isinstance(x, F):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return F(x)
+    raise DomainError("%s must be an int or a Fraction, not %r" % (what, x))
+
+
+class Value:
+    """Base of the immutable value types (``Level``, ``affine.LevelWeight``,
+    ``affine.AffineCoroot``).  Each sets its slots once in ``__init__``
+    and compares and hashes field by field; assignment and deletion
+    raise AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+class Level(Value):
     """A level kappa = k * kappa_b, as the exact ratio k."""
 
-    k: Fraction
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", F(self.k))
+    def __init__(self, k):
+        object.__setattr__(self, "k", exact(k, "level"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self):
+        return hash((self.k,))
 
     def is_critical(self, rs):
         return self.k == -rs.h_dual

@@ -20,7 +20,6 @@ orientation the coefficient of u^j q^m vanishes whenever m > n j.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
@@ -56,18 +55,19 @@ def generator_windows(n, m, rs):
     return {i: (i * n, i * m) for i in range(1, h + 1)}
 
 
-@dataclass
 class BigradedCharacter:
     """Coefficients of the bigraded vacuum character, complete on the
     window u-degree <= max_u, energy <= max_q (and unbounded below)."""
 
-    cartan_type: str
-    n: int
-    convention: str
-    max_u: int
-    max_q: int
-    coeffs: dict  # (j, m) -> positive int
-    towers: list  # (kk degree, first energy)
+    def __init__(self, cartan_type, n, convention, max_u, max_q, coeffs,
+                 towers):
+        self.cartan_type = cartan_type
+        self.n = n
+        self.convention = convention
+        self.max_u = max_u
+        self.max_q = max_q
+        self.coeffs = coeffs  # (j, m) -> positive int
+        self.towers = towers  # (kk degree, first energy)
 
     def coefficient(self, j, m):
         if j > self.max_u:

@@ -122,4 +122,16 @@ def test_the_table_covers_every_subcommand():
                          ids=[argv.split()[0]
                               for argv, _ in _MODULES_BY_SUBCOMMAND])
 def test_each_subcommand_loads_exactly_its_layers(argv, modules):
-    assert _loaded(_RUN_CLI % argv.split())[0] == modules
+    # no job loads dataclasses: the value and record classes are plain
+    loaded, watched = _loaded(_RUN_CLI % argv.split())
+    assert loaded == modules
+    assert "dataclasses" not in watched
+
+
+def test_no_layer_imports_dataclasses():
+    import pkgutil
+    layers = sorted(m.name for m in pkgutil.iter_modules(affchar.__path__))
+    loaded, watched = _loaded("".join("import affchar.%s\n" % m
+                                      for m in layers))
+    assert loaded == {"affchar"} | set(layers)
+    assert "dataclasses" not in watched
