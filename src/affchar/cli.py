@@ -362,10 +362,12 @@ def _cmd_sugawara_check(job):
     a = _weight(job.require("weight"), "weight", 1)[0]
     depth = _positive_int(job.get("depth", 5), "depth")
     f0 = _positive_int(job.get("f0_bound", 2), "f0_bound")
-    lam_check = sug.CoweightData(_weight(job.get("lam_check", ["1"]),
-                                         "lam_check", 1))
+    x = _weight(job.get("lam_check", ["1"]), "lam_check", 1)[0]
     modes = _ints(job.get("modes", list(range(-2, 3))), "modes",
                   "a list of integers")
+    if not modes:
+        # a job that checks no mode must not report a pass
+        raise ConfigError("field 'modes' must name at least one mode")
     flip = _bool(job.get("flip_flow_sign", False), "flip_flow_sign")
     # the truncated Verma modules are affine sl2's: a type or rank given
     # must name it, and a job that gives neither is sl2
@@ -379,7 +381,7 @@ def _cmd_sugawara_check(job):
     rows = []
     all_passed = True
     for n in modes:
-        rep = sug.check_dss(module, lam_check, n, flip_sign=flip)
+        rep = sug.check_dss(module, x, n, flip_sign=flip)
         rows.append(rep.to_json_dict())
         all_passed = all_passed and rep.passed
     return {"basis_size": len(module.basis),

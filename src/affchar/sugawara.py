@@ -5,10 +5,11 @@ The module tracks PBW monomials
 
     f_0^j * prod e_{-n}^{a_n} h_{-n}^{b_n} f_{-n}^{c_n} |Lam>
 
-with total depth sum n (a_n + b_n + c_n) <= depth_bound and j <= f0_bound.
-Operator applications are straightened symbolically in the enveloping
-algebra first and truncated only on the final PBW expression, so a
-result is either exact or raises TruncationOverflow; no silent loss.
+with total depth sum n (a_n + b_n + c_n) <= depth_bound and j <= f0_bound,
+both bounds at most 8.  Operator applications are straightened
+symbolically in the enveloping algebra first and truncated only on the
+final PBW expression, so a result is either exact or raises
+TruncationOverflow; no silent loss.
 
 The Sugawara field is S(z) = sum S_n z^{-n-2} with
 
@@ -16,17 +17,18 @@ The Sugawara field is S(z) = sum S_n z^{-n-2} with
                                       + 1/2 :h_j h_{n-j}: ),
 
 positive modes to the right; on any tracked vector only finitely many
-terms act.  Spectral flow by an integral coweight lam_check of the
-adjoint torus sends e_m -> e_{m+p}, f_m -> f_{m-p} (p = <alpha,
-lam_check>) and h_0 -> h_0 + kappa(h, lam_check); the sign convention
-matches the adolescent-Whittaker one (flag `flip_sign` gives the
-opposite, Arakawa-style flow).
+terms act.
 
 The module is affine sl2's only: the structure constants are tabulated
-per letter, and the root data are in closed form.  h_dual = 2, and for
-lam_check = x omega_check, omega_check = alphacheck/2: <alpha, lam_check>
-= x, kappa(alphacheck, lam_check) = k x and kappa(lam_check, lam_check)
-= k x^2 / 2.
+per letter, and the root data are in closed form.  h_dual = 2, and a
+coweight of the adjoint torus is lam_check = x omega_check with
+omega_check = alphacheck/2 and x an integer, so <alpha, lam_check> = x,
+kappa(alphacheck, lam_check) = k x and kappa(lam_check, lam_check) =
+k x^2 / 2.  Spectral flow by lam_check is therefore fixed by the one
+integer p = x: it sends e_m -> e_{m+p}, f_m -> f_{m-p} and
+h_0 -> h_0 + k p, and every function here takes the flow as that
+integer.  The sign convention matches the adolescent-Whittaker one
+(`check_dss(..., flip_sign=True)` flows by -x, the Arakawa-style flow).
 
 Every PBW monomial the module reaches is interned once and numbered, the
 way `hecke.BruhatBall` numbers its elements: id 0 is |Lam>, and
@@ -38,8 +40,8 @@ count within the window).  Straightening, the Sugawara modes and
 one array lookup and the window check one flag lookup per entry, which
 raises TruncationOverflow with the monomial tuple as witness.  Tuples are
 built only at the public edges: `basis` (the window's monomials, sorted
-by depth), `apply_word`, `sugawara_mode(...).apply` and the mismatches of
-a `DssReport`.
+by depth), `apply_word`, the functions that `sugawara_mode` and
+`coweight_mode` return, and the mismatches of a `DssReport`.
 
 Every coefficient inside the module is a Python int.  With
 D = lcm(den a, den k), A = a D and K = k D, the straightened expansion
@@ -53,26 +55,31 @@ values are.  The Sugawara modes keep S_n mono times
 4 (k + h_dual) D**(2 + len(mono) - len(m)) (that is, with the prefactor
 1/(2(k + h_dual)) and the 1/2 of the h-tower cleared), and
 `check_dss` compares such integer dicts.  One routine,
-`_scaled_sugawara`, gives every Sugawara mode: S_n is its flow by the
-zero coweight; it plans the flowed terms that can act at each depth once
+`_scaled_sugawara(module, n, p)`, gives every Sugawara mode: S_n is its
+flow p = 0; it plans the flowed terms that can act at each depth once
 (int coefficient, left generator, right generator and their memos, with
 the h_0 flow scalar folded into the coefficient) and reuses the plan for
 every vector of that depth.  `check_dss` skips a vector iff any of its
 three sides (lam_check_n, S_n, Ad S_n) leaves the window, so the order of
 evaluation cannot change a report, and it evaluates the sides cheapest
-first: the one memoized generator h_n, then S_n, then Ad S_n.
+first: the one memoized generator h_n, then S_n, then Ad S_n.  Its
+constants are integer closed forms in K and K + 2 D = (k + h_dual) D, and
+before any straightening it charges the basis size times the planned
+terms per vector, which grow with |x|, against `errors.STEP_BUDGET` and
+`errors.SLOT_BUDGET`.
 
 Values are turned back into `Fraction` only at the public edges:
-`GradedModule.apply_word` (hence `coweight_mode`) and
-`sugawara_mode(...).apply` unscale each output entry once, and
-`check_dss` unscales its highest-weight eigenvalue once.
+`GradedModule.apply_word` (hence `coweight_mode`) and `sugawara_mode`
+unscale each output entry once, and `check_dss` unscales its
+highest-weight eigenvalue once.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, TruncationOverflow
+from .errors import (DomainError, TruncationOverflow, check_slot_budget,
+                     check_step_budget)
 
 F = Fraction
 
@@ -94,17 +101,15 @@ _BRACKET = {
 _KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 _RANK = {"e": 0, "h": 1, "f": 2}
 
+# the largest depth bound and f0 bound of a window; interning and
+# straightening recurse once per letter of a monomial, so every window
+# stays far inside the interpreter's recursion limit
+_MAX_BOUND = 8
+
 
 def _key(gen):
     letter, mode = gen
     return (-mode, _RANK[letter])
-
-
-def _integral(x):
-    """A Fraction that the D-scaling makes integral, as an int."""
-    if x.denominator != 1:
-        raise AssertionError("scaled coefficient %s is not an integer" % x)
-    return x.numerator
 
 
 def _bracket(g1, g2):
@@ -125,19 +130,19 @@ class GradedModule:
     weight Lam = a * omega."""
 
     def __init__(self, a, k, depth_bound, f0_bound):
-        if depth_bound > 8:
-            est = self._size_estimate(depth_bound, f0_bound)
+        if depth_bound > _MAX_BOUND or f0_bound > _MAX_BOUND:
             raise DomainError(
-                "depth bound %d exceeds the supported window "
-                "(estimated basis size %d)" % (depth_bound, est))
+                "window of depth %d and f0 bound %d exceeds the supported "
+                "bounds of %d each" % (depth_bound, f0_bound, _MAX_BOUND))
         self.a = F(a)
         self.k = F(k)
         if self.k == -2:
             raise DomainError("critical level k = -2 is excluded")
-        # the common denominator of the module's coefficients
+        # the common denominator of the module's coefficients, and
+        # A = a D and K = k D as ints
         self.D = lcm(self.a.denominator, self.k.denominator)
-        self.A = _integral(self.a * self.D)
-        self.K = _integral(self.k * self.D)
+        self.A = self.a.numerator * (self.D // self.a.denominator)
+        self.K = self.k.numerator * (self.D // self.k.denominator)
         # 4 (k + h_dual) D as an int; the Sugawara scaling of an entry m of
         # S_n mono is four_kh * D**(1 + len(mono) - len(m))
         self.four_kh = 4 * (self.K + _H_DUAL * self.D)
@@ -157,16 +162,6 @@ class GradedModule:
         self.intern(())
         self.basis = self._enumerate_basis()
         self.basis_ids = [self.intern(m) for m in self.basis]
-
-    @staticmethod
-    def _size_estimate(depth_bound, f0_bound):
-        # coefficients of prod (1-q^i)^{-3} times the zero-mode tail
-        coeffs = [1] + [0] * depth_bound
-        for i in range(1, depth_bound + 1):
-            for _ in range(3):
-                for n in range(i, depth_bound + 1):
-                    coeffs[n] += coeffs[n - i]
-        return sum(coeffs) * (f0_bound + 1)
 
     def _enumerate_basis(self):
         gens = [("e", -n) for n in range(1, self.depth_bound + 1)]
@@ -346,76 +341,10 @@ def build_truncated_verma(a, k, depth_bound, f0_bound):
     return m
 
 
-# ---------------------------------------------------------------------------
-# coweight data for twists
-# ---------------------------------------------------------------------------
-
-class CoweightData:
-    """An integral coweight of the adjoint torus for spectral flow:
-    lam_check = x omega_check, with coords = (x,)."""
-
-    def __init__(self, coords):
-        self.coords = coords  # fundamental-coweight coordinates
-
-    def __repr__(self):
-        return "CoweightData(coords=%r)" % (self.coords,)
-
-    def pairing_with_root(self):
-        """<alpha, lam_check> = x, an integer."""
-        x = F(self.coords[0])
-        if x.denominator != 1:
-            raise DomainError(
-                "coweight %r is not a cocharacter of the adjoint torus"
-                % (self.coords,))
-        return int(x)
-
-    def h_coefficient(self):
-        """The coefficient x/2 of alphacheck in lam_check."""
-        return F(self.coords[0]) / 2
-
-    def kappa_with_h(self, k):
-        """kappa(alphacheck, lam_check) = k x."""
-        return F(k) * self.coords[0]
-
-    def kappa_self(self, k):
-        """kappa(lam_check, lam_check) = k x^2 / 2."""
-        return F(k) * self.coords[0] ** 2 / 2
-
-
-RHO_CHECK = CoweightData((F(1),))
-ALPHA_CHECK = CoweightData((F(2),))
-
-
-class SpectralFlow:
-    """The automorphism Ad_{t^{lam_check}} on generator modes.
-
-    ``flip_sign`` selects the opposite flow (the Arakawa and
-    Frenkel-Kac-Wakimoto convention), i.e. the flow of -lam_check.
-    """
-
-    def __init__(self, module, lam_check, flip_sign=False):
-        if flip_sign:
-            lam_check = CoweightData(tuple(-c for c in lam_check.coords))
-        self.p = lam_check.pairing_with_root()
-        self.h_shift = lam_check.kappa_with_h(module.k)
-        self.kappa_self = lam_check.kappa_self(module.k)
-
-    def gen_image(self, gen):
-        """Ad(gen) as [(coeff, gen or None)]; None marks a scalar."""
-        letter, mode = gen
-        if letter == "e":
-            return [(F(1), ("e", mode + self.p))]
-        if letter == "f":
-            return [(F(1), ("f", mode - self.p))]
-        out = [(F(1), ("h", mode))]
-        if mode == 0 and self.h_shift != 0:
-            out.append((self.h_shift, None))
-        return out
-
-
-def _zero_flow(module):
-    """The flow by the zero coweight, the identity on generator modes."""
-    return SpectralFlow(module, CoweightData((F(0),)))
+# the coweights rho_check = omega_check and alpha_check = 2 omega_check of
+# sl2, by their x
+RHO_CHECK = 1
+ALPHA_CHECK = 2
 
 
 # ---------------------------------------------------------------------------
@@ -441,43 +370,34 @@ def _sugawara_terms(n, lo, hi):
     return out
 
 
-class ModeOperator:
-    """A mode operator with sparse action on the module basis."""
-
-    def __init__(self, module, label, degree, apply_fn):
-        self.module = module
-        self.label = label
-        self.degree = degree
-        self._apply = apply_fn
-
-    def apply(self, mono):
-        return self._apply(mono)
-
-    def __repr__(self):
-        return "ModeOperator(%s)" % (self.label,)
-
-
-def _scaled_sugawara(module, n, flow):
-    """id -> Ad_{t^{lam_check}} S_n monos[id] for the SpectralFlow `flow`
-    (S_n itself for the zero flow) as an {id: int} dict holding each
-    coefficient times 4 (k + h_dual) D**(2 + len(mono) - len(m)); raises
-    TruncationOverflow when the exact result leaves the window."""
+def _scaled_sugawara(module, n, p):
+    """id -> Ad_{t^{lam_check}} S_n monos[id] for the integral coweight
+    with <alpha, lam_check> = p (S_n itself for p = 0) as an {id: int}
+    dict holding each coefficient times 4 (k + h_dual) D**(2 + len(mono)
+    - len(m)); raises TruncationOverflow when the exact result leaves the
+    window."""
     if abs(n) > module.depth_bound:
         raise DomainError("|n| exceeds the depth window")
+    # the flow sends e_m -> e_{m+p}, f_m -> f_{m-p} and h_0 -> h_0 + k p;
     # a term is nonzero only if its first-acting flowed mode is at most
-    # the depth; flowing shifts e/f indices by at most |p|
-    pad = abs(flow.p)
-    shift = {"e": flow.p, "f": -flow.p, "h": 0}
+    # the depth, and flowing shifts e/f indices by at most |p|
+    pad = abs(p)
+    shift = {"e": p, "f": -p, "h": 0}
     # the flow scalar on h_0 stands where a generator would, so it
     # carries that generator's D
-    h_d = _integral(flow.h_shift * module.D)
+    h_d = _flow_constants(module, p)[0]
     apply_gen, depths, memo = module.apply_gen, module.depths, module._memo
     context = "S_%d" % n
     plans = {}
 
     def flowed(g):
-        return [(1, h) if h is not None else (h_d, None)
-                for _, h in flow.gen_image(g)]
+        """The flowed g as [(int coeff, gen or None)]; None marks the
+        h_0 scalar."""
+        letter, mode = g
+        out = [(1, (letter, mode + shift[letter]))]
+        if g == ("h", 0) and h_d:
+            out.append((h_d, None))
+        return out
 
     def plan(d):
         """The flowed terms that can act on a vector of depth d, as
@@ -527,30 +447,30 @@ def _scaled_sugawara(module, n, flow):
     return compute
 
 
-def sugawara_mode(module, n, twist=None):
-    """S_n as an exact operator; with `twist` (a SpectralFlow), the flowed
-    operator Ad_{t^{lam_check}} S_n (each factor flowed, same index set)."""
-    flow = _zero_flow(module) if twist is None else twist
-    scaled = _scaled_sugawara(module, n, flow)
+def sugawara_mode(module, n, p=0):
+    """S_n as an exact function mono -> {mono: Fraction}; with p != 0,
+    the flowed operator Ad_{t^{lam_check}} S_n for <alpha, lam_check> = p
+    (each factor flowed, same index set)."""
+    scaled = _scaled_sugawara(module, n, p)
     D, four_kh, monos = module.D, module.four_kh, module.monos
 
-    def apply_fn(mono):
+    def apply(mono):
         top = 2 + len(mono)
         return {monos[m]: F(c * D, four_kh * D ** (top - len(monos[m])))
                 for m, c in scaled(module.intern(tuple(mono))).items()}
 
-    label = "S_%d" % n if twist is None else "Ad S_%d" % n
-    return ModeOperator(module, label, n, apply_fn)
+    return apply
 
 
-def coweight_mode(module, lam_check, n):
-    """lam_check_n = x h_n for lam_check = x alphacheck."""
-    x = lam_check.h_coefficient()
+def coweight_mode(module, x, n):
+    """lam_check_n = (x/2) h_n for lam_check = x omega_check, as an exact
+    function mono -> {mono: Fraction}."""
+    half = F(x) / 2
 
-    def apply_fn(mono):
-        return {m: x * c for m, c in module.apply_word((("h", n),), mono).items()}
+    def apply(mono):
+        return {m: half * c for m, c in module.apply_word((("h", n),), mono).items()}
 
-    return ModeOperator(module, "lam_%d" % n, n, apply_fn)
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +478,11 @@ def coweight_mode(module, lam_check, n):
 # ---------------------------------------------------------------------------
 
 class DssReport:
-    """The outcome of one `check_dss` run; `mismatches` holds (mono,
-    lhs, rhs) with monomial tuples as keys."""
+    """The outcome of one `check_dss` run for lam_check = x omega_check;
+    `mismatches` holds (mono, lhs, rhs) with monomial tuples as keys."""
 
-    def __init__(self, lam_check, n, k, depth_bound):
-        self.lam_check = lam_check
+    def __init__(self, x, n, k, depth_bound):
+        self.x = x
         self.n = n
         self.k = k
         self.depth_bound = depth_bound
@@ -579,7 +499,7 @@ class DssReport:
 
     def to_json_dict(self):
         return {
-            "lam_check": [str(c) for c in self.lam_check],
+            "lam_check": [str(self.x)],
             "n": self.n,
             "k": str(self.k),
             "depth": self.depth_bound,
@@ -592,25 +512,50 @@ class DssReport:
         }
 
 
-def check_dss(module, lam_check, n, flip_sign=False):
-    """Assert Ad_{t^{lam_check}} S_n = S_n + lam_check_n
-    + delta_{n,0} kappa(lam_check, lam_check)/2 on every window vector
-    where both sides act exactly, and pin the flowed energy of the
-    highest-weight line.  Both sides are compared in the Sugawara
-    scaling of `_scaled_sugawara`."""
-    flow = SpectralFlow(module, lam_check, flip_sign)
-    lhs_op = _scaled_sugawara(module, n, flow)
-    rhs_s = _scaled_sugawara(module, n, _zero_flow(module))
-    h_n = ("h", n)
-    # lam_check_n = x h_n: apply_gen carries one D fewer than the
-    # Sugawara scaling, hence the multiplier x 4 (k + h_dual) D; the
-    # constant sits on mono itself, two powers of D
-    x = lam_check.h_coefficient()
-    lam_mult = _integral(x * module.four_kh)
-    const = (_integral(flow.kappa_self / 2 * module.four_kh
-                       * module.D) if n == 0 else 0)
+def _flow_constants(module, x):
+    """The integer constants of the flow by lam_check = x omega_check:
+    (K x, lam_mult, const) with K = k D and (k + h_dual) D = K + 2 D.
+    K x is k x, the h_0 flow scalar kappa(alphacheck, lam_check), with
+    the D of the generator it stands for.  lam_check_n = (x/2) h_n, and
+    apply_gen carries one D fewer than the Sugawara scaling
+    4 (k + h_dual) D, hence lam_mult = 2 x (K + 2 D).  The n = 0 constant
+    kappa(lam_check, lam_check)/2 = k x^2 / 4 sits on mono itself, two
+    powers of D: const = K x^2 (K + 2 D)."""
+    K = module.K
+    kh = K + _H_DUAL * module.D
+    return K * x, 2 * x * kh, K * x * x * kh
 
-    report = DssReport(lam_check.coords, n, module.k, module.depth_bound)
+
+def check_dss(module, x, n, flip_sign=False):
+    """Assert Ad_{t^{lam_check}} S_n = S_n + lam_check_n
+    + delta_{n,0} kappa(lam_check, lam_check)/2, lam_check = x omega_check,
+    on every window vector where both sides act exactly, and pin the
+    flowed energy of the highest-weight line.  ``flip_sign`` flows by
+    -lam_check instead (the Arakawa and Frenkel-Kac-Wakimoto convention)
+    while the identity stays stated for lam_check.  Both sides are
+    compared in the Sugawara scaling of `_scaled_sugawara`."""
+    x = F(x)
+    if x.denominator != 1:
+        raise DomainError(
+            "coweight %s omega_check is not a cocharacter of the adjoint "
+            "torus: x must be an integer" % x)
+    x = x.numerator
+    lhs_op = _scaled_sugawara(module, n, -x if flip_sign else x)
+    rhs_s = _scaled_sugawara(module, n, 0)
+    # each vector meets at most 3 (2 d + 2 |x| + |n| + 1) planned terms of
+    # the flowed side, each one straightening step that may intern one
+    # monomial with its memo entry; charged before any straightening
+    cost = (len(module.basis_ids) * 3
+            * (2 * module.depth_bound + 2 * abs(x) + abs(n) + 1))
+    what = "the spectral-flow check at x = %d, n = %d" % (x, n)
+    check_step_budget(what, cost)
+    check_slot_budget(what, cost)
+    h_n = ("h", n)
+    kx, lam_mult, const = _flow_constants(module, x)
+    if n != 0:
+        const = 0   # the constant is delta_{n,0}
+
+    report = DssReport(x, n, module.k, module.depth_bound)
     for i in module.basis_ids:
         try:
             # a vector is skipped iff some side leaves the window, so the
@@ -635,20 +580,17 @@ def check_dss(module, lam_check, n, flip_sign=False):
 
     # Flowed conformal weight of the unit line: flow by -lam_check and
     # apply S_0 + lam_check_0; the eigenvalue drops by kappa(l,l)/2.
-    neg = SpectralFlow(module, lam_check, flip_sign=True)
-    vec = _scaled_sugawara(module, 0, neg)(0)
-    # lam_check_0 = x h_0 flowed by -lam_check acts on the unit line by
-    # x (a + h_shift), which is lam_mult (A + h_shift D) in the scaling
+    vec = _scaled_sugawara(module, 0, -x)(0)
+    # lam_check_0 = (x/2) h_0 flowed by -lam_check acts on the unit line
+    # by (x/2) (a - k x), which is lam_mult (A - K x) in the scaling
     # 4 (k + h_dual) D of the unit entry (id 0 is |Lam>)
-    vec[0] = (vec.get(0, 0)
-              + lam_mult * (module.A + _integral(neg.h_shift * module.D)))
+    vec[0] = vec.get(0, 0) + lam_mult * (module.A - kx)
     if set(vec) - {0}:
         raise AssertionError("flowed energy operator does not fix the unit line")
     actual = F(vec[0], module.four_kh * module.D)
     # the Casimir eigenvalue of Lam = a omega is c1 = a (a + 2) / 2
     c1 = module.a * (module.a + 2) / 2
-    expected = (c1 / (2 * (module.k + _H_DUAL))
-                - lam_check.kappa_self(module.k) / 2)
+    expected = c1 / (2 * (module.k + _H_DUAL)) - module.k * x * x / 4
     report.hw_expected = expected
     report.hw_actual = actual
     return report

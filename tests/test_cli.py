@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -606,6 +607,36 @@ def test_sugawara_report_digest(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    # the straightening recurses once per letter of f_0^j
+    ("--depth 2 --f0-bound 1000 --modes=0", 2,
+     "domain error: window of depth 2 and f0 bound 1000 exceeds the "
+     "supported bounds of 8 each\n"),
+    # the planned terms grow with |x|, and each may hold one memo entry:
+    # over the step budget at 10^6, over the slot budget at 1000
+    ("--depth 4 --f0-bound 1 --lam-check=1000000", 3,
+     "resource exhausted: the spectral-flow check at x = 1000000, n = -2 "
+     "needs 1032005676 steps, over the budget of 100000000\n"),
+    ("--depth 4 --f0-bound 1 --lam-check=1000", 3,
+     "resource exhausted: the spectral-flow check at x = 1000, n = -2 "
+     "needs 1037676 coefficient slots, over the budget of 1000000\n"),
+])
+def test_oversized_sugawara_jobs_exit_at_once(capsys, argv, code, err):
+    t0 = time.monotonic()
+    got = run_cli(capsys, *("sugawara-check --level=1 --weight=0 "
+                            + argv).split())
+    assert time.monotonic() - t0 < 1.0
+    assert got == (code, "", err)
+
+
+def test_sugawara_window_at_the_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, *"sugawara-check --level=1 --weight=0 "
+                           "--depth 2 --f0-bound 8 --modes=0".split())
+    assert code == 0
+    data = json.loads(out)
+    assert data["basis_size"] == 9 * 13 and data["all_passed"]
+
+
 def test_non_simply_laced_real_coroots(capsys):
     # (gamma, m) with a long coroot gamma is real only for m divisible by
     # the lacing number: no wall here, and the B2 weight is one block
@@ -688,6 +719,11 @@ def test_malformed_word_exits_1(capsys, argv):
     # an unknown module kind is a config value outside its set, as for
     # character-verma
     ("psi-s --type A --rank 1 --level=-4 --weight=-2 --kind bogus", None),
+    # a job that checks no mode would report a pass
+    ("sugawara-check --level 1 --weight 0 --depth 2 --f0-bound 1 --modes=",
+     None),
+    ("sugawara-check --level 1 --weight 0 --depth 2 --f0-bound 1",
+     {"modes": []}),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()

@@ -7,11 +7,8 @@ from affchar.errors import DomainError, TruncationOverflow
 from affchar.qseries import eta_factor
 from affchar.rootdata import Level, build_root_system
 from affchar.characters import energy_offsets, hc_project
-from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, CoweightData,
-                              SpectralFlow,
-                              build_truncated_verma, check_dss,
-                              coweight_mode,
-                              sugawara_mode)
+from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, build_truncated_verma,
+                              check_dss, coweight_mode, sugawara_mode)
 from conftest import rand_fraction
 
 
@@ -52,6 +49,8 @@ def test_resource_bounds_rejected():
     with pytest.raises(DomainError):
         build_truncated_verma(0, 1, 9, 2)
     with pytest.raises(DomainError):
+        build_truncated_verma(0, 1, 2, 9)
+    with pytest.raises(DomainError):
         build_truncated_verma(0, -2, 3, 1)
     m = build_truncated_verma(0, 1, 2, 1)
     with pytest.raises(DomainError):
@@ -75,11 +74,11 @@ def test_straightening_avoids_spurious_overflow():
 
 def test_sugawara_vacuum_eigenvalues():
     m = build_truncated_verma(0, 1, 2, 1)
-    assert sugawara_mode(m, 0).apply(()) == {}
+    assert sugawara_mode(m, 0)(()) == {}
     m2 = build_truncated_verma(1, 1, 2, 1)
-    assert sugawara_mode(m2, 0).apply(()) == {(): F(1, 4)}
+    assert sugawara_mode(m2, 0)(()) == {(): F(1, 4)}
     for n in (1, 2):
-        assert sugawara_mode(m2, n).apply(()) == {}
+        assert sugawara_mode(m2, n)(()) == {}
 
 
 def test_sugawara_depth_one_conformal_weight():
@@ -87,7 +86,7 @@ def test_sugawara_depth_one_conformal_weight():
     s0 = sugawara_mode(m, 0)
     for mono in m.basis:
         if m.depth(mono) == 1 and m.f0_count(mono) == 0:
-            assert s0.apply(mono) == {mono: F(1)}
+            assert s0(mono) == {mono: F(1)}
 
 
 def test_sugawara_hw_matches_energy_offsets(rng):
@@ -97,60 +96,76 @@ def test_sugawara_hw_matches_energy_offsets(rng):
         if k == -2:
             continue
         m = build_truncated_verma(a, k, 0, 0)
-        val = sugawara_mode(m, 0).apply(()).get((), F(0))
+        val = sugawara_mode(m, 0)(()).get((), F(0))
         rs = build_root_system("A", 1)
         chi = hc_project(rs, (a,), Level(k))
         assert val == energy_offsets(chi).conformal_weight
 
 
 def test_spectral_flow_examples():
-    m = build_truncated_verma(0, 1, 3, 1)
-    tw = SpectralFlow(m, RHO_CHECK)
-    # h_0 shifts by kappa(h, rho_check) = k = 1 on the identity coset
-    assert tw.gen_image(("h", 0)) == [(F(1), ("h", 0)), (F(1), None)]
-    assert tw.gen_image(("e", -1)) == [(F(1), ("e", 0))]
-    assert tw.gen_image(("f", -1)) == [(F(1), ("f", -2))]
-    assert tw.gen_image(("h", 2)) == [(F(1), ("h", 2))]
-    assert tw.kappa_self == F(1, 2)
+    # Ad_{t^{lam_check}} S_0 = S_0 + lam_check_0 + kappa(lam_check,
+    # lam_check)/2 on |Lam>, a = 5, k = 1: 35/12 + (x/2) 5 + x^2/4
+    m = build_truncated_verma(F(5), 1, 0, 0)
+    for p, value in ((0, F(35, 12)), (1, F(17, 3)), (-1, F(2, 3)),
+                     (2, F(107, 12))):
+        assert sugawara_mode(m, 0, p)(()) == {(): value}
 
 
 def test_spectral_flow_zero_coweight_is_identity():
+    # x = 0 flows nothing: Ad S_n = S_n, no constant, no hw shift, and
+    # the flipped flow is the same flow
     m = build_truncated_verma(F(2, 3), F(5, 4), 3, 1)
-    tw = SpectralFlow(m, CoweightData((F(0),)))
-    for gen in [("e", -1), ("h", 0), ("f", 2), ("h", -2)]:
-        assert tw.gen_image(gen) == [(F(1), gen)]
-    rep = check_dss(m, CoweightData((F(0),)), 0)
-    assert rep.passed and rep.hw_expected == rep.hw_actual
+    hw = m.a * (m.a + 2) / 2 / (2 * (m.k + 2))
+    for n in range(-2, 3):
+        rep = check_dss(m, 0, n)
+        assert rep.passed and not rep.mismatches
+        assert rep.hw_expected == rep.hw_actual == hw
+        assert (check_dss(m, 0, n, flip_sign=True).to_json_dict()
+                == rep.to_json_dict())
 
 
 def test_spectral_flow_requires_adjoint_cocharacter():
     m = build_truncated_verma(0, 1, 2, 1)
-    with pytest.raises(DomainError):
-        SpectralFlow(m, CoweightData((F(1, 2),)))
+    with pytest.raises(DomainError, match="1/2 omega_check is not a "
+                                          "cocharacter of the adjoint torus"):
+        check_dss(m, F(1, 2), 0)
+
+
+def test_flip_sign_is_the_opposite_flow():
+    # the flipped check at x flows by -x, as the check at -x does, so both
+    # straighten the same three sides of every vector and skip the same
+    # vectors; the flipped check keeps the identity stated for +x, so
+    # apart from lam_check its report is that of -x save for the
+    # mismatches it finds
+    m = build_truncated_verma(F(1, 3), F(-1, 2), 3, 1)
+    for x in (1, 2, -1):
+        for n in range(-2, 3):
+            flipped = check_dss(m, x, n, flip_sign=True).to_json_dict()
+            straight = check_dss(m, -x, n).to_json_dict()
+            assert straight["passed"] and not flipped["passed"]
+            assert (flipped.pop("lam_check"), straight.pop("lam_check")) == (
+                [str(x)], [str(-x)])
+            for key in ("mismatches", "passed"):
+                flipped.pop(key), straight.pop(key)
+            assert flipped == straight
 
 
 def test_spectral_flow_flip_sign():
-    m = build_truncated_verma(0, 1, 2, 1)
-    tw = SpectralFlow(m, RHO_CHECK, flip_sign=True)
-    assert tw.gen_image(("e", 0)) == [(F(1), ("e", -1))]
-    assert tw.kappa_self == F(1, 2)
-    assert tw.h_shift == -1
-
-
-def test_spectral_flow_involution_on_operators():
-    m = build_truncated_verma(F(1, 3), F(3, 2), 3, 1)
-    pos = SpectralFlow(m, RHO_CHECK)
-    neg = SpectralFlow(m, CoweightData((F(-1),)))
-    for gen in [("e", -2), ("f", 1), ("h", 0), ("h", -1)]:
-        out = {}
-        for c1, g1 in neg.gen_image(gen):
-            if g1 is None:
-                out[None] = out.get(None, F(0)) + c1
-                continue
-            for c2, g2 in pos.gen_image(g1):
-                out[g2] = out.get(g2, F(0)) + c1 * c2
-        out = {g: c for g, c in out.items() if c != 0}
-        assert out == {gen: F(1)}
+    # with l_n = (x/2) h_n, Ad_{t^{-x}} S_n = S_n - l_n + c and
+    # Ad_{t^{x}} S_n = S_n + l_n + c: the flipped checks at x and -x
+    # each find the other's two sides, swapped, on every vector that
+    # both test
+    m = build_truncated_verma(F(1, 3), F(-1, 2), 3, 1)
+    for x in (1, 2):
+        for n in range(-2, 3):
+            mine = {mono: (lhs, rhs) for mono, lhs, rhs
+                    in check_dss(m, x, n, flip_sign=True).mismatches}
+            other = {mono: (rhs, lhs) for mono, lhs, rhs
+                     in check_dss(m, -x, n, flip_sign=True).mismatches}
+            common = mine.keys() & other.keys()
+            assert common
+            assert ({v: mine[v] for v in common}
+                    == {v: other[v] for v in common})
 
 
 def test_check_dss_small_grid():
@@ -162,30 +177,22 @@ def test_check_dss_small_grid():
             assert rep.tested > 0 and not rep.mismatches
 
 
-def test_flip_sign_is_the_opposite_flow():
-    m = build_truncated_verma(0, 1, 3, 1)
-    flipped = SpectralFlow(m, CoweightData((F(-1),)), flip_sign=True)
-    straight = SpectralFlow(m, RHO_CHECK)
-    for gen in [("e", -2), ("e", 0), ("f", 1), ("h", 0), ("h", -1)]:
-        assert flipped.gen_image(gen) == straight.gen_image(gen)
-
-
 def apply_vec(op, vec):
     """op applied to a sparse vector {monomial: coefficient}."""
     out = {}
     for mono, c in vec.items():
-        for m2, c2 in op.apply(mono).items():
+        for m2, c2 in op(mono).items():
             out[m2] = out.get(m2, F(0)) + c * c2
     return {m: c for m, c in out.items() if c != 0}
 
 
-def action_table(op):
+def action_table(op, module):
     """Sparse action table of op on the module basis; entries that
     overflow the window map to the TruncationOverflow marker."""
     t = {}
-    for mono in op.module.basis:
+    for mono in module.basis:
         try:
-            t[mono] = op.apply(mono)
+            t[mono] = op(mono)
         except TruncationOverflow as exc:
             t[mono] = exc
     return t
@@ -194,9 +201,8 @@ def action_table(op):
 def test_mode_operator_table():
     m = build_truncated_verma(0, 1, 2, 1)
     s1 = sugawara_mode(m, 1)
-    table = action_table(s1)
+    table = action_table(s1, m)
     assert set(table) == set(m.basis)
-    assert s1.degree == 1
 
 
 def test_virasoro_commutators():
@@ -206,9 +212,9 @@ def test_virasoro_commutators():
         smn = sugawara_mode(m, mm + nn)
         for mono in m.basis:
             try:
-                lhs = apply_vec(sm, sn.apply(mono))
-                rhs = apply_vec(sn, sm.apply(mono))
-                expect = {x: (mm - nn) * c for x, c in smn.apply(mono).items()}
+                lhs = apply_vec(sm, sn(mono))
+                rhs = apply_vec(sn, sm(mono))
+                expect = {x: (mm - nn) * c for x, c in smn(mono).items()}
             except TruncationOverflow:
                 continue
             diff = dict(lhs)
@@ -222,7 +228,7 @@ def test_virasoro_commutators():
 def test_coweight_mode_on_hw():
     m = build_truncated_verma(F(5), 1, 1, 1)
     l0 = coweight_mode(m, RHO_CHECK, 0)
-    assert l0.apply(()) == {(): F(5, 2)}  # <Lam, rho_check> = a/2
+    assert l0(()) == {(): F(5, 2)}  # <Lam, rho_check> = a/2
 
 
 @pytest.mark.parametrize("a, k", [(F(1, 3), F(-1, 2)), (F(3, 4), F(2, 3))])
@@ -231,7 +237,7 @@ def test_check_dss_non_integral_weight_and_level(a, k):
     # the flow scalar K c and both check multipliers are all exercised
     m = build_truncated_verma(a, k, 4, 1)
     assert m.D > 1 and m.A != 0
-    for lam in (RHO_CHECK, ALPHA_CHECK, CoweightData((F(-1),))):
+    for lam in (RHO_CHECK, ALPHA_CHECK, -1):
         for n in range(-2, 3):
             rep = check_dss(m, lam, n)
             assert rep.passed

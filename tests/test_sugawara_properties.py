@@ -7,9 +7,11 @@ g . head . rest = head . (g . rest) + [g, head] . rest, h_0 acts on the
 highest-weight vector by a, and the central term of [x_m, y_{-m}] is
 m k kappa_b(x, y).  S_n is summed over every mode pair whose first-acting
 factor can reach the vector, with the 1/2 on the whole h-tower and the
-prefactor 1/(2(k + 2)) applied at the end.  The weight a and the level k
-are drawn with coprime denominators, so the module's common denominator
-D = lcm(den a, den k) is a product and every scaled path is exercised.
+prefactor 1/(2(k + 2)) applied at the end.  Spectral flow by p has its
+own images here (`flow_images`): e_{m+p}, f_{m-p}, and h_0 plus the
+scalar k p.  The weight a and the level k are drawn with coprime
+denominators, so the module's common denominator D = lcm(den a, den k)
+is a product and every scaled path is exercised.
 
 `check_dss` is checked against a reference that straightens all three
 sides of every vector, in the order Ad S_n, S_n, lam_check_n, with the
@@ -24,14 +26,34 @@ from hypothesis import example, given, settings, strategies as st
 
 from affchar.errors import DomainError, TruncationOverflow
 from affchar.rootdata import build_root_system, casimir_eigenvalue
-from affchar.sugawara import (_BRACKET, ALPHA_CHECK, RHO_CHECK,
-                              CoweightData, GradedModule, SpectralFlow,
-                              _integral, _is_creation, _key, _sugawara_terms,
-                              _zero_flow, check_dss,
+from affchar.sugawara import (_BRACKET, GradedModule, _flow_constants,
+                              _is_creation, _key, _sugawara_terms, check_dss,
                               sugawara_mode)
 
 _KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 LETTERS = ("e", "h", "f")
+# the coweights x omega_check drawn: rho_check, minus rho_check, alpha_check
+COWEIGHTS = [1, -1, 2]
+
+
+def _integral(q):
+    """A Fraction that the D-scaling makes integral, as an int."""
+    assert q.denominator == 1, q
+    return q.numerator
+
+
+def flow_images(g, p, k):
+    """The flow by <alpha, lam_check> = p on one generator mode, as
+    [(coeff, gen or None)]: e_m -> e_{m+p}, f_m -> f_{m-p}, h_m -> h_m,
+    and h_0 gains the scalar k p, marked by None."""
+    letter, mode = g
+    if letter == "e":
+        return [(1, ("e", mode + p))]
+    if letter == "f":
+        return [(1, ("f", mode - p))]
+    if mode == 0 and p != 0:
+        return [(1, g), (k * p, None)]
+    return [(1, g)]
 
 
 class FractionStraightening:
@@ -91,13 +113,13 @@ class FractionStraightening:
             vec = nxt
         return self.check_window({m: c for m, c in vec.items() if c != 0})
 
-    def sugawara(self, n, mono, twist=None):
-        """S_n mono, or Ad S_n mono with `twist`."""
-        pad = 0 if twist is None else abs(twist.p)
+    def sugawara(self, n, mono, p=0):
+        """S_n mono, or Ad S_n mono for the flow by p != 0."""
+        pad = abs(p)
         d = self.module.depth(mono)
 
         def images(g):
-            return [(F(1), g)] if twist is None else twist.gen_image(g)
+            return flow_images(g, p, self.k)
 
         terms = []
         for j in range(n - d - pad - 1, d + pad + 2):
@@ -164,34 +186,32 @@ def test_apply_word_matches_fraction_reference(ak, data):
 
 @settings(max_examples=60)
 @given(weight_and_level(), st.integers(-2, 2),
-       st.sampled_from([None, RHO_CHECK, ALPHA_CHECK,
-                        CoweightData((F(-1),))]),
-       st.booleans(), st.data())
-def test_sugawara_modes_match_fraction_reference(ak, n, lam, flip, data):
+       st.sampled_from([0] + COWEIGHTS), st.booleans(), st.data())
+def test_sugawara_modes_match_fraction_reference(ak, n, x, flip, data):
     a, k = ak
     module = GradedModule(a, k, 3, 1)
     ref = FractionStraightening(module)
-    twist = (None if lam is None
-             else SpectralFlow(module, lam, flip_sign=flip))
-    op = sugawara_mode(module, n, twist=twist)
+    p = -x if flip else x
+    op = sugawara_mode(module, n, p)
     for _ in range(5):
         mono = data.draw(st.sampled_from(module.basis))
-        got = outcome(op.apply, mono)
-        assert got == outcome(ref.sugawara, n, mono, twist)
+        got = outcome(op, mono)
+        assert got == outcome(ref.sugawara, n, mono, p)
         if got != "overflow":
             assert all(type(c) is F for c in got.values())
 
 
-def reference_scaled_sugawara(module, n, flow):
-    """The per-vector `_scaled_sugawara`: the terms, the first-acting mode
-    filter and the flow images are rebuilt for every vector."""
-    pad = abs(flow.p)
-    shift = {"e": flow.p, "f": -flow.p, "h": 0}
-    h_d = _integral(flow.h_shift * module.D)
+def reference_scaled_sugawara(module, n, p):
+    """The per-vector `_scaled_sugawara` for the flow by p: the terms, the
+    first-acting mode filter and the flow images are rebuilt for every
+    vector."""
+    pad = abs(p)
+    shift = {"e": p, "f": -p, "h": 0}
 
     def images(g):
-        return [(1, h) if h is not None else (h_d, None)
-                for _, h in flow.gen_image(g)]
+        # the h_0 scalar stands where a generator would, with its D
+        return [(c if h is not None else _integral(c * module.D), h)
+                for c, h in flow_images(g, p, module.k)]
 
     def compute(mono):
         i = module.intern(mono)
@@ -215,15 +235,15 @@ def reference_scaled_sugawara(module, n, flow):
     return compute
 
 
-def reference_check_dss(module, lam, n, flip):
+def reference_check_dss(module, x, n, flip):
     """`check_dss` with every side of every vector straightened, in the
     order Ad S_n, S_n, lam_check_n; a vector is skipped iff one of them
-    leaves the window."""
-    flow = SpectralFlow(module, lam, flip_sign=flip)
-    lhs_op = reference_scaled_sugawara(module, n, flow)
-    rhs_s = reference_scaled_sugawara(module, n, _zero_flow(module))
-    lam_mult = _integral(lam.h_coefficient() * module.four_kh)
-    const = (_integral(flow.kappa_self / 2 * module.four_kh * module.D)
+    leaves the window.  Its constants are the `Fraction` values scaled:
+    lam_check_n = (x/2) h_n and kappa(lam_check, lam_check)/2 = k x^2/4."""
+    lhs_op = reference_scaled_sugawara(module, n, -x if flip else x)
+    rhs_s = reference_scaled_sugawara(module, n, 0)
+    lam_mult = _integral(F(x, 2) * module.four_kh)
+    const = (_integral(module.k * x * x / 4 * module.four_kh * module.D)
              if n == 0 else 0)
 
     def h_n_side(mono):
@@ -248,44 +268,41 @@ def reference_check_dss(module, lam, n, flip):
         if lhs != rhs:
             mismatches.append((mono, lhs, rhs))
         tested += 1
-    neg = SpectralFlow(module, lam, flip_sign=True)
-    vec = dict(reference_scaled_sugawara(module, 0, neg)(()))
+    vec = dict(reference_scaled_sugawara(module, 0, -x)(()))
     vec[()] = (vec.get((), 0)
-               + lam_mult * (module.A + _integral(neg.h_shift * module.D)))
+               + lam_mult * _integral((module.a - module.k * x) * module.D))
     assert set(vec) <= {()}
     return tested, skipped, mismatches, F(vec[()], module.four_kh * module.D)
 
 
 @settings(max_examples=24)
-@given(weight_and_level(),
-       st.sampled_from([RHO_CHECK, CoweightData((F(-1),)), ALPHA_CHECK]),
+@given(weight_and_level(), st.sampled_from(COWEIGHTS),
        st.booleans(), st.integers(-2, 2), st.sampled_from((4, 3, 2, 1)),
        st.sampled_from((2, 1, 0)))
-def test_check_dss_matches_every_side_reference(ak, lam, flip, n, depth, f0):
+def test_check_dss_matches_every_side_reference(ak, x, flip, n, depth, f0):
     a, k = ak
     depth = max(depth, abs(n))
     tested, skipped, mismatches, hw = reference_check_dss(
-        GradedModule(a, k, depth, f0), lam, n, flip)
-    rep = check_dss(GradedModule(a, k, depth, f0), lam, n, flip_sign=flip)
+        GradedModule(a, k, depth, f0), x, n, flip)
+    rep = check_dss(GradedModule(a, k, depth, f0), x, n, flip_sign=flip)
     assert (rep.tested, rep.skipped) == (tested, skipped)
     assert rep.mismatches == mismatches
     assert rep.hw_actual == hw == rep.hw_expected
 
 
 @settings(max_examples=30)
-@given(weight_and_level(),
-       st.sampled_from([RHO_CHECK, CoweightData((F(-1),)), ALPHA_CHECK]),
+@given(weight_and_level(), st.sampled_from(COWEIGHTS),
        st.booleans(), st.integers(-2, 2), st.sampled_from((3, 2, 1)),
        st.sampled_from((2, 1, 0)))
-@example((F(1), F(1)), RHO_CHECK, False, -1, 2, 1)
-def test_monomial_ids_round_trip_with_their_gradings(ak, lam, flip, n, depth,
+@example((F(1), F(1)), 1, False, -1, 2, 1)
+def test_monomial_ids_round_trip_with_their_gradings(ak, x, flip, n, depth,
                                                      f0):
     # every monomial a check interns keeps its tuple, and the depth and
     # window flag stored at interning are those of the tuple
     a, k = ak
     depth = max(depth, abs(n))
     module = GradedModule(a, k, depth, f0)
-    check_dss(module, lam, n, flip_sign=flip)
+    check_dss(module, x, n, flip_sign=flip)
     assert module.monos[0] == ()
     assert [module.monos[i] for i in module.basis_ids] == module.basis
     assert len(set(module.monos)) == len(module.monos)
@@ -305,27 +322,30 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 @settings(max_examples=200)
 @given(rationals, rationals.filter(lambda k: k != -2), rationals)
 def test_closed_forms_match_the_root_data_route(x, k, a):
-    # the sl2 constants of `CoweightData` and of the highest-weight line,
-    # against the general root-data route they replaced
+    # the integer constants of the flow by lam_check = x omega_check and
+    # the hw line, against the general root-data route they replaced
     rs = build_root_system("A", 1)
-    lam = CoweightData((x,))
-    p = rs.pair_weight_coweight(rs.root_to_weight_coords((F(1),)), lam.coords)
-    if p.denominator == 1:
-        assert lam.pairing_with_root() == p
-        assert type(lam.pairing_with_root()) is int
-    else:
-        with pytest.raises(DomainError):
-            lam.pairing_with_root()
-    kappa_h = k * rs.coweight_form(rs.simple_coroots[0], lam.coords)
-    kappa_self = k * rs.coweight_form(lam.coords, lam.coords)
-    closed = (lam.h_coefficient(), lam.kappa_with_h(k), lam.kappa_self(k))
-    assert closed == (rs.coweight_to_coroot_coords(lam.coords)[0], kappa_h,
-                      kappa_self)
-    assert all(type(c) is F for c in closed)
+    module = GradedModule(a, k, 0, 0)
+    # the e/f shift is <alpha, lam_check> = x, so x must be an integer
+    alpha = rs.root_to_weight_coords((F(1),))
+    assert rs.pair_weight_coweight(alpha, (x,)) == x
+    if x.denominator != 1:
+        with pytest.raises(DomainError, match="not a cocharacter"):
+            check_dss(module, x, 0)
+    n = x.numerator
+    lam = (F(n),)
+    # K x, lam_mult and const are kappa(alphacheck, lam_check), the
+    # alphacheck coefficient of lam_check and kappa(lam_check,
+    # lam_check)/2, each in its D-scaling
+    kappa_self = k * rs.coweight_form(lam, lam)
+    closed = _flow_constants(module, n)
+    assert all(type(c) is int for c in closed)
+    assert closed == (
+        k * rs.coweight_form(rs.simple_coroots[0], lam) * module.D,
+        rs.coweight_to_coroot_coords(lam)[0] * module.four_kh,
+        kappa_self / 2 * module.four_kh * module.D)
     # the expected hw shift of an integral coweight, through c1(a)
-    integral = CoweightData((F(x.numerator),))
-    rep = check_dss(GradedModule(a, k, 0, 0), integral, 0)
+    rep = check_dss(module, n, 0)
     c1 = casimir_eigenvalue(rs, (a,))
-    kappa_int = k * rs.coweight_form(integral.coords, integral.coords)
-    assert rep.hw_expected == c1 / (2 * (k + rs.h_dual)) - kappa_int / 2
+    assert rep.hw_expected == c1 / (2 * (k + rs.h_dual)) - kappa_self / 2
     assert rep.hw_expected == rep.hw_actual
