@@ -183,9 +183,6 @@ class AffineWeylGroup:
         self.coxeter_matrix = _coxeter_matrix_of(
             rs, [self.simple_coroots[i] for i in range(rs.rank + 1)])
 
-    def dot_act(self, word, lw):
-        return dot_act_word(lw, self.simple_coroots, word)
-
     def ball(self, length_bound):
         """All elements of length <= length_bound, in ShortLex order."""
         from .hecke import BruhatBall

@@ -111,48 +111,16 @@ def ds_transform(series, rs):
 
 
 # ---------------------------------------------------------------------------
-# module labels and the reduction functor on labels
+# the reduction functor on labels
 # ---------------------------------------------------------------------------
 
-VERMA, SIMPLE, DUAL_VERMA = "verma", "simple", "dual_verma"
-MODULE_KINDS = (VERMA, SIMPLE, DUAL_VERMA)
-KAC_MOODY, W_ALGEBRA = "kac_moody", "w_algebra"
+MODULE_KINDS = ("verma", "simple", "dual_verma")
 
 
-class ModuleLabel:
-    def __init__(self, kind, side, parameter, level):
-        if kind not in MODULE_KINDS:
-            raise DomainError("unknown module kind %r" % (kind,))
-        if side not in (KAC_MOODY, W_ALGEBRA):
-            raise DomainError("unknown side %r" % (side,))
-        if side == W_ALGEBRA and not isinstance(parameter, CentralCharLabel):
-            raise DomainError("W-algebra labels carry central characters")
-        self.kind = kind
-        self.side = side
-        # a weight tuple on the Kac-Moody side, else a CentralCharLabel
-        self.parameter = parameter
-        self.level = level
-
-
-class PsiZero:
-    """The zero module as a label."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Zero"
-
-
-ZERO = PsiZero()
-
-
-def psi_s_label(rs, label, w0_twist=False):
-    """Where the reduction functor sends a Kac-Moody-side label.
+def psi_s(rs, kind, lam, level, w0_twist=False):
+    """The central character of the image, under the reduction functor, of
+    the Kac-Moody module of kind ``kind`` and highest weight lam, or None
+    when the image is zero.  The image has the same kind as its input.
 
     Vermas go to Vermas and dual Vermas to dual Vermas with the projected
     central character.  A simple of highest weight Lam survives exactly
@@ -161,21 +129,15 @@ def psi_s_label(rs, label, w0_twist=False):
     is read off the antidominant orbit translate of Lam, the convention
     for the non-abstract Cartan.  The critical level is excluded.
     """
-    if label.side != KAC_MOODY:
-        raise DomainError("psi_s_label expects a Kac-Moody-side label")
-    label.level.require_noncritical(rs)
-    lam = tuple(F(a) for a in label.parameter)
-    chi = hc_project(rs, lam, label.level)
-    if label.kind == VERMA:
-        return ModuleLabel(VERMA, W_ALGEBRA, chi, label.level)
-    if label.kind == DUAL_VERMA:
-        return ModuleLabel(DUAL_VERMA, W_ALGEBRA, chi, label.level)
-    test = finite_antidominant_element(rs, lam) if w0_twist else lam
-    for i in range(rs.rank):
-        v = F(test[i])
-        if v.denominator == 1 and v >= 0:
-            return ZERO
-    return ModuleLabel(SIMPLE, W_ALGEBRA, chi, label.level)
+    if kind not in MODULE_KINDS:
+        raise DomainError("unknown module kind %r" % (kind,))
+    level.require_noncritical(rs)
+    lam = tuple(F(a) for a in lam)
+    if kind == "simple":
+        test = finite_antidominant_element(rs, lam) if w0_twist else lam
+        if any(v.denominator == 1 and v >= 0 for v in test):
+            return None
+    return hc_project(rs, lam, level)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ _CHOICES = {
     "energy_sign": ("wstruct", "CONVENTIONS"),
 }
 
+_FORMATS = ("json", "tsv", "pretty")
+
 
 class ConfigError(Exception):
     pass
@@ -160,6 +162,10 @@ class Job:
                 raise ConfigError("field %r must be one of %s, not %r"
                                   % (key, ", ".join(allowed), cfg[key]))
         self.cfg = cfg
+        # checked here, so a bad format never runs the job first
+        self.format = str(self.get("format", "json"))
+        if self.format not in _FORMATS:
+            raise ConfigError("unknown format %r" % (self.format,))
 
     def get(self, key, default=None):
         return self.cfg.get(key, default)
@@ -347,13 +353,13 @@ def _cmd_psi_s(job):
     rs = job.root_system()
     level = job.level()
     lam = _weight(job.require("weight"), "weight", rs.rank)
-    label = chars.ModuleLabel(kind, chars.KAC_MOODY, lam, level)
-    image = chars.psi_s_label(rs, label, w0_twist=_bool(job.get("w0_twist", False), "w0_twist"))
-    if image is chars.ZERO:
+    chi = chars.psi_s(rs, kind, lam, level,
+                      w0_twist=_bool(job.get("w0_twist", False), "w0_twist"))
+    if chi is None:
         return {"input_kind": kind, "image": "zero"}
     return {"input_kind": kind,
-            "image": {"kind": image.kind, "side": image.side,
-                      "chi": image.parameter.to_json_dict()}}
+            "image": {"kind": kind, "side": "w_algebra",
+                      "chi": chi.to_json_dict()}}
 
 
 def _cmd_sugawara_check(job):
@@ -430,21 +436,25 @@ _COMMANDS = {
 # reports
 # ---------------------------------------------------------------------------
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+
+
+def _escape(value):
+    return (str(value).replace("\\", "\\\\").replace("\t", "\\t")
+            .replace("\n", "\\n"))
+
+
 def emit_report(result, fmt="json"):
+    """The report as text.  A tsv or pretty value is kept on its line:
+    each backslash, tab and newline in it is written as \\\\, \\t or \\n."""
     if fmt == "json":
         return json.dumps(result, sort_keys=True, separators=(",", ": "),
                           indent=1) + "\n"
-    if fmt == "tsv":
-        lines = []
-        for key, value in sorted(_flatten(result)):
-            lines.append("%s\t%s" % (key, value))
-        return "\n".join(lines) + "\n"
-    if fmt == "pretty":
-        lines = []
-        for key, value in sorted(_flatten(result)):
-            lines.append("%-48s %s" % (key, value))
-        return "\n".join(lines) + "\n"
-    raise ConfigError("unknown format %r" % (fmt,))
+    if fmt not in _FORMATS:
+        raise ConfigError("unknown format %r" % (fmt,))
+    line = "%s\t%s\n" if fmt == "tsv" else "%-48s %s\n"
+    return "".join(line % (key, _escape(value))
+                   for key, value in sorted(_flatten(result)))
 
 
 def _flatten(value, prefix=""):
@@ -464,11 +474,12 @@ def _flatten(value, prefix=""):
 def parse_tsv(text):
     """Inverse of the tsv emitter: {flattened key: string value}."""
     out = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line:
             continue
         key, _, value = line.partition("\t")
-        out[key] = value
+        out[key] = re.sub(r"\\([\\tn])", lambda m: _UNESCAPES[m.group(1)],
+                          value)
     return out
 
 
@@ -479,8 +490,7 @@ def _build_parser():
         description="exact affine Weyl / Kazhdan-Lusztig / W-algebra "
                     "character computations")
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--format", choices=("json", "tsv", "pretty"),
-                        default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     for key in sorted(_KNOWN_KEYS - {"format"}):
         parser.add_argument("--%s" % key.replace("_", "-"), dest=key,
@@ -502,8 +512,7 @@ def main(argv=None):
         job = Job(args)
         result = _COMMANDS[args.subcommand](job)
         result["conventions"] = job.conventions()
-        fmt = args.format or str(job.get("format", "json"))
-        sys.stdout.write(emit_report(result, fmt))
+        sys.stdout.write(emit_report(result, job.format))
         return 0
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)

@@ -120,9 +120,6 @@ class LaurentPoly:
     def __neg__(self):
         return LaurentPoly({p: -a for p, a in self.c.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly({p: a * other for p, a in self.c.items()})
@@ -138,9 +135,6 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly({0: other})
         return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
 
     @property
     def is_zero(self):

@@ -1,9 +1,10 @@
 """Exact formal q-series q^{e0} * sum a_n q^n with rational offset.
 
-Coefficients are integers, offsets exact rationals.  Truncation is
-explicit: a series knows its coefficients a_0 .. a_N relative to the
-offset and refuses comparisons past what it knows.  Arithmetic
-propagates truncation pessimistically (min of the operands).
+Coefficients are ints and offsets ints or Fractions; anything else, a
+float or a bool, raises DomainError.  Truncation is explicit: a series
+knows its coefficients a_0 .. a_N relative to the offset and refuses
+comparisons past what it knows.  Arithmetic propagates truncation
+pessimistically (min of the operands).
 
 Series are normalized: a_0 != 0 unless the series is zero; leading
 zeros are folded into the offset, which keeps equality a plain
@@ -14,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, check_step_budget
+from .rootdata import exact
 
 F = Fraction
 
@@ -22,14 +24,18 @@ class QSeries:
     __slots__ = ("offset", "coeffs", "trunc")
 
     def __init__(self, offset, coeffs, trunc=None):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if type(c) is not int:
+                raise DomainError("q-series coefficients must be ints, not %r"
+                                  % (c,))
         if trunc is None:
             trunc = len(coeffs) - 1
         if trunc < -1:
             raise DomainError("negative truncation order")
         coeffs = coeffs[:trunc + 1]
         coeffs += [0] * (trunc + 1 - len(coeffs))
-        offset = F(offset)
+        offset = exact(offset, "q-series offset")
         # normalize: fold leading zeros into the offset
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
@@ -47,22 +53,6 @@ class QSeries:
     @property
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def coefficient(self, power):
-        """Coefficient of q^power, power an exact rational; errors past
-        the known window."""
-        power = F(power)
-        if self.is_zero:
-            return 0
-        rel = power - self.offset
-        if rel.denominator != 1:
-            return 0
-        rel = int(rel)
-        if rel < 0:
-            return 0
-        if rel > self.trunc:
-            raise DomainError("coefficient of q^%s beyond truncation" % power)
-        return self.coeffs[rel]
 
     # -- ring operations -------------------------------------------------
 
@@ -109,7 +99,7 @@ class QSeries:
 
     def shift(self, power):
         """Multiply by q^power."""
-        return QSeries(self.offset + F(power), self.coeffs, self.trunc)
+        return QSeries(self.offset + power, self.coeffs, self.trunc)
 
     # -- comparison --------------------------------------------------------
 

@@ -372,14 +372,6 @@ def build_root_system(type_label, rank):
     return RootSystem(type_label, int(rank))
 
 
-def form_value(rs, level, x, y):
-    """kappa(x, y) = k * kappa_b(x, y) on coweights in omega-check
-    coordinates."""
-    if len(x) != rs.rank or len(y) != rs.rank:
-        raise DomainError("coweight dimension mismatch with rank %d" % rs.rank)
-    return level.k * rs.coweight_form(x, y)
-
-
 def casimir_eigenvalue(rs, lam):
     """c1(Lam) = (Lam, Lam + 2 rho) under the basic-form normalization.
 

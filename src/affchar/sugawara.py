@@ -40,8 +40,8 @@ count within the window).  Straightening, the Sugawara modes and
 one array lookup and the window check one flag lookup per entry, which
 raises TruncationOverflow with the monomial tuple as witness.  Tuples are
 built only at the public edges: `basis` (the window's monomials, sorted
-by depth), `apply_word`, the functions that `sugawara_mode` and
-`coweight_mode` return, and the mismatches of a `DssReport`.
+by depth), `apply_word`, the functions that `sugawara_mode` returns,
+and the mismatches of a `DssReport`.
 
 Every coefficient inside the module is a Python int.  With
 D = lcm(den a, den k), A = a D and K = k D, the straightened expansion
@@ -69,9 +69,8 @@ terms per vector, which grow with |x|, against `errors.STEP_BUDGET` and
 `errors.SLOT_BUDGET`.
 
 Values are turned back into `Fraction` only at the public edges:
-`GradedModule.apply_word` (hence `coweight_mode`) and `sugawara_mode`
-unscale each output entry once, and `check_dss` unscales its
-highest-weight eigenvalue once.
+`GradedModule.apply_word` and `sugawara_mode` unscale each output entry
+once, and `check_dss` unscales its highest-weight eigenvalue once.
 """
 
 from collections import defaultdict
@@ -341,12 +340,6 @@ def build_truncated_verma(a, k, depth_bound, f0_bound):
     return m
 
 
-# the coweights rho_check = omega_check and alpha_check = 2 omega_check of
-# sl2, by their x
-RHO_CHECK = 1
-ALPHA_CHECK = 2
-
-
 # ---------------------------------------------------------------------------
 # Sugawara modes
 # ---------------------------------------------------------------------------
@@ -458,17 +451,6 @@ def sugawara_mode(module, n, p=0):
         top = 2 + len(mono)
         return {monos[m]: F(c * D, four_kh * D ** (top - len(monos[m])))
                 for m, c in scaled(module.intern(tuple(mono))).items()}
-
-    return apply
-
-
-def coweight_mode(module, x, n):
-    """lam_check_n = (x/2) h_n for lam_check = x omega_check, as an exact
-    function mono -> {mono: Fraction}."""
-    half = F(x) / 2
-
-    def apply(mono):
-        return {m: half * c for m, c in module.apply_word((("h", n),), mono).items()}
 
     return apply
 

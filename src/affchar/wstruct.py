@@ -69,15 +69,6 @@ class BigradedCharacter:
         self.coeffs = coeffs  # (j, m) -> positive int
         self.towers = towers  # (kk degree, first energy)
 
-    def coefficient(self, j, m):
-        if j > self.max_u:
-            raise DomainError("u-degree %d beyond computed window" % j)
-        if self.convention == "appendix" and m > self.max_q:
-            raise DomainError("energy %s beyond computed window" % (m,))
-        if self.convention == "kernel" and -m > self.max_q:
-            raise DomainError("energy %s beyond computed window" % (m,))
-        return self.coeffs.get((j, m), 0)
-
     def u_one_series(self, trunc):
         """The q-series at u = 1, exact to the requested order; only
         meaningful when every mode has positive energy and the u-window
@@ -108,12 +99,6 @@ class BigradedCharacter:
             "towers": [{"kk_degree": kk, "first_energy": e} for kk, e in self.towers],
             "coefficients": items,
         }
-
-    def to_csv(self):
-        lines = ["j,m,coefficient"]
-        for (j, m), c in sorted(self.coeffs.items()):
-            lines.append("%d,%d,%d" % (j, m, c))
-        return "\n".join(lines) + "\n"
 
 
 def _horner_levels(max_u, kk, depth):

@@ -13,18 +13,17 @@ import pytest
 
 from affchar.rootdata import Level, build_root_system, casimir_eigenvalue
 from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
-                            block_decomposition, classify_weight, dot_pair,
-                            dot_reflect, finite_dominant_representative,
+                            block_decomposition, classify_weight,
+                            dot_act_word, dot_pair, dot_reflect,
+                            finite_dominant_representative,
                             orbit_and_representative)
-from affchar.characters import (KAC_MOODY, SIMPLE, VERMA, ZERO, ModuleLabel,
-                                ch_simple_W, ch_verma_Oprime, ch_verma_W,
+from affchar.characters import (ch_simple_W, ch_verma_Oprime, ch_verma_W,
                                 ds_transform, energy_offsets, hc_project,
-                                psi_s_label)
+                                psi_s)
 from affchar.hecke import (LaurentPoly, ParabolicModule, build_ball,
                            kl_polynomial, kl_polynomial_via_solve)
 from affchar.qseries import equal_to_order, eta_factor
-from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, build_truncated_verma,
-                              check_dss, sugawara_mode)
+from affchar.sugawara import build_truncated_verma, check_dss, sugawara_mode
 from affchar.wstruct import (generator_windows, ideal_jump,
                              vacuum_graded_character, vanishing_violations)
 
@@ -73,7 +72,8 @@ def test_criterion_02_spectral_flow():
     cache = {}
     for k in (F(1), F(-1, 2), F(-3)):
         module = build_truncated_verma(0, k, 5, 2)
-        for lam in (RHO_CHECK, ALPHA_CHECK, 2):
+        # rho^ = omega^, alpha^ = 2 omega^ and 2 rho^, by their x
+        for lam in (1, 2, 2):
             for n in range(-2, 3):
                 key = (k, lam, n)
                 if key in cache:
@@ -230,7 +230,7 @@ def test_criterion_07_weight_combinatorics():
                 covered.add(lam)
                 label_count += 1
         orbit = {finite_dominant_representative(
-                     SL2, group.dot_act(el.word, lw).lam)
+                     SL2, dot_act_word(lw, group.simple_coroots, el.word).lam)
                  for el in ball.all_elements()}
         # disjoint (no label repeats across blocks) and covering
         ok = ok and label_count == len(covered) == len(orbit)
@@ -250,15 +250,13 @@ def test_criterion_08_psi_s_rules():
             lam = (F(rng.randint(-8, 8)),)
         else:
             lam = (_rand_fraction(rng),)
-        verma = psi_s_label(SL2, ModuleLabel(VERMA, KAC_MOODY, lam, lvl))
-        ok = ok and verma.kind == VERMA
-        ok = ok and verma.parameter == hc_project(SL2, lam, lvl)
-        simple = psi_s_label(SL2, ModuleLabel(SIMPLE, KAC_MOODY, lam, lvl))
+        ok = ok and psi_s(SL2, "verma", lam, lvl) == hc_project(SL2, lam, lvl)
+        simple = psi_s(SL2, "simple", lam, lvl)
         pairing = lam[0]
         dies = pairing.denominator == 1 and pairing >= 0
-        ok = ok and (simple is ZERO) == dies
-        if simple is not ZERO:
-            ok = ok and simple.parameter == hc_project(SL2, lam, lvl)
+        ok = ok and (simple is None) == dies
+        if simple is not None:
+            ok = ok and simple == hc_project(SL2, lam, lvl)
     _report(8, "reduction label map sends Vermas to Vermas with matching "
                "projection and kills a simple exactly when some finite "
                "pairing is a nonnegative integer, 50 random weights", ok)

@@ -6,8 +6,9 @@ from affchar.errors import DomainError
 from affchar.rootdata import Level, build_root_system
 from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
                             block_decomposition, classify_weight, dot_pair,
-                            dot_reflect, finite_dominant_representative,
-                            integral_system, integrality_progression,
+                            dot_act_word, dot_reflect,
+                            finite_dominant_representative, integral_system,
+                            integrality_progression,
                             is_real_coroot, orbit_and_representative,
                             reflect_coroot, simple_affine_coroots)
 from conftest import integral_coroots, rand_fraction, rand_weight
@@ -64,12 +65,12 @@ def test_involution_and_sign_flip(sl2, sl3, rng):
 def test_dot_act_examples(sl2):
     g = AffineWeylGroup(sl2, Level(F(-3)))
     lw = lw2(sl2, 0, -3)
-    assert g.dot_act((), lw).lam == lw.lam
-    assert g.dot_act((1, 1), lw).lam == lw.lam
-    assert g.dot_act((0, 0), lw).lam == lw.lam
-    assert g.dot_act((0,), lw).lam == (F(-4),)
+    assert dot_act_word(lw, g.simple_coroots, ()).lam == lw.lam
+    assert dot_act_word(lw, g.simple_coroots, (1, 1)).lam == lw.lam
+    assert dot_act_word(lw, g.simple_coroots, (0, 0)).lam == lw.lam
+    assert dot_act_word(lw, g.simple_coroots, (0,)).lam == (F(-4),)
     with pytest.raises(DomainError):
-        g.dot_act((2,), lw)
+        dot_act_word(lw, g.simple_coroots, (2,))
 
 
 def test_dot_act_is_group_action(sl3, rng):
@@ -79,7 +80,9 @@ def test_dot_act_is_group_action(sl3, rng):
     for i in range(0, 20, 2):
         u, v = words[i], words[i + 1]
         lw = LevelWeight(sl3, rand_weight(rng, 2), Level(F(-7, 2)))
-        assert g.dot_act(u + v, lw).lam == g.dot_act(u, g.dot_act(v, lw)).lam
+        cr = g.simple_coroots
+        assert (dot_act_word(lw, cr, u + v).lam
+                == dot_act_word(dot_act_word(lw, cr, v), cr, u).lam)
 
 
 def test_braid_relations_affine_a2(sl3, rng):
@@ -92,8 +95,10 @@ def test_braid_relations_affine_a2(sl3, rng):
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         assert ball.key_of((i, j) * 3) == ball.key_of(())
         assert ball.key_of((i, j, i)) == ball.key_of((j, i, j))
-        assert g.dot_act((i, j) * 3, lw).lam == lw.lam
-        assert g.dot_act((i, j, i), lw).lam == g.dot_act((j, i, j), lw).lam
+        cr = g.simple_coroots
+        assert dot_act_word(lw, cr, (i, j) * 3).lam == lw.lam
+        assert (dot_act_word(lw, cr, (i, j, i)).lam
+                == dot_act_word(lw, cr, (j, i, j)).lam)
 
 
 def test_critical_level_rejected(sl2):
@@ -318,7 +323,8 @@ def test_blocks_partition_and_cover(sl2):
         for _, lam in b.simple_labels:
             member_weights.add(lam)
     orbit_weights = {
-        finite_dominant_representative(sl2, group.dot_act(el.word, lw).lam)
+        finite_dominant_representative(
+            sl2, dot_act_word(lw, group.simple_coroots, el.word).lam)
         for el in ball.all_elements()}
     assert member_weights == orbit_weights
 

@@ -15,7 +15,8 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
-                            classify_weight, dot_pair, integral_system,
+                            classify_weight, dot_act_word, dot_pair,
+                            integral_system,
                             is_real_coroot, simple_affine_coroots)
 from affchar.rootdata import Level, build_root_system
 from conftest import integral_coroots, reflection_simples, root_of_coroot
@@ -99,7 +100,8 @@ def test_ball_and_dot_action_match_affine_maps(lw, bound):
     assert ball.counts_by_length() == counts
     assert len(ball) == len(words)
     for a, word in words.items():
-        assert group.dot_act(word, lw).lam == apply(a, lw.lam)
+        assert (dot_act_word(lw, group.simple_coroots, word).lam
+                == apply(a, lw.lam))
 
 
 @SETTINGS

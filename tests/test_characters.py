@@ -5,11 +5,10 @@ import pytest
 from affchar.errors import DomainError
 from affchar.rootdata import Level, build_root_system
 from affchar.affine import LevelWeight
-from affchar.characters import (KAC_MOODY, MULTIPLICITY_RULES, SIMPLE,
-                                VERMA, DUAL_VERMA, ZERO, ModuleLabel,
-                                ch_simple_W, ch_verma_Oprime,
-                                ch_verma_W, ds_exponent, ds_transform,
-                                energy_offsets, hc_project, psi_s_label)
+from affchar.characters import (MULTIPLICITY_RULES, ch_simple_W,
+                                ch_verma_Oprime, ch_verma_W, ds_exponent,
+                                ds_transform, energy_offsets, hc_project,
+                                psi_s)
 from affchar.qseries import eta_factor, equal_to_order
 from conftest import finite_dot_orbit, rand_fraction, rand_weight
 
@@ -118,13 +117,12 @@ def test_ds_transform_zero(sl2):
 
 def test_psi_s_examples(sl2):
     lvl = Level(F(-3))
-    assert psi_s_label(sl2, ModuleLabel(SIMPLE, KAC_MOODY, (F(0),), lvl)) is ZERO
-    img = psi_s_label(sl2, ModuleLabel(SIMPLE, KAC_MOODY, (F(-1),), lvl))
-    assert img is not ZERO and img.kind == SIMPLE
-    img = psi_s_label(sl2, ModuleLabel(VERMA, KAC_MOODY, (F(5),), lvl))
-    assert img.kind == VERMA and img.parameter == hc_project(sl2, (F(5),), lvl)
-    img = psi_s_label(sl2, ModuleLabel(DUAL_VERMA, KAC_MOODY, (F(5),), lvl))
-    assert img.kind == DUAL_VERMA
+    assert psi_s(sl2, "simple", (F(0),), lvl) is None
+    assert (psi_s(sl2, "simple", (F(-1),), lvl)
+            == hc_project(sl2, (F(-1),), lvl))
+    chi = hc_project(sl2, (F(5),), lvl)
+    assert psi_s(sl2, "verma", (F(5),), lvl) == chi
+    assert psi_s(sl2, "dual_verma", (F(5),), lvl) == chi
 
 
 def test_psi_s_commutes_with_projection(sl2, rng):
@@ -132,28 +130,24 @@ def test_psi_s_commutes_with_projection(sl2, rng):
     for _ in range(50):
         lam = rand_weight(rng, 1)
         chi = hc_project(sl2, lam, lvl)
-        img = psi_s_label(sl2, ModuleLabel(VERMA, KAC_MOODY, lam, lvl))
-        assert img.parameter == chi
-        img2 = psi_s_label(sl2, ModuleLabel(VERMA, KAC_MOODY, chi.rep, lvl))
-        assert img2.parameter == chi
+        assert psi_s(sl2, "verma", lam, lvl) == chi
+        assert psi_s(sl2, "verma", chi.rep, lvl) == chi
 
 
-def test_psi_s_rejects_w_side(sl2):
-    lvl = Level(F(-3))
-    chi = hc_project(sl2, (F(0),), lvl)
-    from affchar.characters import W_ALGEBRA
-    lbl = ModuleLabel(VERMA, W_ALGEBRA, chi, lvl)
+def test_psi_s_rejects_unknown_kind_and_critical_level(sl2):
+    for kind in ("w_algebra", "Verma", ""):
+        with pytest.raises(DomainError, match="unknown module kind"):
+            psi_s(sl2, kind, (F(0),), Level(F(-3)))
     with pytest.raises(DomainError):
-        psi_s_label(sl2, lbl)
+        psi_s(sl2, "verma", (F(0),), Level(F(-2)))
 
 
 def test_psi_s_w0_twist_flag(sl2):
     lvl = Level(F(-3))
     # Lam = 1: pairing 1 is a nonnegative integer, dies untwisted; the
     # twisted test reads the antidominant translate -3, which survives
-    lbl = ModuleLabel(SIMPLE, KAC_MOODY, (F(1),), lvl)
-    assert psi_s_label(sl2, lbl) is ZERO
-    assert psi_s_label(sl2, lbl, w0_twist=True) is not ZERO
+    assert psi_s(sl2, "simple", (F(1),), lvl) is None
+    assert psi_s(sl2, "simple", (F(1),), lvl, w0_twist=True) is not None
 
 
 def chain_weight(sl2):

@@ -294,6 +294,56 @@ def test_tsv_round_trip(capsys):
         {k: str(v) for k, v in flat.items()}
 
 
+# nested reports with identifier keys and int, string or list values,
+# where a string may hold any character
+_LEAVES = st.integers() | st.text()
+_REPORT_VALUES = _LEAVES | st.lists(_LEAVES, max_size=3)
+_IDENTIFIERS = st.text("abcxyz_", min_size=1, max_size=3)
+_REPORTS = st.recursive(
+    st.dictionaries(_IDENTIFIERS, _REPORT_VALUES, max_size=4),
+    lambda inner: st.dictionaries(_IDENTIFIERS, _REPORT_VALUES | inner,
+                                  max_size=4),
+    max_leaves=10)
+
+
+@given(_REPORTS)
+def test_tsv_round_trips_any_string(report):
+    assert (parse_tsv(emit_report(report, "tsv"))
+            == {k: str(v) for k, v in _flatten(report)})
+
+
+def test_multi_line_values_survive_tsv_and_pretty(capsys):
+    # a full kl table is one value of many lines; each report line keeps
+    # one key, and parsing the tsv gives the json report's values back
+    argv = ("kl", "--coxeter-matrix", "[[1,3],[3,1]]", "--length-bound", "2")
+    _, report, _ = run_cli(capsys, *argv)
+    data = json.loads(report)
+    assert data["pairs"] == 13
+    code, out, _ = run_cli(capsys, "--format", "tsv", *argv)
+    assert code == 0
+    parsed = parse_tsv(out)
+    assert parsed["table_tsv"] == data["table_tsv"]
+    assert parsed == {k: str(v) for k, v in _flatten(data)}
+    code, out, _ = run_cli(capsys, "--format", "pretty", *argv)
+    assert code == 0 and len(out.splitlines()) == len(parsed)
+
+
+def test_bad_config_format_exits_before_the_job_runs(tmp_path, capsys,
+                                                     monkeypatch):
+    from affchar import hecke
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the job ran before its format was checked")
+
+    monkeypatch.setattr(hecke.BruhatBall, "__init__", no_ball)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg), "kl", "--coxeter-matrix",
+        "[[1,null,null],[null,1,null],[null,null,1]]", "--length-bound", "10")
+    assert (code, out, err) == (1, "", "config error: unknown format 'xml'\n")
+
+
 def test_pretty_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "pretty", "roots", "--type",
                            "G", "--rank", "2")
@@ -886,11 +936,33 @@ _FUZZ_CHOICES = {
 }
 _FUZZ_SIZES = {"length_bound": 4, "trunc": 8, "depth": 2}
 
+# any JSON value, with integers kept to sizes every job runs quickly at
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5)
+# Coxeter matrices: symmetric ones with bonds in and outside 2, 3, 4, 6
+# and null (infinity), and ragged or mistyped rows, entries and matrices
+_BONDS = (st.sampled_from([2, 3, 4, 6, None]) | st.integers(-2, 9)
+          | st.booleans() | st.text(max_size=2) | st.floats())
+_SYMMETRIC = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.sampled_from([2, 3, 4, 6, None, 0, 5]), min_size=n * n,
+    max_size=n * n).map(lambda e: [
+        [1 if i == j else e[n * min(i, j) + max(i, j)] for j in range(n)]
+        for i in range(n)]))
+_COXETER_MATRICES = (_SYMMETRIC | st.lists(st.lists(_BONDS, max_size=4),
+                                           max_size=4)
+                     | st.lists(_BONDS, max_size=4) | _BONDS)
+
 
 @st.composite
 def _fuzzed_jobs(draw):
     """A job of every subcommand with some choice keys and sizes set,
-    given as flags or in a config file (where the job's own flags win)."""
+    given as flags or in a config file (where the job's own flags win);
+    a kl or antispherical job may get any Coxeter matrix, and a config
+    file any JSON value for any key."""
     argv = draw(st.sampled_from(_EVERY_SUBCOMMAND)).split()
     keys = {}
     for key, values in _FUZZ_CHOICES.items():
@@ -899,7 +971,14 @@ def _fuzzed_jobs(draw):
     for key, top in _FUZZ_SIZES.items():
         if draw(st.booleans()):
             keys[key] = draw(st.integers(0, top))
-    return argv, keys, draw(st.booleans())
+    if argv[0] in ("kl", "antispherical") and draw(st.booleans()):
+        del argv[1:3]  # the job's own --coxeter-matrix
+        keys["coxeter_matrix"] = draw(_COXETER_MATRICES)
+    via_config = draw(st.booleans())
+    if via_config:
+        any_key = st.sampled_from(sorted(cli._KNOWN_KEYS))
+        keys.update(draw(st.dictionaries(any_key, _JSON, max_size=6)))
+    return argv, keys, via_config
 
 
 @settings(max_examples=150)
@@ -914,7 +993,9 @@ def test_fuzzed_jobs_exit_with_a_documented_code(job):
                 json.dump(keys, fh)
             argv = ["--config", cfg] + argv
         else:
-            argv = argv + ["--%s=%s" % (key.replace("_", "-"), value)
+            argv = argv + ["--%s=%s" % (key.replace("_", "-"),
+                                        value if isinstance(value, str)
+                                        else json.dumps(value))
                            for key, value in keys.items()]
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)

@@ -108,6 +108,23 @@ def test_add_requires_integer_offset_gap():
     assert clipped.offset == F(1, 2) and list(clipped.coeffs) == [1, 1]
 
 
+@pytest.mark.parametrize("offset, coeffs", [
+    (0, [F(1, 2), 2, 1]), (0, [1, 2.7]), (0, [True, 1]), (0, [1, None]),
+    (0, ["1"]), (0.1, [1]), (True, [1]), ("1/2", [1]), (None, [1]),
+])
+def test_inexact_input_is_rejected(offset, coeffs):
+    # a non-int coefficient or a non-exact offset is never truncated
+    with pytest.raises(DomainError):
+        QSeries(offset, coeffs)
+    with pytest.raises(DomainError):
+        QSeries(offset, coeffs, 5)
+
+
+def test_shift_by_a_float_is_rejected():
+    with pytest.raises(DomainError):
+        QSeries(0, [1]).shift(0.5)
+
+
 def test_subtraction_cancellation_renormalizes():
     a = QSeries(2, [5, 1, 1])
     b = QSeries(2, [5, 1, 0])
@@ -135,15 +152,6 @@ def test_ring_axioms_random():
             assert equal_to_order(lhs, rhs, min(lhs.trunc, rhs.trunc))
         ab, ba = a * b, b * a
         assert equal_to_order(ab, ba, min(ab.trunc, ba.trunc))
-
-
-def test_coefficient_lookup():
-    s = QSeries(F(-1, 2), [3, 0, 7], 2)
-    assert s.coefficient(F(-1, 2)) == 3
-    assert s.coefficient(F(3, 2)) == 7
-    assert s.coefficient(F(1, 3)) == 0
-    with pytest.raises(DomainError):
-        s.coefficient(F(5, 2))
 
 
 def test_geometric_and_text():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from affchar.errors import DomainError, TruncationOverflow
 from affchar.rootdata import (Level, _mat_inv, build_root_system,
-                              casimir_eigenvalue, form_value)
+                              casimir_eigenvalue)
 from conftest import coweight_form_on_coroots, rand_fraction, rand_weight
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("B", 2), ("B", 3),
@@ -132,13 +132,12 @@ def test_rank_over_the_step_budget_is_refused_before_any_work():
 
 def test_form_examples(sl2):
     acheck = sl2.simple_coroots[0]
-    assert form_value(sl2, Level(F(1)), acheck, acheck) == 2
+    assert Level(F(1)).k * sl2.coweight_form(acheck, acheck) == 2
     for k in (F(1), F(-7, 3), F(5, 2)):
-        assert form_value(sl2, Level(k), sl2.rho_check, sl2.rho_check) == k / 2
-        zero = form_value(sl2, Level(F(0)), acheck, sl2.rho_check)
+        assert (Level(k).k * sl2.coweight_form(sl2.rho_check, sl2.rho_check)
+                == k / 2)
+        zero = Level(F(0)).k * sl2.coweight_form(acheck, sl2.rho_check)
         assert zero == 0
-    with pytest.raises(DomainError):
-        form_value(sl2, Level(F(1)), (1, 2), acheck)
 
 
 def test_form_bilinear_exact(sl3, rng):
@@ -148,10 +147,13 @@ def test_form_bilinear_exact(sl3, rng):
         y = rand_weight(rng, 2)
         z = rand_weight(rng, 2)
         a = rand_fraction(rng)
-        lhs = form_value(sl3, lvl, tuple(a * xi + yi for xi, yi in zip(x, y)), z)
-        rhs = a * form_value(sl3, lvl, x, z) + form_value(sl3, lvl, y, z)
+        lhs = lvl.k * sl3.coweight_form(
+            tuple(a * xi + yi for xi, yi in zip(x, y)), z)
+        rhs = (a * lvl.k * sl3.coweight_form(x, z)
+               + lvl.k * sl3.coweight_form(y, z))
         assert lhs == rhs
-        assert form_value(sl3, lvl, x, y) == form_value(sl3, lvl, y, x)
+        assert (lvl.k * sl3.coweight_form(x, y)
+                == lvl.k * sl3.coweight_form(y, x))
 
 
 def test_casimir_examples(sl2):

@@ -7,8 +7,7 @@ from affchar.errors import DomainError, TruncationOverflow
 from affchar.qseries import eta_factor
 from affchar.rootdata import Level, build_root_system
 from affchar.characters import energy_offsets, hc_project
-from affchar.sugawara import (ALPHA_CHECK, RHO_CHECK, build_truncated_verma,
-                              check_dss, coweight_mode, sugawara_mode)
+from affchar.sugawara import build_truncated_verma, check_dss, sugawara_mode
 from conftest import rand_fraction
 
 
@@ -170,7 +169,7 @@ def test_spectral_flow_flip_sign():
 
 def test_check_dss_small_grid():
     m = build_truncated_verma(0, F(-1, 2), 4, 1)
-    for lam in (RHO_CHECK, ALPHA_CHECK):
+    for lam in (1, 2):
         for n in (-1, 0, 1):
             rep = check_dss(m, lam, n)
             assert rep.passed
@@ -225,19 +224,13 @@ def test_virasoro_commutators():
             assert diff == expect
 
 
-def test_coweight_mode_on_hw():
-    m = build_truncated_verma(F(5), 1, 1, 1)
-    l0 = coweight_mode(m, RHO_CHECK, 0)
-    assert l0(()) == {(): F(5, 2)}  # <Lam, rho_check> = a/2
-
-
 @pytest.mark.parametrize("a, k", [(F(1, 3), F(-1, 2)), (F(3, 4), F(2, 3))])
 def test_check_dss_non_integral_weight_and_level(a, k):
     # D = lcm(den a, den k) > 1 and a != 0, so the scaled vacuum term A,
     # the flow scalar K c and both check multipliers are all exercised
     m = build_truncated_verma(a, k, 4, 1)
     assert m.D > 1 and m.A != 0
-    for lam in (RHO_CHECK, ALPHA_CHECK, -1):
+    for lam in (1, 2, -1):
         for n in range(-2, 3):
             rep = check_dss(m, lam, n)
             assert rep.passed

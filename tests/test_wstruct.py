@@ -128,10 +128,6 @@ def test_bigraded_serialization(sl2):
     d = ch.to_json_dict()
     assert d["type"] == "A1" and d["convention"] == "appendix"
     assert d["coefficients"]["0,0"] == 1
-    csv = ch.to_csv()
-    assert csv.splitlines()[0] == "j,m,coefficient"
-    with pytest.raises(DomainError):
-        ch.coefficient(99, 0)
 
 
 def test_row_slots_closed_form():
