@@ -27,7 +27,7 @@ import sys
 
 from .errors import DomainError, BallExhausted, TruncationOverflow
 
-_DECIMAL_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+_DECIMAL_INT = re.compile(r"\s*[+-]?([0-9]+)\s*")
 
 _KNOWN_KEYS = {
     "type", "rank", "level", "weight", "trunc", "length_bound", "depth",
@@ -67,7 +67,9 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: undecodable bytes, malformed JSON, or a number with
+        # more digits than int() converts
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -104,9 +106,16 @@ def _int(value):
     int; None for anything else, so a fraction is never truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
-        return int(value)
-    return None
+    match = _DECIMAL_INT.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        return None
+    # int() refuses more digits than the interpreter's limit (4,300 by
+    # default since Python 3.11; 0 is no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(match.group(1)) > limit:
+        raise ConfigError("integer of %d digits exceeds the limit of %d "
+                          "digits" % (len(match.group(1)), limit))
+    return int(value)
 
 
 def _ints(value, name, what):
@@ -242,7 +251,7 @@ def _coxeter_from_job(job):
     if isinstance(mat, str):
         try:
             mat = json.loads(mat)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # malformed, or an overlong number
             raise ConfigError("coxeter_matrix is not valid JSON: %s" % exc)
     if not (isinstance(mat, list) and all(isinstance(row, list) and all(
             e is None or type(e) is int for e in row) for row in mat)):

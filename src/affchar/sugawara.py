@@ -53,20 +53,23 @@ carries D**(w + len(mono) - len(m)), and a coefficient is zero, or two
 coefficients of the same monomial are equal, exactly when their true
 values are.  The Sugawara modes keep S_n mono times
 4 (k + h_dual) D**(2 + len(mono) - len(m)) (that is, with the prefactor
-1/(2(k + h_dual)) and the 1/2 of the h-tower cleared), and
-`check_dss` compares such integer dicts.  One routine,
-`_scaled_sugawara(module, n, p)`, gives every Sugawara mode: S_n is its
-flow p = 0; it plans the flowed terms that can act at each depth once
-(int coefficient, left generator, right generator and their memos, with
-the h_0 flow scalar folded into the coefficient) and reuses the plan for
-every vector of that depth.  `check_dss` skips a vector iff any of its
-three sides (lam_check_n, S_n, Ad S_n) leaves the window, so the order of
-evaluation cannot change a report, and it evaluates the sides cheapest
-first: the one memoized generator h_n, then S_n, then Ad S_n.  Its
-constants are integer closed forms in K and K + 2 D = (k + h_dual) D, and
-before any straightening it charges the basis size times the planned
-terms per vector, which grow with |x|, against `errors.STEP_BUDGET` and
-`errors.SLOT_BUDGET`.
+1/(2(k + h_dual)) and the 1/2 of the h-tower cleared).  One routine,
+`_plan(module, n, p, d)`, lists the flowed normal-ordered terms that can
+act at depth d as {(left gen, right gen): int coeff}, the h_0 flow scalar
+as a None generator, and one loop sums a plan on a vector; the explicit
+sum `_scaled_sugawara(module, n, p)` defines every Sugawara mode (S_n is
+its flow p = 0).  `check_dss` gets S_n v by the commutator recursion
+S_n (x_q rest) = x_q S_n rest - q x_{q+n} rest, memoized per call, and
+the flowed side as S_n v + Delta v, Delta the key-wise difference of the
+flowed and unflowed plans.  All their other terms are the same ordered
+products with the same coefficients: they cancel identically and could
+never mismatch.  So the identity reduces to Delta v = lam_check_n v +
+const v, where Delta holds only the few pairs the flow reorders and the
+h_0 scalar.  A vector is skipped iff any of its three sides
+(lam_check_n, S_n, Ad S_n) leaves the window, whatever the order of
+evaluation.  Before any straightening `check_dss` charges the basis size
+times the planned terms per vector, which grow with |x|, against
+`errors.STEP_BUDGET` and `errors.SLOT_BUDGET`.
 
 Values are turned back into `Fraction` only at the public edges:
 `GradedModule.apply_word` and `sugawara_mode` unscale each output entry
@@ -74,6 +77,7 @@ once, and `check_dss` unscales its highest-weight eigenvalue once.
 """
 
 from collections import defaultdict
+from itertools import chain, product
 from fractions import Fraction
 from math import lcm
 
@@ -158,6 +162,9 @@ class GradedModule:
         # the straightening memo, (generator, id) -> {id: int}, stored as
         # generator -> {id: {id: int}} so that a lookup hashes one int
         self._memo = defaultdict(dict)
+        # (generator, head) -> (already in PBW order, bracket terms, central
+        # term) in the scaling of `_straighten`, filled on first use
+        self._rules = {}
         self.intern(())
         self.basis = self._enumerate_basis()
         self.basis_ids = [self.intern(m) for m in self.basis]
@@ -237,23 +244,29 @@ class GradedModule:
             # 0, so it carries D^1.  Positive modes and e_0 kill |Lam>
             return {0: self.A} if g == ("h", 0) and self.A else {}
         head = self.heads[i]
-        if _is_creation(g) and _key(g) <= _key(head):
+        rule = self._rules.get((g, head))
+        if rule is None:
+            # the bracket terms act on the shorter rest, so they gain one
+            # D, and the central term, a length drop of two, gains D^2
+            terms, central = _bracket(g, head)
+            rule = self._rules[g, head] = (
+                _is_creation(g) and _key(g) <= _key(head),
+                [(coeff * self.D, t) for coeff, t in terms],
+                central * self.K * self.D)
+        ordered, terms, central = rule
+        if ordered:
             return {self.intern((g,) + self.monos[i]): 1}
         rest = self.rests[i]
         out = {}
-        # g . head . rest = head . (g . rest) + [g, head] . rest; the
-        # bracket terms act on the shorter rest, so they gain one D and
-        # the central term, a length drop of two, gains D^2
-        D = self.D
+        # g . head . rest = head . (g . rest) + [g, head] . rest
         for m, c in self.apply_gen(g, rest).items():
             for m2, c2 in self.apply_gen(head, m).items():
                 out[m2] = out.get(m2, 0) + c * c2
-        terms, central = _bracket(g, head)
         for coeff, t in terms:
             for m, c in self.apply_gen(t, rest).items():
-                out[m] = out.get(m, 0) + coeff * D * c
+                out[m] = out.get(m, 0) + coeff * c
         if central:
-            out[rest] = out.get(rest, 0) + central * self.K * D
+            out[rest] = out.get(rest, 0) + central
         return {m: c for m, c in out.items() if c != 0}
 
     def _check_window(self, vec, context):
@@ -269,6 +282,18 @@ class GradedModule:
                     % (context, mono), witness=mono)
         return vec
 
+    def _word(self, word, i):
+        """Exact action of a product of generator modes on monos[i] as
+        {id: int}, D-scaled; no window check."""
+        vec = {i: 1}
+        for g in reversed(word):
+            nxt = {}
+            for m, c in vec.items():
+                for m2, c2 in self.apply_gen(g, m).items():
+                    nxt[m2] = nxt.get(m2, 0) + c * c2
+            vec = nxt
+        return {m: c for m, c in vec.items() if c != 0}
+
     def apply_word(self, word, mono):
         """Exact action of a product of generator modes on a basis
         monomial; raises TruncationOverflow if the exact result has
@@ -277,15 +302,7 @@ class GradedModule:
         spuriously."""
         word = tuple(word)
         mono = tuple(mono)
-        vec = {self.intern(mono): 1}
-        for g in reversed(word):
-            nxt = {}
-            for m, c in vec.items():
-                for m2, c2 in self.apply_gen(g, m).items():
-                    nxt[m2] = nxt.get(m2, 0) + c * c2
-            vec = nxt
-        vec = self._check_window({m: c for m, c in vec.items() if c != 0},
-                                 word)
+        vec = self._check_window(self._word(word, self.intern(mono)), word)
         top = len(word) + len(mono)
         monos = self.monos
         return {monos[m]: F(c, self.D ** (top - len(monos[m])))
@@ -295,40 +312,36 @@ class GradedModule:
 
     def verify_brackets(self, modes=(-1, 0, 1), letters=("e", "h", "f")):
         """Check [X_m, Y_n] v = (bracket) v on sample vectors; returns the
-        number of identities checked, raising on any mismatch."""
-        samples = [m for m in self.basis
+        number of identities checked, raising on any mismatch.  Both
+        sides are compared as D-scaled ints: a word of two generators
+        carries D**(2 + len(v) - len(m)), so each bracket term, one
+        generator, gains one D and the central term c k v is c K D."""
+        samples = [i for i, m in zip(self.basis_ids, self.basis)
                    if self.depth(m) <= max(1, self.depth_bound - 2)
                    and self.f0_count(m) < self.f0_bound][:12]
+        D, inside = self.D, self.inside
         checked = 0
-        for l1 in letters:
-            for l2 in letters:
-                for m1 in modes:
-                    for m2 in modes:
-                        g1, g2 = (l1, m1), (l2, m2)
-                        terms, central = _bracket(g1, g2)
-                        central *= self.k
-                        for v in samples:
-                            try:
-                                lhs = self.apply_word((g1, g2), v)
-                                rhs0 = self.apply_word((g2, g1), v)
-                            except TruncationOverflow:
-                                continue
-                            rhs = {m: -c for m, c in rhs0.items()}
-                            for m, c in lhs.items():
-                                rhs[m] = rhs.get(m, F(0)) + c
-                            expect = {}
-                            for coeff, g in terms:
-                                for m, c in self.apply_word((g,), v).items():
-                                    expect[m] = expect.get(m, F(0)) + coeff * c
-                            if central != 0:
-                                expect[v] = expect.get(v, F(0)) + central
-                            rhs = {m: c for m, c in rhs.items() if c != 0}
-                            expect = {m: c for m, c in expect.items() if c != 0}
-                            if rhs != expect:
-                                raise AssertionError(
-                                    "bracket mismatch for %s,%s on %r"
-                                    % (g1, g2, v))
-                            checked += 1
+        for l1, l2, m1, m2 in product(letters, letters, modes, modes):
+            g1, g2 = (l1, m1), (l2, m2)
+            terms, central = _bracket(g1, g2)
+            central *= self.K * D
+            for v in samples:
+                lhs, rhs = self._word((g1, g2), v), self._word((g2, g1), v)
+                # a word whose result leaves the window is skipped, as
+                # apply_word would raise on it
+                if not all(inside[m] for m in chain(lhs, rhs)):
+                    continue
+                for m, c in rhs.items():
+                    lhs[m] = lhs.get(m, 0) - c
+                expect = {v: central} if central else {}
+                for coeff, g in terms:
+                    for m, c in self.apply_gen(g, v).items():
+                        expect[m] = expect.get(m, 0) + coeff * D * c
+                if ({m: c for m, c in lhs.items() if c}
+                        != {m: c for m, c in expect.items() if c}):
+                    raise AssertionError("bracket mismatch for %s,%s on %r"
+                                         % (g1, g2, self.monos[v]))
+                checked += 1
         return checked
 
 
@@ -363,14 +376,16 @@ def _sugawara_terms(n, lo, hi):
     return out
 
 
-def _scaled_sugawara(module, n, p):
-    """id -> Ad_{t^{lam_check}} S_n monos[id] for the integral coweight
-    with <alpha, lam_check> = p (S_n itself for p = 0) as an {id: int}
-    dict holding each coefficient times 4 (k + h_dual) D**(2 + len(mono)
-    - len(m)); raises TruncationOverflow when the exact result leaves the
-    window."""
+def _check_mode(module, n):
     if abs(n) > module.depth_bound:
         raise DomainError("|n| exceeds the depth window")
+
+
+def _plan(module, n, p, d):
+    """The terms of Ad_{t^{lam_check}} S_n, for the integral coweight with
+    <alpha, lam_check> = p (S_n itself for p = 0), that can act on a
+    vector of depth d: {(left gen or None, right gen or None): int coeff}
+    in the Sugawara scaling, None marking the h_0 flow scalar."""
     # the flow sends e_m -> e_{m+p}, f_m -> f_{m-p} and h_0 -> h_0 + k p;
     # a term is nonzero only if its first-acting flowed mode is at most
     # the depth, and flowing shifts e/f indices by at most |p|
@@ -379,65 +394,104 @@ def _scaled_sugawara(module, n, p):
     # the flow scalar on h_0 stands where a generator would, so it
     # carries that generator's D
     h_d = _flow_constants(module, p)[0]
-    apply_gen, depths, memo = module.apply_gen, module.depths, module._memo
-    context = "S_%d" % n
-    plans = {}
 
     def flowed(g):
-        """The flowed g as [(int coeff, gen or None)]; None marks the
-        h_0 scalar."""
-        letter, mode = g
-        out = [(1, (letter, mode + shift[letter]))]
-        if g == ("h", 0) and h_d:
-            out.append((h_d, None))
-        return out
+        out = [(1, (g[0], g[1] + shift[g[0]]))]
+        return out + [(h_d, None)] if g == ("h", 0) and h_d else out
 
-    def plan(d):
-        """The flowed terms that can act on a vector of depth d, as
-        (int coeff, left gen or None, left memo, right gen or None,
-        right memo); a memo is None with its gen."""
-        out = []
-        for scale, (g1, g2) in _sugawara_terms(n, n - d - pad, d + pad):
-            # the rightmost factor acts first; if its (flowed) mode
-            # exceeds the depth it annihilates the vector exactly
-            if g2[1] + shift[g2[0]] > d:
-                continue
-            for c2, h2 in flowed(g2):
-                for c1, h1 in flowed(g1):
-                    out.append((scale * c1 * c2,
-                                h1, None if h1 is None else memo[h1],
-                                h2, None if h2 is None else memo[h2]))
-        return out
+    out = {}
+    for scale, (g1, g2) in _sugawara_terms(n, n - d - pad, d + pad):
+        # the rightmost factor acts first; if its (flowed) mode exceeds
+        # the depth it annihilates the vector exactly
+        if g2[1] + shift[g2[0]] > d:
+            continue
+        for c2, h2 in flowed(g2):
+            for c1, h1 in flowed(g1):
+                # the scalar commutes, so it always stands on the left
+                key = (h1, h2) if h2 is not None else (None, h1)
+                out[key] = out.get(key, 0) + scale * c1 * c2
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _planned(module, plan_of):
+    """id -> the terms of plan_of(depth of id) summed on monos[id], as an
+    exact {id: int} of the untruncated Verma module with no window check;
+    each depth is planned once."""
+    plans, apply_gen = {}, module.apply_gen
 
     def compute(i):
-        d = depths[i]
-        terms = plans.get(d)
-        if terms is None:
-            terms = plans[d] = plan(d)
+        d = module.depths[i]
+        plan = plans.get(d)
+        if plan is None:
+            plan = plans[d] = plan_of(d)
         out = {}
-        for cc, h1, memo1, h2, memo2 in terms:
-            if h2 is None:
-                inter = {i: 1}
-            else:
-                inter = memo2.get(i)
-                if inter is None:
-                    inter = apply_gen(h2, i)
-            for m, c in inter.items():
-                w = cc * c
-                if h1 is None:
-                    out[m] = out.get(m, 0) + w
-                    continue
-                got = memo1.get(m)
-                if got is None:
-                    got = apply_gen(h1, m)
-                for m2, c3 in got.items():
-                    out[m2] = out.get(m2, 0) + w * c3
-        out = {m: c for m, c in out.items() if c != 0}
-        # the accumulated dict is the exact expansion in the untruncated
-        # Verma module; only now does the window matter
-        return module._check_window(out, context)
+        for (h1, h2), cc in plan.items():
+            for m, c in ({i: 1} if h2 is None else apply_gen(h2, i)).items():
+                for m2, c2 in ({m: 1} if h1 is None
+                               else apply_gen(h1, m)).items():
+                    out[m2] = out.get(m2, 0) + cc * c * c2
+        return {m: c for m, c in out.items() if c != 0}
 
     return compute
+
+
+def _scaled_sugawara(module, n, p):
+    """id -> Ad_{t^{lam_check}} S_n monos[id] for the integral coweight
+    with <alpha, lam_check> = p (S_n itself for p = 0) as an {id: int}
+    dict holding each coefficient times 4 (k + h_dual) D**(2 + len(mono)
+    - len(m)), by the explicit normal-ordered sum; raises
+    TruncationOverflow when the exact result leaves the window."""
+    _check_mode(module, n)
+    exact = _planned(module, lambda d: _plan(module, n, p, d))
+    return lambda i: module._check_window(exact(i), "S_%d" % n)
+
+
+def _recursive_sugawara(module, n):
+    """id -> S_n monos[id] as `_scaled_sugawara` scales it, exact and with
+    no window check, memoized per returned function.  At a noncritical
+    level [S_n, x_q] = -q x_{q+n}, so S_n (x_q rest) = x_q S_n rest
+    - q x_{q+n} rest."""
+    D, A, apply_gen = module.D, module.A, module.apply_gen
+    if n < 0:
+        base = _planned(module, lambda d: _plan(module, n, 0, d))(0)
+    else:
+        # S_n |Lam> is 0 for n > 0, and S_0 |Lam> = a (a + 2) / (4 (k +
+        # h_dual)) |Lam>, times four_kh D
+        base = {0: A * (A + 2 * D)} if n == 0 and A * (A + 2 * D) else {}
+    done = {0: base}
+
+    def compute(i):
+        out = done.get(i)
+        if out is None:
+            head, rest = module.heads[i], module.rests[i]
+            out = {}
+            for m, c in compute(rest).items():
+                for m2, c2 in apply_gen(head, m).items():
+                    out[m2] = out.get(m2, 0) + c * c2
+            # x_{q+n} on the rest carries D**(len(mono) - len(m)): one D
+            # and four_kh short of the scaling of S_n mono
+            w = -head[1] * module.four_kh * D
+            if w:
+                for m, c in apply_gen((head[0], head[1] + n), rest).items():
+                    out[m] = out.get(m, 0) + w * c
+            out = done[i] = {m: c for m, c in out.items() if c != 0}
+        return out
+
+    return compute
+
+
+def _flow_difference(module, n, p):
+    """id -> (Ad_{t^{lam_check}} S_n - S_n) monos[id] for <alpha,
+    lam_check> = p, exact and with no window check.  The terms the flowed
+    and unflowed plans share cancel key by key; what is left are the
+    pairs the flow reorders and the h_0 flow scalar."""
+    def plan_of(d):
+        plan = _plan(module, n, p, d)
+        for key, c in _plan(module, n, 0, d).items():
+            plan[key] = plan.get(key, 0) - c
+        return {key: c for key, c in plan.items() if c != 0}
+
+    return _planned(module, plan_of)
 
 
 def sugawara_mode(module, n, p=0):
@@ -522,8 +576,7 @@ def check_dss(module, x, n, flip_sign=False):
             "coweight %s omega_check is not a cocharacter of the adjoint "
             "torus: x must be an integer" % x)
     x = x.numerator
-    lhs_op = _scaled_sugawara(module, n, -x if flip_sign else x)
-    rhs_s = _scaled_sugawara(module, n, 0)
+    _check_mode(module, n)
     # each vector meets at most 3 (2 d + 2 |x| + |n| + 1) planned terms of
     # the flowed side, each one straightening step that may intern one
     # monomial with its memo entry; charged before any straightening
@@ -536,28 +589,37 @@ def check_dss(module, x, n, flip_sign=False):
     kx, lam_mult, const = _flow_constants(module, x)
     if n != 0:
         const = 0   # the constant is delta_{n,0}
+    s_n = _recursive_sugawara(module, n)
+    delta = _flow_difference(module, n, -x if flip_sign else x)
+    check_window, context = module._check_window, "S_%d" % n
 
     report = DssReport(x, n, module.k, module.depth_bound)
     for i in module.basis_ids:
         try:
-            # a vector is skipped iff some side leaves the window, so the
-            # sides go cheapest first: one generator, S_n, then Ad S_n
-            lam = module._check_window(module.apply_gen(h_n, i), (h_n,))
-            rhs = rhs_s(i)
-            lhs = lhs_op(i)
-            for m, c in lam.items():
-                rhs[m] = rhs.get(m, 0) + lam_mult * c
-            if const:
-                rhs[i] = rhs.get(i, 0) + const
-            rhs = {m: c for m, c in rhs.items() if c != 0}
+            lam = check_window(module.apply_gen(h_n, i), (h_n,))
+            s = check_window(s_n(i), context)
+            # Ad S_n v = S_n v + delta v leaves the window iff delta v
+            # does, S_n v being inside; so a vector is skipped iff some
+            # side leaves the window, as when each side is straightened
+            diff = check_window(delta(i), context)
         except TruncationOverflow:
             report.skipped += 1
             continue
-        if lhs != rhs:
+        # both sides hold S_n v, so they agree iff delta v is
+        # lam_check_n v + const v
+        expect = {m: lam_mult * c for m, c in lam.items()}
+        if const:
+            expect[i] = expect.get(i, 0) + const
+        expect = {m: c for m, c in expect.items() if c != 0}
+        if diff != expect:
             monos = module.monos
-            report.mismatches.append(
-                (monos[i], {monos[m]: c for m, c in lhs.items()},
-                 {monos[m]: c for m, c in rhs.items()}))
+            lhs, rhs = dict(s), dict(s)
+            for side, extra in ((lhs, diff), (rhs, expect)):
+                for m, c in extra.items():
+                    side[m] = side.get(m, 0) + c
+            report.mismatches.append((monos[i], *(
+                {monos[m]: c for m, c in side.items() if c != 0}
+                for side in (lhs, rhs))))
         report.tested += 1
 
     # Flowed conformal weight of the unit line: flow by -lam_check and

@@ -724,6 +724,11 @@ def test_malformed_word_exits_1(capsys, argv):
     assert err.startswith("config error:") and "word" in err
 
 
+# a decimal integer longer than the 4,300 digits that int() converts by
+# default since Python 3.11
+_HUGE = "1" * 5000
+
+
 @pytest.mark.parametrize("argv,config", [
     ("sugawara-check --level 1 --weight 0 --modes a", None),
     ("sugawara-check --level 1 --weight 0", {"modes": 3}),
@@ -774,12 +779,25 @@ def test_malformed_word_exits_1(capsys, argv):
      None),
     ("sugawara-check --level 1 --weight 0 --depth 2 --f0-bound 1",
      {"modes": []}),
+    # integers past the digits int() converts, as a flag, a JSON number
+    # and a Coxeter-matrix entry, and a config file that is not UTF-8;
+    # a config given as bytes is written as it stands
+    pytest.param("kl --coxeter-matrix [[1,3],[3,1]] --length-bound " + _HUGE,
+                 None, id="kl-length-bound-of-5000-digits"),
+    pytest.param("kl --coxeter-matrix [[1,3],[3,1]]",
+                 b'{"length_bound": %s}' % _HUGE.encode(),
+                 id="kl-config-length-bound-of-5000-digits"),
+    pytest.param("kl --coxeter-matrix [[1,%s],[%s,1]]" % (_HUGE, _HUGE),
+                 None, id="kl-coxeter-entry-of-5000-digits"),
+    pytest.param("roots --type A --rank 1", b'\xff{"rank": 1}',
+                 id="roots-config-not-utf-8"),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()
     if config is not None:
         cfg = tmp_path / "job.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_bytes(config if isinstance(config, bytes)
+                        else json.dumps(config).encode())
         argv = ["--config", str(cfg)] + argv
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -935,6 +953,20 @@ _FUZZ_CHOICES = {
     "format": ("json", "tsv", "pretty", "xml"),
 }
 _FUZZ_SIZES = {"length_bound": 4, "trunc": 8, "depth": 2}
+# keys read as integers or rationals, which may get a value of _HUGE's
+# digits: a string, or a bare JSON number that `_dumps` writes out
+_FUZZ_HUGE_KEYS = ("length_bound", "trunc", "depth", "f0_bound", "rank",
+                   "max_u", "max_q", "modes", "level", "n")
+_HUGE_NUMBER = object()
+_HUGE_MARK = "@huge-number@"
+
+
+def _dumps(value):
+    """json.dumps that writes each _HUGE_NUMBER as the number _HUGE,
+    which json.dumps itself cannot convert."""
+    return json.dumps(value, default=lambda _: _HUGE_MARK).replace(
+        '"%s"' % _HUGE_MARK, _HUGE)
+
 
 # any JSON value, with integers kept to sizes every job runs quickly at
 _JSON = st.recursive(
@@ -961,8 +993,9 @@ _COXETER_MATRICES = (_SYMMETRIC | st.lists(st.lists(_BONDS, max_size=4),
 def _fuzzed_jobs(draw):
     """A job of every subcommand with some choice keys and sizes set,
     given as flags or in a config file (where the job's own flags win);
-    a kl or antispherical job may get any Coxeter matrix, and a config
-    file any JSON value for any key."""
+    a kl or antispherical job may get any Coxeter matrix, a config file
+    any JSON value for any key, and one job in ten an integer past the
+    digits int() converts."""
     argv = draw(st.sampled_from(_EVERY_SUBCOMMAND)).split()
     keys = {}
     for key, values in _FUZZ_CHOICES.items():
@@ -971,6 +1004,9 @@ def _fuzzed_jobs(draw):
     for key, top in _FUZZ_SIZES.items():
         if draw(st.booleans()):
             keys[key] = draw(st.integers(0, top))
+    if draw(st.integers(0, 9)) == 0:
+        keys[draw(st.sampled_from(_FUZZ_HUGE_KEYS))] = draw(
+            st.sampled_from([_HUGE, _HUGE_NUMBER]))
     if argv[0] in ("kl", "antispherical") and draw(st.booleans()):
         del argv[1:3]  # the job's own --coxeter-matrix
         keys["coxeter_matrix"] = draw(_COXETER_MATRICES)
@@ -990,12 +1026,12 @@ def test_fuzzed_jobs_exit_with_a_documented_code(job):
         if via_config:
             cfg = os.path.join(tmp, "job.json")
             with open(cfg, "w", encoding="utf-8") as fh:
-                json.dump(keys, fh)
+                fh.write(_dumps(keys))
             argv = ["--config", cfg] + argv
         else:
             argv = argv + ["--%s=%s" % (key.replace("_", "-"),
                                         value if isinstance(value, str)
-                                        else json.dumps(value))
+                                        else _dumps(value))
                            for key, value in keys.items()]
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)

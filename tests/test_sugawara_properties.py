@@ -17,6 +17,11 @@ is a product and every scaled path is exercised.
 sides of every vector, in the order Ad S_n, S_n, lam_check_n, with the
 Sugawara terms rebuilt per vector: the reports must agree, whatever side
 the production loop evaluates first and however it caches its terms.
+The two routes `check_dss` takes instead of the explicit sums, S_n by
+the commutator recursion and the flowed side as S_n plus the plan
+difference, are checked against `_scaled_sugawara` on every window
+vector, and the relation [S_n, x_m] = -m x_{m+n} that the recursion
+rests on is checked through the public `Fraction` edges.
 """
 
 from fractions import Fraction as F
@@ -27,7 +32,9 @@ from hypothesis import example, given, settings, strategies as st
 from affchar.errors import DomainError, TruncationOverflow
 from affchar.rootdata import build_root_system, casimir_eigenvalue
 from affchar.sugawara import (_BRACKET, GradedModule, _flow_constants,
-                              _is_creation, _key, _sugawara_terms, check_dss,
+                              _flow_difference, _is_creation, _key, _plan,
+                              _planned, _recursive_sugawara,
+                              _scaled_sugawara, _sugawara_terms, check_dss,
                               sugawara_mode)
 
 _KAPPA_B = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
@@ -349,3 +356,94 @@ def test_closed_forms_match_the_root_data_route(x, k, a):
     c1 = casimir_eigenvalue(rs, (a,))
     assert rep.hw_expected == c1 / (2 * (k + rs.h_dual)) - kappa_self / 2
     assert rep.hw_expected == rep.hw_actual
+
+
+# the routes of check_dss: depth 0-5, f0 bound 0-2 and |n| <= depth, with
+# examples at D > 1 and A != 0, and at f0 bound 0, where S_n |Lam> for
+# n < 0 leaves the window though S_n v for deeper v may not
+windows = st.tuples(st.integers(0, 5), st.integers(0, 2)).flatmap(
+    lambda w: st.tuples(st.just(w[0]), st.just(w[1]),
+                        st.integers(-w[0], w[0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_and_level(), windows)
+@example((F(1, 3), F(-1, 2)), (4, 0, -2))
+@example((F(3, 4), F(2, 3)), (5, 1, -1))
+@example((F(-5, 2), F(7, 3)), (3, 2, 0))
+def test_recursive_sugawara_matches_the_explicit_sum(ak, window):
+    a, k = ak
+    depth, f0, n = window
+    module = GradedModule(a, k, depth, f0)
+    recursive = _recursive_sugawara(module, n)
+    explicit = _scaled_sugawara(module, n, 0)
+    exact = _planned(module, lambda d: _plan(module, n, 0, d))
+    for i in module.basis_ids:
+        # the recursion is exact: equal to the explicit sum also where it
+        # leaves the window, and so it overflows exactly where that does
+        assert recursive(i) == exact(i)
+        assert outcome(module._check_window, recursive(i), "S") == outcome(
+            explicit, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weight_and_level(), windows, st.integers(-3, 3))
+@example((F(1, 3), F(-1, 2)), (4, 1, 0), 2)
+@example((F(3, 4), F(2, 3)), (3, 2, 2), -3)
+def test_flowed_side_is_s_n_plus_the_plan_difference(ak, window, p):
+    a, k = ak
+    depth, f0, n = window
+    module = GradedModule(a, k, depth, f0)
+    s_n = _recursive_sugawara(module, n)
+    delta = _flow_difference(module, n, p)
+    flowed = _scaled_sugawara(module, n, p)
+    for i in module.basis_ids:
+        want = outcome(flowed, i)
+        if want == "overflow":
+            continue
+        got = dict(s_n(i))
+        for m, c in delta(i).items():
+            got[m] = got.get(m, 0) + c
+        assert {m: c for m, c in got.items() if c != 0} == want
+
+
+# (basis index, letter, mode) triples; an index wraps around the basis
+generator_actions = st.lists(
+    st.tuples(st.integers(0, 999), st.sampled_from(LETTERS),
+              st.integers(-2, 2)), min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weight_and_level(), windows, generator_actions)
+@example((F(1, 3), F(-1, 2)), (3, 1, -1),
+         [(5, "e", 1), (9, "f", -1), (2, "h", 2), (11, "h", 0)])
+def test_sugawara_modes_act_as_the_virasoro_derivation(ak, window, actions):
+    # [S_n, x_m] v = -m x_{m+n} v, on window vectors where every side
+    # acts inside the window
+    a, k = ak
+    depth, f0, n = window
+    module = GradedModule(a, k, depth, f0)
+    s_n = sugawara_mode(module, n)
+
+    def on_vector(op, vec):
+        out = {}
+        for mono, c in vec.items():
+            for m2, c2 in op(mono).items():
+                out[m2] = out.get(m2, F(0)) + c * c2
+        return out
+
+    for index, letter, m in actions:
+        mono = module.basis[index % len(module.basis)]
+
+        def x(mode):
+            return lambda v: module.apply_word(((letter, mode),), v)
+
+        try:
+            lhs = on_vector(s_n, x(m)(mono))
+            for v, c in on_vector(x(m), s_n(mono)).items():
+                lhs[v] = lhs.get(v, F(0)) - c
+            rhs = {v: -m * c for v, c in x(m + n)(mono).items()}
+        except TruncationOverflow:
+            continue
+        assert ({v: c for v, c in lhs.items() if c != 0}
+                == {v: c for v, c in rhs.items() if c != 0})
