@@ -34,14 +34,14 @@ action, one bar expansion of the standard basis.  With empty J it is
 the regular module H itself, so its canonical basis is the Kazhdan-Lusztig
 basis and ``kl_polynomial`` reads P_{x,y} off b_y.  Two independent routes
 reach every canonical basis: the mu-correction recursion from the top
-down (production) and a solve of the bar-invariance plus degree-bound
-system by sparse integer elimination (oracle).  Tests require them to
-agree.
+down (production) and a back-substitution of bar(n_w) = n_w in Bruhat
+order under the degree bound (oracle).  Tests require them to agree.
 
 Module vectors are dicts keyed by id.  The recursion stores each
 coefficient h in Z[v] of a column as one Python int, h(2^B), with
-B = length_bound + 2 bits per power of v, fixed per module (Kronecker
-substitution: Kronecker, 1882; Harvey, J. Symbolic Comput. 44 (2009)).
+B = l + 2 bits per power of v, l the length of the ball's longest
+element, fixed per module (Kronecker substitution: Kronecker, 1882;
+Harvey, J. Symbolic Comput. 44 (2009)).
 Multiplying by v is a shift by B bits, a sum of coefficients is one int
 addition, the constant term is h & (2^B - 1) and dividing by v is h >> B.
 Evaluation at 2^B is a ring map, so these steps are exact whatever the
@@ -81,14 +81,13 @@ coefficient t lies in vZ[v], so t (1 - v^2) + t v^2, t + t v^2 and v t
 are all in vZ[v].  The corrections c0 b_y keep Z[v] too, so the
 recursion never leaves it.  The oracle needs bar(N_y), which has powers
 v^{-1}; ``bar_standard`` expands v^{l(y)} bar(N_y) = N_e prod_s
-(v H_s + v^2 - 1) with ``act_gen``, and the solve shifts its exponents
-by -l(y).  ``LaurentPoly`` appears only at the API edge:
+(v H_s + v^2 - 1) with ``act_gen``, and the back-substitution keeps
+the Laurent sums it builds from these as {power: int} dicts.
+``LaurentPoly`` appears only at the API edge:
 ``canonical_basis``, ``canonical_basis_via_solve``, ``kl_polynomial``
 and ``kl_polynomial_via_solve`` convert once per call, and only
 ``canonical_basis`` and ``kl_polynomial`` unpack.
 """
-
-from math import gcd
 
 from .errors import DomainError, BallExhausted, TruncationOverflow
 
@@ -261,7 +260,9 @@ class BruhatBall:
         right.append([-1] * n)
         self._counts = [1]
         start = 0
-        for _ in range(self.length_bound):
+        # a finite group's layers run out before a large bound: stop at
+        # the first empty one
+        while len(self._counts) <= self.length_bound and self._counts[-1]:
             stop = len(els)
             for w in range(start, stop):
                 key, row = keys[w], right[w]
@@ -302,7 +303,8 @@ class BruhatBall:
         return list(self.elements)
 
     def counts_by_length(self):
-        return list(self._counts)
+        """The number of elements of each length 0..length_bound."""
+        return self._counts + [0] * (self.length_bound + 1 - len(self._counts))
 
     def left_descents(self, k):
         """Bitmask of the left descents of element k, memoized: the right
@@ -358,71 +360,10 @@ def query_ball(coxeter_matrix, length_bound, words):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solve behind the bar-invariance oracle
-# ---------------------------------------------------------------------------
-
-def _solve_int_system(rows, ncols):
-    """The unique integer solution t of a sparse integer system.
-
-    Each row is a dict {column: int} for the equation
-    sum_c row[c] t_c = row[ncols]; absent entries are zero.  Columns are
-    eliminated in ascending order, each on the shortest row holding it as
-    its lowest column: another such row r becomes (a/g) r - (b/g) p, where
-    a and b are the column's entries in the pivot p and in r, g = gcd(a, b),
-    and every new row is divided by the gcd of its entries, so the
-    arithmetic never leaves Z (fraction-free elimination; Bareiss, Math.
-    Comp. 22 (1968)).  Back-substitution divides exactly or raises.  The
-    system may be overdetermined but must have a unique integer solution.
-    """
-    by_lead = {}
-
-    def file(row):
-        by_lead.setdefault(min(row), []).append(row)
-
-    for row in rows:
-        row = {c: a for c, a in row.items() if a}
-        if row:
-            file(row)
-    pivots = []
-    for c in range(ncols):
-        holders = by_lead.pop(c, None)
-        if not holders:
-            raise DomainError("bar-invariance system is underdetermined")
-        holders.sort(key=len)
-        p = holders[0]
-        a = p[c]
-        for r in holders[1:]:
-            b = r[c]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            new = {k: fa * x for k, x in r.items()}
-            for k, y in p.items():
-                new[k] = new.get(k, 0) - fb * y
-            new = {k: x for k, x in new.items() if x}
-            if new:
-                g = gcd(*new.values())
-                if g != 1:
-                    new = {k: x // g for k, x in new.items()}
-                file(new)
-        pivots.append(p)
-    # every row left holds only the right-hand side: 0 = nonzero
-    if by_lead:
-        raise DomainError("bar-invariance system is inconsistent")
-    sol = [0] * ncols
-    for c in range(ncols - 1, -1, -1):
-        p = pivots[c]
-        rest = p.get(ncols, 0) - sum(x * sol[k] for k, x in p.items()
-                                     if c < k < ncols)
-        sol[c], rem = divmod(rest, p[c])
-        if rem:
-            raise DomainError("non-integer parabolic coefficient")
-    return sol
-
-
-# ---------------------------------------------------------------------------
 # Z[v] coefficients of the oracle: int tuples indexed by the power of v
 # ---------------------------------------------------------------------------
 
+_INCONSISTENT = "bar-invariance system is inconsistent"
 _V2_MINUS_ONE = (-1, 0, 1)        # v bar(H_s) = v H_s + v^2 - 1
 _ONE_MINUS_V2 = (1, 0, -1)        # what v H_s leaves on N_y when ys < y
 
@@ -511,9 +452,9 @@ class ParabolicModule:
         self._jmask = sum(1 << i for i in self.parabolic)
         # v H_s on the inducing line: v v^{-1} = 1, or v (-v) = -v^2
         self._v_eps = (1,) if param == "q" else (0, 0, -1)
-        # the packing width B of the recursion's coefficients, and the
-        # digit sum S(w) of each finished column n_w
-        self._width = ball.length_bound + 2
+        # the packing width B of the recursion's coefficients, 2 past the
+        # longest element, and the digit sum S(w) of each finished column
+        self._width = ball.elements[-1].length + 2
         self._nbasis = {0: {0: 1}}
         self._mass = {0: 1}
         self._coeffs = {}
@@ -591,17 +532,17 @@ class ParabolicModule:
     def _column(self, w):
         """n_w for the element of id w, as {id: packed coefficient},
         memoized per module, so the returned dict must not be mutated.
-        n_w = v^{-1} n_{w1} (v H_s + v^2) minus the mu-corrections, for a
-        right descent s = s_i of w with w1 = w s minimal."""
+        n_w = v^{-1} n_{w1} (v H_s + v^2) minus the mu-corrections, for s
+        the last letter of the word of w: a right descent, so w1 = w s is
+        minimal too (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+        2.4)."""
         got = self._nbasis.get(w)
         if got is not None:
             return got
         ball = self.ball
         right = ball.right
-        row = right[w]
-        i = next(i for i in reversed(ball.elements[w].word)
-                 if row[i] < w and self._is_min(row[i]))
-        w1 = row[i]
+        i = ball.elements[w].word[-1]
+        w1 = right[w][i]
         width = self._width
         mask = (1 << width) - 1
         jmask = self._jmask
@@ -694,41 +635,53 @@ class ParabolicModule:
         return got
 
     def _solve(self, w):
-        below = [z for z in self.ball.interval_below(w)
-                 if z.id != w.id and self._is_min(z.id)]
-        unknowns = [(y, d) for y in below
-                    for d in range(1, w.length - y.length + 1)]
-        ncol = len(unknowns)
-        # one equation {column: int} per coefficient (standard basis
-        # element, power of v) of bar(n_w) - n_w = 0; column ncol holds the
-        # right-hand side, the terms of bar(N_w) - N_w moved across.
-        # bar(N_y) = v^{-l(y)} bar_standard(y), so its powers shift by -l(y)
-        eq = {}
-
-        def add(k, power, col, val):
-            row = eq.setdefault((k, power), {})
-            row[col] = row.get(col, 0) + val
-
-        for k, t in self.bar_standard(w).items():
-            for p, a in enumerate(t):
-                if a:
-                    add(k, p - w.length, ncol, -a)
-        add(w.id, 0, ncol, 1)
-        for col, (y, d) in enumerate(unknowns):
-            shift = y.length + d
-            for k, t in self.bar_standard(y).items():
-                for p, a in enumerate(t):
-                    if a:
-                        add(k, p - shift, col, a)
-            add(y.id, d, col, -1)
-        sol = _solve_int_system(list(eq.values()), ncol)
-        coeffs = {}
-        for (y, d), val in zip(unknowns, sol):
-            if val:
-                coeffs.setdefault(y.id, {})[d] = val
-        out = {w.id: (1,)}
-        for y, c in coeffs.items():
-            out[y] = tuple(c.get(d, 0) for d in range(max(c) + 1))
+        """n_w from bar(n_w) = n_w by back-substitution in Bruhat order
+        (Kazhdan-Lusztig, Invent. Math. 53 (1979), 2; Deodhar, J. Algebra
+        111 (1987)).  Write bar(N_z) = sum_y r_{y,z} N_y, so r_{z,z} = 1
+        and bar_standard(z) is v^{l(z)} r_{.,z}.  The coefficient of N_y
+        reads h_y - bar(h_y) = R_y, the sum of r_{y,z} bar(h_z) over
+        y < z <= w.  Each such z is longer than y, so it has the larger
+        id: walking the minimal elements of [e, w] by decreasing id finds
+        R_y complete at y, and h_y is its part of positive degree.  Every
+        equation is checked: R_y is anti-bar-invariant, deg h_y <=
+        l(w) - l(y), r_{z,z} = 1, and no R_y is left at an id outside
+        [e, w]^J."""
+        rest = {}        # R_y as {power of v: int}, for ids not reached
+        out = {}
+        for z in reversed(self.ball.interval_below(w)):
+            k = z.id
+            if not self._is_min(k):
+                continue
+            r = rest.pop(k, {})
+            if k == w.id:
+                h = (1,)
+            else:
+                top = w.length - z.length
+                if any(r.get(-p, 0) != -a or (a and p > top)
+                       for p, a in r.items()):
+                    raise DomainError(_INCONSISTENT)
+                h = [0] + [r.get(p, 0) for p in range(1, top + 1)]
+                while h and not h[-1]:
+                    h.pop()
+                h = tuple(h)
+            bar = self.bar_standard(z)
+            if bar.get(k) != (0,) * z.length + (1,):
+                raise DomainError(_INCONSISTENT)
+            if not h:
+                continue
+            out[k] = h
+            # r_{y,z} bar(h_z): the powers q - l(z) of bar_standard(z)
+            # times the powers -p of bar(h_z)
+            for y, t in bar.items():
+                if y != k:
+                    acc = rest.setdefault(y, {})
+                    for q, b in enumerate(t, -z.length):
+                        if b:
+                            for p, a in enumerate(h):
+                                if a:
+                                    acc[q - p] = acc.get(q - p, 0) + a * b
+        if any(any(r.values()) for r in rest.values()):
+            raise DomainError(_INCONSISTENT)
         return out
 
 

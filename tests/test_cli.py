@@ -553,6 +553,38 @@ def test_hecke_report_digest(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_no_subcommand_runs_the_oracle(capsys, monkeypatch):
+    # every Hecke report comes from the mu-recursion alone, so an edit to
+    # the bar-invariance oracle cannot change one
+    import affchar.hecke as hecke
+    jobs = [argv for argv in _EVERY_SUBCOMMAND if argv.split()[0] in
+            ("kl", "antispherical", "blocks", "character-simple")]
+    jobs.append("kl --coxeter-matrix [[1,4,0],[4,1,0],[0,0,1]] "
+                "--length-bound 9 --x= --y 0,2,0,1,2,0,1,2,0")
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("a subcommand ran the bar-invariance oracle")
+
+    with monkeypatch.context() as patch:
+        for name in ("act_gen", "bar_standard", "_solve"):
+            patch.setattr(hecke.ParabolicModule, name, oracle)
+        patched = [run_cli(capsys, *argv.split()) for argv in jobs]
+    for argv, got in zip(jobs, patched):
+        assert got[0] == 0 and got == run_cli(capsys, *argv.split()), argv
+
+
+@pytest.mark.parametrize("bound", ["1000000", "9" * 4000],
+                         ids=["a-million", "of-4000-digits"])
+def test_finite_group_ball_stops_at_its_longest_element(capsys, bound):
+    # A2 has six elements, the longest of length 3: a larger bound builds
+    # the same ball and prints the same table at once
+    argv = ("kl", "--coxeter-matrix", "[[1,3],[3,1]]", "--length-bound")
+    t0 = time.monotonic()
+    got = run_cli(capsys, *argv, bound)
+    assert time.monotonic() - t0 < 1.0
+    assert got[0] == 0 and got == run_cli(capsys, *argv, "3")
+
+
 @digest_cases(
     "argv,sha256",
     ("blocks --type A --rank 2 --level=-10 --weight=-2,-3 --length-bound 10",

@@ -34,7 +34,7 @@ def test_ball_counts():
     assert build_ball(A1_TILDE, 3).counts_by_length() == [1, 2, 2, 2]
     s3 = build_ball(A2, 6)
     assert len(s3.elements) == 6
-    assert s3.counts_by_length()[:4] == [1, 2, 2, 1]
+    assert s3.counts_by_length() == [1, 2, 2, 1, 0, 0, 0]
     s4 = build_ball(A3, 8)
     assert len(s4.elements) == 24
     assert s4.counts_by_length()[:7] == [1, 3, 5, 6, 5, 3, 1]
@@ -257,6 +257,35 @@ def test_antispherical_matches_solve_oracle():
             mod = ParabolicModule(b, parab, param)
             w = b.element_by_word(word)
             assert mod.canonical_basis(w) == mod.canonical_basis_via_solve(w)
+
+
+@pytest.mark.parametrize("word,delta", [
+    # R_y gains the constant 1: not anti-bar-invariant
+    ((0,), (0, 0, 1)),
+    # R_y gains v^2 - v^-2: anti-bar-invariant, of degree 2 > l(w) - l(y)
+    ((0,), (-1, 0, 0, 0, 1)),
+    # r_{w,w} = 2
+    ((0, 1), (0, 0, 1)),
+    # an entry at 10, which is not below w = 01
+    ((1, 0), (1,)),
+], ids=["anti-invariance", "degree", "head", "outside-interval"])
+def test_the_oracle_checks_every_equation(monkeypatch, word, delta):
+    # delta added to the entry at N_y of v^{l(w)} bar(N_w) in A2, w = 01,
+    # breaks exactly one check of the back-substitution
+    ball = build_ball(A2, 3)
+    w = ball.element_by_word((0, 1))
+    extra = {ball.id_of(word): delta}
+    bar_standard = ParabolicModule.bar_standard
+
+    def corrupted(mod, z):
+        got = bar_standard(mod, z)
+        return zv_combine(((1,), got), ((1,), extra)) if z.id == w.id else got
+
+    assert ParabolicModule(ball, ()).canonical_basis_via_solve(w)
+    monkeypatch.setattr(ParabolicModule, "bar_standard", corrupted)
+    with pytest.raises(DomainError, match="bar-invariance system is "
+                       "inconsistent"):
+        ParabolicModule(ball, ()).canonical_basis_via_solve(w)
 
 
 def test_antispherical_a2_golden():
