@@ -137,14 +137,11 @@ def reflect_coroot(rs, refl, cr):
 # pairings and reflections on weights
 # ---------------------------------------------------------------------------
 
-def dot_pair(lw, cr, shifted=True):
-    """<lam + rho_hat, cr> (shifted) or <lam, cr> (unshifted)."""
+def dot_pair(lw, cr):
+    """<lam + rho_hat, cr>."""
     rs = lw.rs
-    if shifted:
-        base = rs.pair_weight_coroot(lw.shif(), cr.gamma)
-        return base + cr.m * (lw.k + rs.h_dual)
-    base = rs.pair_weight_coroot(lw.lam, cr.gamma)
-    return base + cr.m * lw.k
+    base = rs.pair_weight_coroot(lw.shif(), cr.gamma)
+    return base + cr.m * (lw.k + rs.h_dual)
 
 
 def dot_reflect(lw, cr):
@@ -312,8 +309,6 @@ def integrality_progression(pair_value, k):
     """
     pv = F(pair_value)
     k = F(k)
-    if k == 0:
-        return (0, 1) if pv.denominator == 1 else None
     p, q = k.numerator, k.denominator
     b = pv.denominator
     if q % b != 0:
@@ -356,6 +351,17 @@ def integral_system(lw):
                if all(reflect_coroot(rs, cand, other).is_positive()
                       for other in firsts if other != cand)]
     return IntegralSystem(simples, _coxeter_matrix_of(rs, simples))
+
+
+def regular_antidominant_system(lw, what):
+    """integral_system(lw) if lw is regular antidominant at negative
+    level, the regime of `what`; else a DomainError naming `what`."""
+    cls = classify_weight(lw)
+    if not (cls.antidominant and cls.regular and lw.level.is_negative(lw.rs)):
+        raise DomainError(
+            "%s requires a regular antidominant weight at negative level; "
+            "classification: %s" % (what, cls.to_json_dict()))
+    return integral_system(lw)
 
 
 def _coxeter_matrix_of(rs, coroots):
@@ -508,12 +514,7 @@ def block_decomposition(lw, length_bound):
     """Double cosets W_f \\ W / W_lambda among ball elements, each with
     its minimal-length representative and simple-label coset list."""
     rs = lw.rs
-    cls = classify_weight(lw)
-    if not (cls.antidominant and cls.regular and lw.level.is_negative(rs)):
-        raise DomainError(
-            "block decomposition requires a regular antidominant weight at "
-            "negative level; classification: %s" % (cls.to_json_dict(),))
-    isys = integral_system(lw)
+    isys = regular_antidominant_system(lw, "block decomposition")
     group = AffineWeylGroup(rs, lw.level)
     ball = group.ball(length_bound)
     refl_words = [group.reflection_word(cr) for cr in isys.simples]

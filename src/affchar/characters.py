@@ -22,9 +22,9 @@ from fractions import Fraction
 from .errors import DomainError
 from .rootdata import casimir_eigenvalue
 from .qseries import eta_factor
-from .affine import (classify_weight, dot_act_word, integral_system,
-                     finite_antidominant_element,
-                     finite_dominant_representative)
+from .affine import (dot_act_word, finite_antidominant_element,
+                     finite_dominant_representative,
+                     regular_antidominant_system)
 
 F = Fraction
 
@@ -199,15 +199,9 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
     """
     from .hecke import ParabolicModule, query_ball
     rs = lw.rs
-    cls = classify_weight(lw)
-    if not (cls.antidominant and cls.regular and lw.level.is_negative(rs)):
-        raise DomainError(
-            "simple characters are only computed for regular antidominant "
-            "weights of negative level; classification: %s"
-            % (cls.to_json_dict(),))
     if multiplicities not in MULTIPLICITY_RULES:
         raise DomainError("unknown multiplicity rule %r" % (multiplicities,))
-    isys = integral_system(lw)
+    isys = regular_antidominant_system(lw, "a simple character")
     ball = query_ball(isys.coxeter_matrix, length_bound, (tuple(w_word),))
     parabolic = [i for i, cr in enumerate(isys.simples) if cr.m == 0]
     param = "q" if multiplicities == "kl" else multiplicities.split(":")[1]

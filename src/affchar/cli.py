@@ -276,11 +276,10 @@ def _cmd_kl(job):
                         kl_table_tsv, query_ball)
     matrix, bound = _matrix_and_bound(job)
     if job.get("x") is None and job.get("y") is None:
-        # full table dump of the ball
+        # full table dump of the ball: one line per pair after the header
         ball = build_ball(matrix, bound)
-        pairs = kl_table_pairs(ball)
-        return {"table_tsv": kl_table_tsv(ball, pairs),
-                "pairs": len(pairs)}
+        table = kl_table_tsv(ball, kl_table_pairs(ball))
+        return {"table_tsv": table, "pairs": table.count("\n") - 1}
     # a point query needs only the ball of its longer word
     xw, yw = _word(job.get("x"), "x"), _word(job.get("y"), "y")
     ball = query_ball(matrix, bound, (xw, yw))

@@ -303,8 +303,9 @@ class BruhatBall:
         return list(self.elements)
 
     def counts_by_length(self):
-        """The number of elements of each length 0..length_bound."""
-        return self._counts + [0] * (self.length_bound + 1 - len(self._counts))
+        """The number of elements of each length, up to the longest
+        element: length_bound, or less once a finite group runs out."""
+        return [c for c in self._counts if c]
 
     def left_descents(self, k):
         """Bitmask of the left descents of element k, memoized: the right
@@ -386,10 +387,6 @@ def _mul(a, b):
     """a b in Z[v]; the top coefficient a[-1] b[-1] is never zero."""
     if not a or not b:
         return ()
-    if not any(b[:-1]):
-        # a monomial c v^k: scale and shift
-        c = b[-1]
-        return (0,) * (len(b) - 1) + (a if c == 1 else tuple(c * x for x in a))
     out = [0] * (len(a) + len(b) - 1)
     for p, x in enumerate(a):
         if x:
@@ -742,10 +739,11 @@ def kl_polynomial_via_solve(ball, x, y):
 def kl_table_pairs(ball):
     """Every pair x <= y of the ball, y in ShortLex order and x in
     ShortLex order below it, read off the ids of b_y: x <= y iff
-    P_{x,y}(0) = 1, and ShortLex order is id order."""
+    P_{x,y}(0) = 1, and ShortLex order is id order; lazily, so a table
+    never holds its pair list."""
     mod = _kl_module(ball)
     els = ball.elements
-    return [(els[x], y) for y in els for x in sorted(mod._column(y.id))]
+    return ((els[x], y) for y in els for x in sorted(mod._column(y.id)))
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +779,8 @@ def kl_table_tsv(ball, pairs):
     convention tag, one line per pair in the given order.  Every x is read
     off the one column b_y of its y.  The top digit of a packed h_{x,y} is
     the 1 at v^{l(y)-l(x)} (P_{x,y}(0) = 1), so the int fixes its own
-    base, and the text of each distinct h is formatted once, keyed by the
-    int."""
+    base and the coefficient list starts at q^0; the text of each
+    distinct h is formatted once, keyed by the int."""
     mod = _kl_module(ball)
     lines = ["y\tw\tcoeffs\tconvention"]
     names = [None] * len(ball.elements)
@@ -798,9 +796,8 @@ def kl_table_tsv(ball, pairs):
         text = texts.get(h)
         if text is None:
             p = _p_from_h(_unpack(h, mod._width), y.length - x.length)
-            lo = next(k for k, a in enumerate(p) if a)
-            text = texts[h] = "%s\t%s" % (
-                ",".join(str(c) for c in (lo,) + p[lo:]), KL_CONVENTION)
+            text = texts[h] = "0,%s\t%s" % (",".join(map(str, p)),
+                                             KL_CONVENTION)
         xname = names[x.id]
         if xname is None:
             xname = names[x.id] = "".join(str(i) for i in x.word) or "e"

@@ -59,17 +59,17 @@ act at depth d as {(left gen, right gen): int coeff}, the h_0 flow scalar
 as a None generator, and one loop sums a plan on a vector; the explicit
 sum `_scaled_sugawara(module, n, p)` defines every Sugawara mode (S_n is
 its flow p = 0).  `check_dss` gets S_n v by the commutator recursion
-S_n (x_q rest) = x_q S_n rest - q x_{q+n} rest, memoized per call, and
-the flowed side as S_n v + Delta v, Delta the key-wise difference of the
-flowed and unflowed plans.  All their other terms are the same ordered
-products with the same coefficients: they cancel identically and could
-never mismatch.  So the identity reduces to Delta v = lam_check_n v +
-const v, where Delta holds only the few pairs the flow reorders and the
-h_0 scalar.  A vector is skipped iff any of its three sides
-(lam_check_n, S_n, Ad S_n) leaves the window, whatever the order of
-evaluation.  Before any straightening `check_dss` charges the basis size
-times the planned terms per vector, which grow with |x|, against
-`errors.STEP_BUDGET` and `errors.SLOT_BUDGET`.
+S_n (x_q rest) = x_q S_n rest - q x_{q+n} rest, memoized per call, from
+the explicit sum S_n |Lam>, and the flowed side as S_n v + Delta v, Delta
+the key-wise difference of the flowed and unflowed plans.  All their
+other terms are the same ordered products with the same coefficients:
+they cancel identically and could never mismatch.  So the identity
+reduces to Delta v = lam_check_n v + const v, where Delta holds only the
+few pairs the flow reorders and the h_0 scalar.  A vector is skipped iff
+any of its three sides (lam_check_n, S_n, Ad S_n) leaves the window,
+whatever the order of evaluation.  Before any straightening `check_dss`
+charges the basis size times the planned terms per vector, which grow
+with |x|, against `errors.STEP_BUDGET` and `errors.SLOT_BUDGET`.
 
 Values are turned back into `Fraction` only at the public edges:
 `GradedModule.apply_word` and `sugawara_mode` unscale each output entry
@@ -450,15 +450,9 @@ def _recursive_sugawara(module, n):
     """id -> S_n monos[id] as `_scaled_sugawara` scales it, exact and with
     no window check, memoized per returned function.  At a noncritical
     level [S_n, x_q] = -q x_{q+n}, so S_n (x_q rest) = x_q S_n rest
-    - q x_{q+n} rest."""
-    D, A, apply_gen = module.D, module.A, module.apply_gen
-    if n < 0:
-        base = _planned(module, lambda d: _plan(module, n, 0, d))(0)
-    else:
-        # S_n |Lam> is 0 for n > 0, and S_0 |Lam> = a (a + 2) / (4 (k +
-        # h_dual)) |Lam>, times four_kh D
-        base = {0: A * (A + 2 * D)} if n == 0 and A * (A + 2 * D) else {}
-    done = {0: base}
+    - q x_{q+n} rest, from the explicit sum S_n |Lam> planned at depth 0."""
+    D, apply_gen = module.D, module.apply_gen
+    done = {0: _planned(module, lambda d: _plan(module, n, 0, d))(0)}
 
     def compute(i):
         out = done.get(i)

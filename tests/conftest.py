@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from affchar.affine import (AffineCoroot, dot_pair, is_real_coroot,
-                            reflect_coroot)
+from affchar.affine import AffineCoroot, is_real_coroot, reflect_coroot
 from affchar.rootdata import build_root_system
 
 # One profile for every property test: the same examples on every run, no
@@ -70,8 +69,8 @@ def integral_coroots(lw, m_max):
         for g in (gamma, tuple(-x for x in gamma)):
             for m in range(0 if g == gamma else 1, m_max + 1):
                 cr = AffineCoroot(g, m)
-                if (is_real_coroot(rs, cr)
-                        and dot_pair(lw, cr, shifted=False).denominator == 1):
+                pv = rs.pair_weight_coroot(lw.lam, g) + m * lw.k
+                if is_real_coroot(rs, cr) and pv.denominator == 1:
                     out.append(cr)
     return sorted(out, key=lambda cr: (cr.m, cr.gamma))
 

@@ -24,9 +24,6 @@ def test_dot_pair_examples(sl2):
     assert dot_pair(lw2(sl2, 0, -3), a1) == 1
     assert dot_pair(lw2(sl2, 0, F(-1, 2)), a0) == F(1, 2)
     assert dot_pair(lw2(sl2, 0, -3), a0) == -2
-    # unshifted variant
-    assert dot_pair(lw2(sl2, 0, -3), a0, shifted=False) == -3
-    assert dot_pair(lw2(sl2, F(1, 2), -3), a1, shifted=False) == F(1, 2)
 
 
 def test_dot_reflect_examples(sl2):
@@ -127,7 +124,8 @@ def test_classify_wall_is_automatic_integral(sl2, rng):
         w = LevelWeight(sl2, rand_weight(rng, 1), Level(k))
         for wall in classify_weight(w).walls:
             assert dot_pair(w, wall) == 0
-            unshift = dot_pair(w, wall, shifted=False)
+            unshift = (sl2.pair_weight_coroot(w.lam, wall.gamma)
+                       + wall.m * w.k)
             assert unshift.denominator == 1
 
 
@@ -152,6 +150,14 @@ def test_integral_system_examples(sl2):
     isys = integral_system(lw)
     assert all(cr.m != 0 for cr in integral_coroots(lw, 6))
     assert all(cr.m != 0 for cr in isys.simples)
+
+
+def test_integrality_progression_at_level_zero():
+    # pv + m 0 is pv for every m: all of Z or nothing
+    assert integrality_progression(F(3), 0) == (0, 1)
+    assert integrality_progression(F(-2), F(0)) == (0, 1)
+    assert integrality_progression(F(1, 2), 0) is None
+    assert integrality_progression(F(-5, 3), F(0)) is None
 
 
 def test_integrality_progression_against_ball(sl2, sl3, rng):

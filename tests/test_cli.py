@@ -145,6 +145,8 @@ def test_exit_code_domain_rejection(capsys):
     code, _, err = run_cli(capsys, "blocks", "--type", "A", "--rank", "1",
                            "--level", "-3", "--weight", "0")
     assert code == 2
+    assert err.startswith("domain error: block decomposition requires a "
+                          "regular antidominant weight at negative level")
 
 
 def test_misclassified_antidominant_weight_exits_2(capsys):
@@ -159,7 +161,8 @@ def test_misclassified_antidominant_weight_exits_2(capsys):
                              "--rank", "1", "--level=-8/3", "--weight=-10",
                              "--w", "1", "--trunc", "4", "--length-bound", "4")
     assert code == 2 and out == ""
-    assert err.startswith("domain error:")
+    assert err.startswith("domain error: a simple character requires a "
+                          "regular antidominant weight at negative level")
 
 
 def test_integral_weyl_group_needs_no_height_window(capsys):

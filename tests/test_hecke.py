@@ -2,7 +2,7 @@ import pytest
 
 from affchar.errors import BallExhausted, DomainError, TruncationOverflow
 from affchar.hecke import (INFINITE_BOND, LaurentPoly, ParabolicModule,
-                           build_ball,
+                           _mul, build_ball,
                            inverse_multiplicity_matrix, kl_polynomial,
                            kl_polynomial_via_solve, kl_table_tsv)
 
@@ -34,7 +34,10 @@ def test_ball_counts():
     assert build_ball(A1_TILDE, 3).counts_by_length() == [1, 2, 2, 2]
     s3 = build_ball(A2, 6)
     assert len(s3.elements) == 6
-    assert s3.counts_by_length() == [1, 2, 2, 1, 0, 0, 0]
+    assert s3.counts_by_length() == [1, 2, 2, 1]
+    # a finite group's counts end at its longest element, however large
+    # the bound
+    assert build_ball(A2, 10**4000).counts_by_length() == [1, 2, 2, 1]
     s4 = build_ball(A3, 8)
     assert len(s4.elements) == 24
     assert s4.counts_by_length()[:7] == [1, 3, 5, 6, 5, 3, 1]
@@ -184,6 +187,16 @@ def test_act_gen_hecke_relations(matrix, parabolic, param, bonds):
                         == _act_word(mod, vec, ((t, s) * m)[:m]))
                 checked.add(m)
     assert checked == bonds
+
+
+def test_mul_by_a_monomial_is_a_scaled_shift():
+    for a in [(1,), (0, 2, -1), (3, 0, 0, 5), (-1, 1)]:
+        for c in (1, -1, 3):
+            for k in range(4):
+                b = (0,) * k + (c,)
+                assert _mul(a, b) == zv_combine((b, {0: a}))[0]
+                assert _mul(b, a) == _mul(a, b)
+    assert _mul((), (1,)) == _mul((0, 2), ()) == ()
 
 
 def test_a_too_narrow_packing_width_stops_the_recursion():

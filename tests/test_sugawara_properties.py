@@ -386,6 +386,21 @@ def test_recursive_sugawara_matches_the_explicit_sum(ak, window):
             explicit, i)
 
 
+@pytest.mark.parametrize("a, k", [(F(1, 3), F(-1, 2)), (F(3, 4), F(2, 3)),
+                                  (F(-5, 2), F(7, 3)), (F(-2), F(1, 3))])
+def test_recursion_base_is_s_n_on_the_highest_weight_line(a, k):
+    # S_n |Lam> is 0 for n > 0 and a (a + 2) / (4 (k + 2)) |Lam> for n = 0,
+    # kept times four_kh D (id 0 is |Lam>)
+    module = GradedModule(a, k, 2, 1)
+    assert module.D > 1
+    for n in (1, 2):
+        assert _recursive_sugawara(module, n)(0) == {}
+    s_0 = {m: F(c, module.four_kh * module.D)
+           for m, c in _recursive_sugawara(module, 0)(0).items()}
+    want = a * (a + 2) / (4 * (k + 2))
+    assert s_0 == ({0: want} if want else {})
+
+
 @settings(max_examples=30, deadline=None)
 @given(weight_and_level(), windows, st.integers(-3, 3))
 @example((F(1, 3), F(-1, 2)), (4, 1, 0), 2)
