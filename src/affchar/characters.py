@@ -183,11 +183,12 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
     ``multiplicities`` selects the rule producing [M_y : L_w]:
 
     * ``"kl"`` (default): P_{y,w}(1) on minimal coset representatives,
-      read off the Kazhdan-Lusztig basis element b_w.
-      This is what exactness of the reduction functor forces: it sends
-      the large-side Vermas to Vermas, kills exactly the simples whose
-      orbit element is not coset-minimal, and the negative-level
-      large-side multiplicities are the KL values at 1.
+      read off the Kazhdan-Lusztig basis element b_w.  Inverting these
+      gives inverse-KL coefficients, which is not the negative-level
+      Kashiwara-Tanisaki sum: on A2 at k = -6, lam = (-2, -2) and
+      w = 2012 the character has 43 at q^5 where the signed "-1"
+      antispherical column gives 44.  ROADMAP item 11 replaces the
+      rules by that column.
     * ``"parabolic:q"`` / ``"parabolic:-1"``: the parabolic canonical
       basis of the corresponding one-dimensional induction, specialized
       at v = 1.  On the rank-one chain all three rules coincide; they
@@ -222,7 +223,7 @@ def ch_simple_W(lw, w_word, trunc, length_bound=8, multiplicities="kl"):
         basis = mod.canonical_basis(w)
         if mod is jmod and not basis.keys() <= pos.keys():
             raise AssertionError("canonical basis outside the ideal")
-        col = {pos[k]: poly.eval_at_one()
+        col = {pos[k]: sum(poly)
                for k, poly in basis.items() if k in pos}
         if col.get(len(cols)) != 1 or max(col) != len(cols):
             raise AssertionError("multiplicity matrix is not unitriangular")

@@ -531,6 +531,12 @@ def main(argv=None):
     except (BallExhausted, TruncationOverflow) as exc:
         sys.stderr.write("resource exhausted: %s\n" % exc)
         return 3
+    except MemoryError:
+        # reported below, once the handler has dropped the traceback and
+        # with it the job's partial data
+        pass
+    sys.stderr.write("resource exhausted: out of memory\n")
+    return 3
 
 
 if __name__ == "__main__":

@@ -83,10 +83,10 @@ recursion never leaves it.  The oracle needs bar(N_y), which has powers
 v^{-1}; ``bar_standard`` expands v^{l(y)} bar(N_y) = N_e prod_s
 (v H_s + v^2 - 1) with ``act_gen``, and the back-substitution keeps
 the Laurent sums it builds from these as {power: int} dicts.
-``LaurentPoly`` appears only at the API edge:
-``canonical_basis``, ``canonical_basis_via_solve``, ``kl_polynomial``
-and ``kl_polynomial_via_solve`` convert once per call, and only
-``canonical_basis`` and ``kl_polynomial`` unpack.
+Every value the module returns has only nonnegative powers, so its API
+edge returns these tuples too: ``canonical_basis`` and ``kl_polynomial``
+unpack the recursion's ints into them, and each is wrapped as a
+``ZPoly``, whose one method ``coeff_list`` gives the reports' form.
 """
 
 from .errors import DomainError, BallExhausted, TruncationOverflow
@@ -98,75 +98,16 @@ _BOND_TO_GCM = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3),
                 INFINITE_BOND: (-2, -2)}
 
 
-class LaurentPoly:
-    """Laurent polynomial with integer coefficients, variable-agnostic."""
+class ZPoly(tuple):
+    """An element of Z[v] (or Z[q]) as the int tuple of its coefficients,
+    indexed by the power, with no trailing zeros: () is 0."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        self.c = {}
-        if coeffs:
-            for p, a in coeffs.items():
-                if a:
-                    self.c[int(p)] = int(a)
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for p, a in other.c.items():
-            out[p] = out.get(p, 0) + a
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({p: -a for p, a in self.c.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({p: a * other for p, a in self.c.items()})
-        out = {}
-        for p, a in self.c.items():
-            for q, b in other.c.items():
-                out[p + q] = out.get(p + q, 0) + a * b
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return self.c == other.c
-
-    @property
-    def is_zero(self):
-        return not self.c
-
-    def eval_at_one(self):
-        return sum(self.c.values())
-
-    def min_power(self):
-        return min(self.c) if self.c else 0
-
-    def max_power(self):
-        return max(self.c) if self.c else 0
+    __slots__ = ()
 
     def coeff_list(self):
         """[lowest power, coefficients ascending]; [0] for the zero poly."""
-        if not self.c:
-            return [0]
-        lo, hi = self.min_power(), self.max_power()
-        return [lo] + [self.c.get(p, 0) for p in range(lo, hi + 1)]
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        bits = []
-        for p in sorted(self.c):
-            a = self.c[p]
-            if p == 0:
-                bits.append(str(a))
-            else:
-                s = "" if a == 1 else ("-" if a == -1 else str(a))
-                bits.append("%sx^%d" % (s, p) if p != 1 else "%sx" % s)
-        return " + ".join(bits).replace("+ -", "- ")
+        lo = next((p for p, a in enumerate(self) if a), 0)
+        return [lo, *self[lo:]]
 
 
 def validate_coxeter_matrix(m):
@@ -395,11 +336,6 @@ def _mul(a, b):
     return tuple(out)
 
 
-def _laurent(coeffs):
-    """A tuple of coefficients indexed by the power as a LaurentPoly."""
-    return LaurentPoly({p: a for p, a in enumerate(coeffs) if a})
-
-
 def _unpack(h, width):
     """The Z[v] tuple of a packed coefficient h = h(2^width), read as
     balanced digits in (-2^(width-1), 2^(width-1))."""
@@ -518,12 +454,12 @@ class ParabolicModule:
     # -- canonical basis: production recursion -----------------------------
 
     def canonical_basis(self, w):
-        """n_w over the standard basis, {id: LaurentPoly in v}, via the
+        """n_w over the standard basis, {id: ZPoly in v}, via the
         inductive mu-correction algorithm.  w must be a minimal coset
         representative."""
         w = self._as_minimal(w)
         width = self._width
-        return {k: _laurent(_unpack(h, width))
+        return {k: ZPoly(_unpack(h, width))
                 for k, h in self._column(w.id).items()}
 
     def _column(self, w):
@@ -621,9 +557,9 @@ class ParabolicModule:
 
     def canonical_basis_via_solve(self, w):
         """n_w solved once per w, in a memo apart from the recursion's;
-        {id: LaurentPoly in v}."""
+        {id: ZPoly in v}."""
         w = self._as_minimal(w)
-        return {k: _laurent(t) for k, t in self._solved_column(w).items()}
+        return {k: ZPoly(t) for k, t in self._solved_column(w).items()}
 
     def _solved_column(self, w):
         got = self._solved.get(w.id)
@@ -725,7 +661,7 @@ def kl_polynomial(ball, x, y):
     h = mod._column(y.id).get(x.id)
     if h is None:
         raise DomainError("kl_polynomial requires x <= y in Bruhat order")
-    return _laurent(_p_from_h(_unpack(h, mod._width), y.length - x.length))
+    return ZPoly(_p_from_h(_unpack(h, mod._width), y.length - x.length))
 
 
 def kl_polynomial_via_solve(ball, x, y):
@@ -733,7 +669,7 @@ def kl_polynomial_via_solve(ball, x, y):
     Independent of the mu-correction recursion."""
     x, y = _elements(ball, x, y)
     h = _kl_module(ball)._solved_column(y).get(x.id, ())
-    return _laurent(_p_from_h(h, y.length - x.length))
+    return ZPoly(_p_from_h(h, y.length - x.length))
 
 
 def kl_table_pairs(ball):

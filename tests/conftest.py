@@ -120,7 +120,7 @@ def zv_combine(*terms):
 
 
 def is_bar_invariant(mod, basis, w):
-    """bar(n_w) = n_w for n_w = basis, {id: LaurentPoly in v}, checked in
+    """bar(n_w) = n_w for n_w = basis, {id: Z[v] tuple}, checked in
     Z[v] after multiplying by v^{l(w)}: bar_standard(y) is v^{l(y)}
     bar(N_y), so v^{l(w)} bar(n_w) = sum_y v^{l(w)-l(y)} h_y(v^{-1})
     bar_standard(y), and every h_y has degree at most l(w) - l(y)."""
@@ -128,10 +128,9 @@ def is_bar_invariant(mod, basis, w):
     terms = []
     for key, poly in basis.items():
         d = w.length - els[key].length
-        if poly.min_power() < 0 or poly.max_power() > d:
+        if len(poly) > d + 1:
             return False
-        terms.append((zv({d - p: a for p, a in poly.c.items()}),
+        terms.append((zv({d - p: a for p, a in enumerate(poly)}),
                       mod.bar_standard(els[key])))
-    return zv_combine(*terms) == {
-        key: zv({p + w.length: a for p, a in poly.c.items()})
-        for key, poly in basis.items()}
+    return zv_combine(*terms) == {key: (0,) * w.length + poly
+                                  for key, poly in basis.items()}

@@ -20,8 +20,8 @@ from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
 from affchar.characters import (ch_simple_W, ch_verma_Oprime, ch_verma_W,
                                 ds_transform, energy_offsets, hc_project,
                                 psi_s)
-from affchar.hecke import (LaurentPoly, ParabolicModule, build_ball,
-                           kl_polynomial, kl_polynomial_via_solve)
+from affchar.hecke import (ParabolicModule, build_ball, kl_polynomial,
+                           kl_polynomial_via_solve)
 from affchar.qseries import equal_to_order, eta_factor
 from affchar.sugawara import build_truncated_verma, check_dss, sugawara_mode
 from affchar.wstruct import (generator_windows, ideal_jump,
@@ -110,7 +110,7 @@ def test_criterion_04_kl_oracle_equivalence():
     s3 = build_ball([[1, 3], [3, 1]], 6)
     s4 = build_ball([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 8)
     b2 = build_ball([[1, 4], [4, 1]], 6)
-    one = LaurentPoly({0: 1})
+    one = (1,)
     ok = True
     for ball, want_trivial in ((s3, True), (s4, False), (b2, False),
                                (a1t, True)):
@@ -124,7 +124,7 @@ def test_criterion_04_kl_oracle_equivalence():
                     ok = ok and rec == one
     x = s4.element_by_word((1,))
     y = s4.element_by_word((1, 0, 2, 1))
-    ok = ok and kl_polynomial(s4, x, y) == LaurentPoly({0: 1, 1: 1})
+    ok = ok and kl_polynomial(s4, x, y) == (1, 1)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0
     _report(4, "mu-recursion equals the bar-involution linear solve on all "
@@ -144,7 +144,7 @@ def test_criterion_05_antispherical_chain():
         ok = ok and is_bar_invariant(mod, basis, w)
         for key, poly in basis.items():
             y = ball.elements[key]
-            ok = ok and poly == LaurentPoly({w.length - y.length: 1})
+            ok = ok and poly == (0,) * (w.length - y.length) + (1,)
     # consequent simple-character coefficients on the chain; the default
     # KL multiplicity rule and the parabolic route coincide there
     lw = LevelWeight(SL2, (F(-2),), Level(F(-4)))

@@ -6,11 +6,15 @@ layers and replaces the ``kl`` handler with a traced copy that reads
 breaks only traced benchmark runs, which the test suite never starts; so
 each job here runs traced and untraced in a subprocess, and the traced run
 must exit 0, write its spans, open the spans of the hooked layer and
-print exactly the untraced report.
+print exactly the untraced report.  The output checks of
+``perfbench/checks.py`` read the layers too, by recomputing a report's
+polynomials, so each kind of Hecke job's report must pass them.
 """
 
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +22,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-JOBPROC = ROOT / "perfbench" / "jobproc.py"
+PERFBENCH = ROOT / "perfbench"
+JOBPROC = PERFBENCH / "jobproc.py"
 
 # (job, a span the traced run must open)
 JOBS = [
@@ -29,6 +34,10 @@ JOBS = [
         "kl", "--coxeter-matrix", "[[1,3,3],[3,1,3],[3,3,1]]",
         "--length-bound", "6", "--x", "0", "--y", "0,1,2,0"]},
      "hecke.kl_polynomial"),
+    ({"id": "kl-oracle", "call": "kl-oracle", "args": {
+        "coxeter_matrix": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+        "length_bound": 4, "y": [2, 0, 1, 2]}},
+     "hecke.kl_polynomial_via_solve"),
     ({"id": "parabolic-oracle", "call": "parabolic-oracle", "args": {
         "coxeter_matrix": [[1, 4, 4], [4, 1, 2], [4, 2, 1]],
         "length_bound": 4, "parabolic": [1], "param": "-1"}},
@@ -65,3 +74,25 @@ def test_traced_job_prints_the_untraced_report(tmp_path, job, span):
     head, *rows = spans_file.read_text(encoding="utf-8").split("\n")
     assert json.loads(head)["job"] == job["id"]
     assert span in {row.split("\t")[0] for row in rows}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the jobs of JOBS whose output check reads Hecke polynomials, each with
+# the check its id names
+CHECKED = [dict(job, check=job["id"]) for job, _ in JOBS
+           if job["id"] in ("kl-table", "kl-point", "kl-oracle",
+                            "parabolic-oracle")]
+
+
+@pytest.mark.parametrize("job", CHECKED, ids=[job["id"] for job in CHECKED])
+def test_report_passes_the_output_check(capsys, job):
+    assert _load("jobproc").run_job(job) == 0
+    stdout = capsys.readouterr().out
+    assert _load("checks").check(job, stdout, random.Random(0)) == []

@@ -4,11 +4,12 @@ import pytest
 
 from affchar.errors import DomainError
 from affchar.rootdata import Level, build_root_system
-from affchar.affine import LevelWeight
+from affchar.affine import LevelWeight, dot_act_word, integral_system
 from affchar.characters import (MULTIPLICITY_RULES, ch_simple_W,
                                 ch_verma_Oprime, ch_verma_W, ds_exponent,
                                 ds_transform, energy_offsets, hc_project,
                                 psi_s)
+from affchar.hecke import ParabolicModule, query_ball
 from affchar.qseries import eta_factor, equal_to_order
 from conftest import finite_dot_orbit, rand_fraction, rand_weight
 
@@ -230,6 +231,54 @@ def test_simple_character_rejections(sl2):
     with pytest.raises(DomainError):
         # non-minimal coset representative
         ch_simple_W(chain_weight(sl2), (0,), 10, length_bound=6)
+
+
+def signed_antispherical_character(lw, word, trunc, length_bound):
+    """The Kashiwara-Tanisaki character at negative level read off the "-1"
+    antispherical module, with J the finite simples of W_lambda: the sum
+    over the ids y of its canonical basis element n_w of
+    (-1)^{l(w)-l(y)} n_{y,w}(1) ch M_W(pi(y . lam)) (Soergel, Represent.
+    Theory 1 (1997), Prop. 3.4).  The reference ch_simple_W is to match
+    (ROADMAP item 11)."""
+    isys = integral_system(lw)
+    ball = query_ball(isys.coxeter_matrix, length_bound, (word,))
+    finite = [i for i, cr in enumerate(isys.simples) if cr.m == 0]
+    w = ball.element_by_word(word)
+    series = None
+    for k, poly in ParabolicModule(ball, finite, "-1").canonical_basis(
+            w).items():
+        y = ball.elements[k]
+        mu = dot_act_word(lw, isys.simples, y.word)
+        chi = hc_project(lw.rs, mu.lam, lw.level)
+        term = ((-1) ** (w.length - y.length) * sum(poly)
+                * ch_verma_W(chi, trunc))
+        series = term if series is None else series + term
+    return series
+
+
+# the A2 block of ROADMAP item 11, k = -6 and lambda = (-2, -2), and the
+# two minimal words of length 4 on which the default rule departs
+ITEM_11_WORDS = [(2, 0, 1, 2), (2, 1, 0, 2)]
+
+
+def _item_11_weight(sl3):
+    return LevelWeight(sl3, (F(-2), F(-2)), Level(F(-6)))
+
+
+@pytest.mark.parametrize("word", ITEM_11_WORDS)
+def test_signed_antispherical_sum_on_the_a2_block(sl3, word):
+    series = signed_antispherical_character(_item_11_weight(sl3), word, 6, 6)
+    assert (series.offset, series.coeffs) == (-1, (1, 2, 4, 8, 15, 25, 44))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the default rule inverts KL polynomials on minimal coset "
+    "representatives and gives 43 at q^5, not 44 (ROADMAP item 11)"))
+def test_simple_character_is_the_signed_antispherical_sum(sl3):
+    lw = _item_11_weight(sl3)
+    for word in ITEM_11_WORDS:
+        assert ch_simple_W(lw, word, 6, length_bound=6).series == (
+            signed_antispherical_character(lw, word, 6, 6))
 
 
 @pytest.mark.parametrize("rule", MULTIPLICITY_RULES)

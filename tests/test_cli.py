@@ -473,17 +473,44 @@ def test_vacuum_windows_over_the_slot_budget_exit_3_at_once(argv):
     # each is charged at most 10^8 steps but would hold 10^8 row slots;
     # the job runs in a child process under a memory limit, so a missing
     # slot check fails this test instead of filling the memory
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__)),
-         env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", _BOUNDED_JOB] + argv.split(),
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_child(_BOUNDED_JOB, argv.split())
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, seconds, err = json.loads(proc.stdout.splitlines()[-1])
     assert code == 3 and seconds < 1
     assert err.startswith("resource exhausted:")
     assert "coefficient slots, over the budget" in err
+
+
+def _run_child(script, argv):
+    """`python -c script *argv` with this package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+# runs one CLI job under a 128 MiB address-space limit and exits with its
+# code
+_STARVED_JOB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 27, 2 ** 27))
+from affchar import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_an_allocation_failure_exits_3_without_a_traceback():
+    # the universal rank-3 ball of radius 40 has over 2^40 elements and
+    # no budget refuses it yet, so its build runs out of the child's
+    # address space; the MemoryError must end as exit 3 with one line,
+    # not as a traceback with the bad-config code 1
+    proc = _run_child(_STARVED_JOB, [
+        "kl", "--coxeter-matrix", "[[1,0,0],[0,1,0],[0,0,1]]",
+        "--length-bound", "40"])
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "resource exhausted: out of memory\n"
 
 
 def test_vacuum_window_is_charged_its_exact_row_slots(capsys):

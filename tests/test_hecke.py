@@ -1,10 +1,10 @@
 import pytest
 
 from affchar.errors import BallExhausted, DomainError, TruncationOverflow
-from affchar.hecke import (INFINITE_BOND, LaurentPoly, ParabolicModule,
-                           _mul, build_ball,
-                           inverse_multiplicity_matrix, kl_polynomial,
-                           kl_polynomial_via_solve, kl_table_tsv)
+from affchar.hecke import (INFINITE_BOND, ParabolicModule, _mul,
+                           build_ball, inverse_multiplicity_matrix,
+                           kl_polynomial, kl_polynomial_via_solve,
+                           kl_table_tsv)
 
 from conftest import is_bar_invariant, zv_combine
 
@@ -86,7 +86,7 @@ def test_kl_identity_and_s3():
     s3 = build_ball(A2, 6)
     for x, y in _all_pairs(s3):
         p = kl_polynomial(s3, x, y)
-        assert p == LaurentPoly({0: 1})
+        assert p == (1,)
 
 
 def test_kl_requires_order():
@@ -101,8 +101,8 @@ def test_kl_s4_classic_value():
     s4 = build_ball(A3, 8)
     x = s4.element_by_word((1,))
     y = s4.element_by_word((1, 0, 2, 1))
-    assert kl_polynomial(s4, x, y) == LaurentPoly({0: 1, 1: 1})
-    assert kl_polynomial_via_solve(s4, x, y) == LaurentPoly({0: 1, 1: 1})
+    assert kl_polynomial(s4, x, y) == (1, 1)
+    assert kl_polynomial_via_solve(s4, x, y) == (1, 1)
 
 
 @pytest.mark.parametrize("matrix,bound", [(A2, 6), (B2, 6), (A1_TILDE, 8)])
@@ -111,7 +111,7 @@ def test_recursion_equals_solve(matrix, bound):
     for x, y in _all_pairs(ball):
         rec = kl_polynomial(ball, x, y)
         # deg P_{x,y} <= (l(y) - l(x) - 1) / 2 for x < y
-        assert rec.max_power() <= max((y.length - x.length - 1) // 2, 0)
+        assert len(rec) - 1 <= max((y.length - x.length - 1) // 2, 0)
         assert rec == kl_polynomial_via_solve(ball, x, y)
 
 
@@ -122,13 +122,13 @@ def test_affine_a2_recursion_equals_solve():
         assert kl_polynomial(ball, x, y) == kl_polynomial_via_solve(ball, x, y)
     e = ball.element_by_word(())
     refl = ball.element_by_word((2, 0, 1, 2))
-    assert kl_polynomial(ball, e, refl) == LaurentPoly({0: 1, 1: 1})
+    assert kl_polynomial(ball, e, refl) == (1, 1)
 
 
 def test_infinite_dihedral_kl_trivial():
     ball = build_ball(A1_TILDE, 8)
     for x, y in _all_pairs(ball):
-        assert kl_polynomial(ball, x, y) == LaurentPoly({0: 1})
+        assert kl_polynomial(ball, x, y) == (1,)
 
 
 def test_canonical_basis_bar_invariant():
@@ -206,8 +206,7 @@ def test_a_too_narrow_packing_width_stops_the_recursion():
     # of y = 01201 has digit sum 2^5 = 32 and P_{e,y} = 1 + 2q
     ball = build_ball(UNIVERSAL_3, 5)
     y = ball.element_by_word((0, 1, 2, 0, 1))
-    assert kl_polynomial(ball, ball.elements[0], y) == LaurentPoly(
-        {0: 1, 1: 2})
+    assert kl_polynomial(ball, ball.elements[0], y) == (1, 2)
     narrow = ParabolicModule(ball, ())
     narrow._width = ball.length_bound + 1
     with pytest.raises(TruncationOverflow):
@@ -220,13 +219,13 @@ def test_antispherical_degrees_and_normalization():
     for wlen in range(0, 7):
         w = ball.element_by_word((0, 1, 0, 1, 0, 1, 0)[:wlen])
         n = mod.canonical_basis(w)
-        assert n[w.id] == LaurentPoly({0: 1})
+        assert n[w.id] == (1,)
         for k, poly in n.items():
             el = ball.elements[k]
             assert mod.is_minimal(el)
             assert ball.leq(el, w)
             if k != w.id:
-                assert poly.min_power() >= 1
+                assert poly[0] == 0
 
 
 @pytest.mark.parametrize("param,expected", [
@@ -241,19 +240,18 @@ def test_antispherical_a1_tilde_both_params(param, expected):
     for k, poly in n.items():
         el = ball.elements[k]
         word = "".join(str(i) for i in el.word)
-        if poly == LaurentPoly({0: 1}):
+        if poly == (1,):
             got[word] = "1"
         else:
-            assert len(poly.c) == 1
-            ((p, c),) = poly.c.items()
-            assert c == 1
+            p = len(poly) - 1
+            assert poly == (0,) * p + (1,)
             got[word] = "v%d" % p
     assert got == expected
     # the q parameter realizes v^(l(w) - l(y)) on the whole chain
     if param == "q":
         for k, poly in n.items():
             el = ball.elements[k]
-            assert poly == LaurentPoly({w.length - el.length: 1})
+            assert poly == (0,) * (w.length - el.length) + (1,)
 
 
 def test_antispherical_matches_solve_oracle():
@@ -307,12 +305,12 @@ def test_antispherical_a2_golden():
     n = ParabolicModule(ball, [0], "q").canonical_basis(w)
     got = {"".join(str(i) for i in ball.elements[k].word): poly
            for k, poly in n.items()}
-    assert got == {"10": LaurentPoly({0: 1}), "1": LaurentPoly({1: 1}),
-                   "": LaurentPoly({2: 1})}
+    assert got == {"10": (1,), "1": (0, 1),
+                   "": (0, 0, 1)}
     n2 = ParabolicModule(ball, [0], "-1").canonical_basis(w)
     got2 = {"".join(str(i) for i in ball.elements[k].word): poly
             for k, poly in n2.items()}
-    assert got2 == {"10": LaurentPoly({0: 1}), "1": LaurentPoly({1: 1})}
+    assert got2 == {"10": (1,), "1": (0, 1)}
 
 
 def test_antispherical_rejects_nonminimal():
