@@ -85,9 +85,6 @@ class AffineCoroot(Value):
     def __hash__(self):
         return hash((self.gamma, self.m))
 
-    def negate(self):
-        return AffineCoroot(tuple(-g for g in self.gamma), -self.m)
-
     def is_positive(self):
         if self.m != 0:
             return self.m > 0

@@ -155,13 +155,6 @@ class SimpleCharacter:
         self.multiplicity_matrix = multiplicity_matrix
         self.multiplicity_rule = multiplicity_rule
 
-    @property
-    def inverse_matrix(self):
-        """The whole inverse of the multiplicity matrix; the
-        contributions are its last column."""
-        from .hecke import inverse_multiplicity_matrix
-        return inverse_multiplicity_matrix(self.multiplicity_matrix)
-
     def to_json_dict(self):
         return {
             "w": list(self.w_word),

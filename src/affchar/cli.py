@@ -444,9 +444,6 @@ _COMMANDS = {
 # reports
 # ---------------------------------------------------------------------------
 
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
-
-
 def _escape(value):
     return (str(value).replace("\\", "\\\\").replace("\t", "\\t")
             .replace("\n", "\\n"))
@@ -477,18 +474,6 @@ def _flatten(value, prefix=""):
                 yield from _flatten(v, "%s[%d]" % (prefix, i))
     else:
         yield (prefix, value)
-
-
-def parse_tsv(text):
-    """Inverse of the tsv emitter: {flattened key: string value}."""
-    out = {}
-    for line in text.split("\n"):
-        if not line:
-            continue
-        key, _, value = line.partition("\t")
-        out[key] = re.sub(r"\\([\\tn])", lambda m: _UNESCAPES[m.group(1)],
-                          value)
-    return out
 
 
 def _build_parser():

@@ -199,11 +199,11 @@ class BruhatBall:
         ids[keys[0]] = 0
         els.append(BallElement((), 0))
         right.append([-1] * n)
-        self._counts = [1]
-        start = 0
-        # a finite group's layers run out before a large bound: stop at
-        # the first empty one
-        while len(self._counts) <= self.length_bound and self._counts[-1]:
+        # els[start:] is the last layer built, of elements of length
+        # `length`; a finite group's layers run out before a large bound:
+        # stop at the first empty one
+        start = length = 0
+        while length < self.length_bound and start < len(els):
             stop = len(els)
             for w in range(start, stop):
                 key, row = keys[w], right[w]
@@ -219,8 +219,7 @@ class BruhatBall:
                             right.append([-1] * n)
                         row[i] = ws
                         right[ws][i] = w
-            start = stop
-            self._counts.append(len(els) - stop)
+            start, length = stop, length + 1
 
     # -- element access -------------------------------------------------------
 
@@ -242,11 +241,6 @@ class BruhatBall:
 
     def all_elements(self):
         return list(self.elements)
-
-    def counts_by_length(self):
-        """The number of elements of each length, up to the longest
-        element: length_bound, or less once a finite group runs out."""
-        return [c for c in self._counts if c]
 
     def left_descents(self, k):
         """Bitmask of the left descents of element k, memoized: the right

@@ -117,9 +117,6 @@ class QSeries:
     # -- presentation -------------------------------------------------------
 
     def __repr__(self):
-        return self.to_text()
-
-    def to_text(self):
         terms = []
         for n, c in enumerate(self.coeffs):
             if n == 0:
@@ -135,24 +132,6 @@ class QSeries:
             "coeffs": list(self.coeffs),
             "truncation": self.trunc,
         }
-
-
-def one(trunc):
-    return QSeries(0, [1], trunc)
-
-
-def zero(trunc):
-    return QSeries(0, [0], trunc)
-
-
-def geometric(step, trunc):
-    """1/(1 - q^step) = 1 + q^step + q^{2 step} + ... exactly to order trunc."""
-    out = [0] * (trunc + 1)
-    j = 0
-    while j <= trunc:
-        out[j] = 1
-        j += step
-    return QSeries(0, out, trunc)
 
 
 @lru_cache(maxsize=None)

@@ -255,8 +255,7 @@ class RootSystem:
             coroots.append(gamma)
         self.positive_coroots = tuple(coroots)
 
-        # the highest root theta ends the height-sorted list
-        self.theta = self.positive_roots[-1]
+        # the coroot of the highest root theta ends the height-sorted list
         self.theta_check = self.positive_coroots[-1]
         self.h_dual = 1 + sum(self.theta_check)
 
@@ -316,13 +315,6 @@ class RootSystem:
         return sum(
             lam[i] * x[j] * ainv[j][i]
             for i in range(self.rank) for j in range(self.rank))
-
-    def coweight_to_coroot_coords(self, x):
-        """Fundamental-coweight coordinates -> simple-coroot coordinates."""
-        ainv = self.cartan_inv
-        return tuple(
-            sum(x[j] * ainv[j][m] for j in range(self.rank))
-            for m in range(self.rank))
 
     # -- forms ------------------------------------------------------------
 

@@ -57,7 +57,7 @@ values are.  The Sugawara modes keep S_n mono times
 `_plan(module, n, p, d)`, lists the flowed normal-ordered terms that can
 act at depth d as {(left gen, right gen): int coeff}, the h_0 flow scalar
 as a None generator, and one loop sums a plan on a vector; the explicit
-sum `_scaled_sugawara(module, n, p)` defines every Sugawara mode (S_n is
+sum `sugawara_mode(module, n, p)` defines every Sugawara mode (S_n is
 its flow p = 0).  `check_dss` gets S_n v by the commutator recursion
 S_n (x_q rest) = x_q S_n rest - q x_{q+n} rest, memoized per call, from
 the explicit sum S_n |Lam>, and the flowed side as S_n v + Delta v, Delta
@@ -73,7 +73,8 @@ with |x|, against `errors.STEP_BUDGET` and `errors.SLOT_BUDGET`.
 
 Values are turned back into `Fraction` only at the public edges:
 `GradedModule.apply_word` and `sugawara_mode` unscale each output entry
-once, and `check_dss` unscales its highest-weight eigenvalue once.
+once.  `check_dss` compares its vectors as scaled ints and reads its
+highest-weight line through `sugawara_mode`, so it unscales only there.
 """
 
 from collections import defaultdict
@@ -435,20 +436,9 @@ def _planned(module, plan_of):
     return compute
 
 
-def _scaled_sugawara(module, n, p):
-    """id -> Ad_{t^{lam_check}} S_n monos[id] for the integral coweight
-    with <alpha, lam_check> = p (S_n itself for p = 0) as an {id: int}
-    dict holding each coefficient times 4 (k + h_dual) D**(2 + len(mono)
-    - len(m)), by the explicit normal-ordered sum; raises
-    TruncationOverflow when the exact result leaves the window."""
-    _check_mode(module, n)
-    exact = _planned(module, lambda d: _plan(module, n, p, d))
-    return lambda i: module._check_window(exact(i), "S_%d" % n)
-
-
 def _recursive_sugawara(module, n):
-    """id -> S_n monos[id] as `_scaled_sugawara` scales it, exact and with
-    no window check, memoized per returned function.  At a noncritical
+    """id -> S_n monos[id] in the Sugawara scaling, exact and with no
+    window check, memoized per returned function.  At a noncritical
     level [S_n, x_q] = -q x_{q+n}, so S_n (x_q rest) = x_q S_n rest
     - q x_{q+n} rest, from the explicit sum S_n |Lam> planned at depth 0."""
     D, apply_gen = module.D, module.apply_gen
@@ -489,16 +479,21 @@ def _flow_difference(module, n, p):
 
 
 def sugawara_mode(module, n, p=0):
-    """S_n as an exact function mono -> {mono: Fraction}; with p != 0,
-    the flowed operator Ad_{t^{lam_check}} S_n for <alpha, lam_check> = p
-    (each factor flowed, same index set)."""
-    scaled = _scaled_sugawara(module, n, p)
+    """S_n as an exact function mono -> {mono: Fraction} by the explicit
+    normal-ordered sum; with p != 0, the flowed operator
+    Ad_{t^{lam_check}} S_n for <alpha, lam_check> = p (each factor
+    flowed, same index set).  Raises TruncationOverflow when the exact
+    result leaves the window."""
+    _check_mode(module, n)
+    exact = _planned(module, lambda d: _plan(module, n, p, d))
     D, four_kh, monos = module.D, module.four_kh, module.monos
 
     def apply(mono):
         top = 2 + len(mono)
+        vec = module._check_window(exact(module.intern(tuple(mono))),
+                                   "S_%d" % n)
         return {monos[m]: F(c * D, four_kh * D ** (top - len(monos[m])))
-                for m, c in scaled(module.intern(tuple(mono))).items()}
+                for m, c in vec.items()}
 
     return apply
 
@@ -563,7 +558,7 @@ def check_dss(module, x, n, flip_sign=False):
     flowed energy of the highest-weight line.  ``flip_sign`` flows by
     -lam_check instead (the Arakawa and Frenkel-Kac-Wakimoto convention)
     while the identity stays stated for lam_check.  Both sides are
-    compared in the Sugawara scaling of `_scaled_sugawara`."""
+    compared in the Sugawara scaling."""
     x = F(x)
     if x.denominator != 1:
         raise DomainError(
@@ -580,7 +575,7 @@ def check_dss(module, x, n, flip_sign=False):
     check_step_budget(what, cost)
     check_slot_budget(what, cost)
     h_n = ("h", n)
-    kx, lam_mult, const = _flow_constants(module, x)
+    _, lam_mult, const = _flow_constants(module, x)
     if n != 0:
         const = 0   # the constant is delta_{n,0}
     s_n = _recursive_sugawara(module, n)
@@ -618,14 +613,12 @@ def check_dss(module, x, n, flip_sign=False):
 
     # Flowed conformal weight of the unit line: flow by -lam_check and
     # apply S_0 + lam_check_0; the eigenvalue drops by kappa(l,l)/2.
-    vec = _scaled_sugawara(module, 0, -x)(0)
-    # lam_check_0 = (x/2) h_0 flowed by -lam_check acts on the unit line
-    # by (x/2) (a - k x), which is lam_mult (A - K x) in the scaling
-    # 4 (k + h_dual) D of the unit entry (id 0 is |Lam>)
-    vec[0] = vec.get(0, 0) + lam_mult * (module.A - kx)
-    if set(vec) - {0}:
+    vec = sugawara_mode(module, 0, -x)(())
+    if set(vec) - {()}:
         raise AssertionError("flowed energy operator does not fix the unit line")
-    actual = F(vec[0], module.four_kh * module.D)
+    # lam_check_0 = (x/2) h_0 flowed by -lam_check acts on the unit line
+    # by (x/2) (a - k x)
+    actual = vec.get((), F(0)) + F(x, 2) * (module.a - module.k * x)
     # the Casimir eigenvalue of Lam = a omega is c1 = a (a + 2) / 2
     c1 = module.a * (module.a + 2) / 2
     expected = c1 / (2 * (module.k + _H_DUAL)) - module.k * x * x / 4

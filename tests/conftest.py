@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,37 @@ def finite_dot_orbit(rs, lam):
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def negate(cr):
+    """The affine coroot -cr."""
+    return AffineCoroot(tuple(-g for g in cr.gamma), -cr.m)
+
+
+def counts_by_length(ball):
+    """The number of elements of each length of a Bruhat ball, up to its
+    longest element: the length bound, or less once a finite group runs
+    out."""
+    counts = [0] * (1 + max(el.length for el in ball.elements))
+    for el in ball.elements:
+        counts[el.length] += 1
+    return counts
+
+
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+
+
+def parse_tsv(text):
+    """Inverse of the tsv emitter ``cli.emit_report(..., "tsv")``:
+    {flattened key: string value}."""
+    out = {}
+    for line in text.split("\n"):
+        if not line:
+            continue
+        key, _, value = line.partition("\t")
+        out[key] = re.sub(r"\\([\\tn])", lambda m: _UNESCAPES[m.group(1)],
+                          value)
+    return out
 
 
 def integral_coroots(lw, m_max):

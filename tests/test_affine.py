@@ -11,7 +11,7 @@ from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
                             integrality_progression,
                             is_real_coroot, orbit_and_representative,
                             reflect_coroot, simple_affine_coroots)
-from conftest import integral_coroots, rand_fraction, rand_weight
+from conftest import integral_coroots, negate, rand_fraction, rand_weight
 
 
 def lw2(sl2, a, k):
@@ -47,7 +47,7 @@ def test_involution_and_sign_flip(sl2, sl3, rng):
         coroots = [AffineCoroot(g, m)
                    for g in list(rs.positive_coroots)
                    for m in (-2, -1, 0, 1, 3)]
-        coroots += [c.negate() for c in coroots if c.m != 0]
+        coroots += [negate(c) for c in coroots if c.m != 0]
         for _ in range(100):
             k = rand_fraction(rng)
             if k == -rs.h_dual:
@@ -233,9 +233,10 @@ def real_coroot_orbit(rs, m_bound):
     for cr in simples:
         key = (cr.gamma, cr.m)
         seen.add(key)
-        seen.add((cr.negate().gamma, cr.negate().m))
+        neg = negate(cr)
+        seen.add((neg.gamma, neg.m))
         frontier.append(cr)
-        frontier.append(cr.negate())
+        frontier.append(neg)
     while frontier:
         nxt = []
         for cr in frontier:

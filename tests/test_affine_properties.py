@@ -19,7 +19,8 @@ from affchar.affine import (AffineCoroot, AffineWeylGroup, LevelWeight,
                             integral_system,
                             is_real_coroot, simple_affine_coroots)
 from affchar.rootdata import Level, build_root_system
-from conftest import integral_coroots, reflection_simples, root_of_coroot
+from conftest import (counts_by_length, integral_coroots, reflection_simples,
+                      root_of_coroot)
 
 SETTINGS = settings(max_examples=40)
 
@@ -97,7 +98,7 @@ def test_ball_and_dot_action_match_affine_maps(lw, bound):
     ball = group.ball(bound)
     words, counts = map_ball(rs, k, bound)
     assert [el.word for el in ball.all_elements()] == list(words.values())
-    got = ball.counts_by_length()
+    got = counts_by_length(ball)
     assert got + [0] * (bound + 1 - len(got)) == counts
     assert len(ball) == len(words)
     for a, word in words.items():

@@ -8,9 +8,13 @@ each job here runs traced and untraced in a subprocess, and the traced run
 must exit 0, write its spans, open the spans of the hooked layer and
 print exactly the untraced report.  The output checks of
 ``perfbench/checks.py`` read the layers too, by recomputing a report's
-polynomials, so each kind of Hecke job's report must pass them.
+polynomials, so each kind of Hecke job's report must pass them.  Every
+report of the default seed must also hash to its digest pinned in
+``perfbench/digests.json``, so a changed report fails here and not first
+at the benchmark.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -96,3 +100,18 @@ def test_report_passes_the_output_check(capsys, job):
     assert _load("jobproc").run_job(job) == 0
     stdout = capsys.readouterr().out
     assert _load("checks").check(job, stdout, random.Random(0)) == []
+
+
+PINNED = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_default_seed_reports_match_the_pinned_digests(capsys, workload):
+    workloads, jobproc = _load("workloads"), _load("jobproc")
+    jobs = workloads.job_list(workload, workloads.DEFAULT_SEED)
+    assert sorted(job["id"] for job in jobs) == sorted(PINNED[workload])
+    for job in jobs:
+        code = jobproc.run_job(job)
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert (job["id"], code, hashlib.sha256(stdout).hexdigest()) == (
+            job["id"], 0, PINNED[workload][job["id"]])

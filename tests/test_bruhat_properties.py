@@ -9,6 +9,7 @@ right-multiplication table.
 from hypothesis import given, settings, strategies as st
 
 from affchar.hecke import INFINITE_BOND, build_ball, kl_table_pairs
+from conftest import counts_by_length
 
 _GCM = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3),
         INFINITE_BOND: (-2, -2)}
@@ -85,7 +86,7 @@ def test_words_and_counts_match_matrix_reference(case):
     m, bound = case
     ball, ref = build_ball(m, bound), MatrixBall(m, bound)
     assert [el.word for el in ball.all_elements()] == list(ref.word.values())
-    counts = ball.counts_by_length()
+    counts = counts_by_length(ball)
     assert counts + [0] * (bound + 1 - len(counts)) == ref.counts
     for el in ball.all_elements():
         assert ball.element_by_word(el.word) is el

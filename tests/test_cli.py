@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from affchar.affine import LevelWeight, integral_system
 from affchar import cli
-from affchar.cli import _COMMANDS, emit_report, main, parse_tsv, _flatten
+from affchar.cli import _COMMANDS, emit_report, main, _flatten
 from affchar.rootdata import Level, build_root_system
+from conftest import parse_tsv
 
 
 def run_cli(capsys, *argv):

@@ -27,13 +27,12 @@ from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
-from affchar.cli import parse_tsv
 from affchar.errors import DomainError
 from affchar.hecke import (INFINITE_BOND, PARABOLIC_PARAMS, ParabolicModule,
                            build_ball, kl_polynomial, kl_table_tsv,
                            query_ball)
 
-from conftest import zv_combine
+from conftest import counts_by_length, parse_tsv, zv_combine
 
 # (Coxeter matrix, l(w0)): the ball of radius l(w0) is the whole group
 FINITE = {
@@ -50,7 +49,7 @@ def whole_group(name):
     matrix, top = FINITE[name]
     ball = build_ball(matrix, top)
     longest = [el for el in ball.all_elements() if el.length == top]
-    assert len(longest) == 1 and ball.counts_by_length()[-1] == 1
+    assert len(longest) == 1 and counts_by_length(ball)[-1] == 1
     return ball, longest[0]
 
 

@@ -31,7 +31,7 @@ def test_root_data_are_int(letter, rank):
     assert _all_int(rs.positive_coroots)
     assert _all_int(rs.simple_roots)
     assert _all_int(rs.simple_coroots)
-    assert _all_int([rs.theta, rs.theta_check])
+    assert _all_int([rs.theta_check])
     assert type(rs.h_dual) is int and type(rs.coxeter_number) is int
     assert _all_int(rs.coroot_roots) and _all_int(rs.coroot_roots.values())
     assert _all_int(rs.coroot_lacing)

@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from affchar.errors import DomainError
-from affchar.qseries import (QSeries, eta_factor, equal_to_order, geometric,
-                             one)
+from affchar.qseries import QSeries, eta_factor, equal_to_order
 
 
 def partitions_with_parts_at_least(n, m_start):
@@ -48,9 +47,9 @@ def test_eta_negative_exponent_three_colors():
 
 
 def test_eta_trivial_and_inverse_pair():
-    assert eta_factor(1, 0, 7) == one(7)
+    assert eta_factor(1, 0, 7) == QSeries(0, [1], 7)
     prod = eta_factor(1, -1, 15) * eta_factor(1, 1, 15)
-    assert equal_to_order(prod, one(15), 15)
+    assert equal_to_order(prod, QSeries(0, [1], 15), 15)
 
 
 def test_offsets_add():
@@ -61,7 +60,7 @@ def test_offsets_add():
 
 def test_unit_and_zero():
     x = QSeries(F(3, 7), [2, 5, 1])
-    assert x * one(2) == x
+    assert x * QSeries(0, [1], 2) == x
     z = QSeries(0, [0, 0, 0])
     assert z.is_zero
     assert (x * z).is_zero
@@ -155,9 +154,7 @@ def test_ring_axioms_random():
 
 
 def test_geometric_and_text():
-    g = geometric(2, 6)
-    assert list(g.coeffs) == [1, 0, 1, 0, 1, 0, 1]
-    txt = QSeries(F(-3, 2), [1, 0, 2], 2).to_text()
+    txt = repr(QSeries(F(-3, 2), [1, 0, 2], 2))
     assert txt == "q^{-3/2} * (1 + 2 q^2 + O(q^3))"
     d = QSeries(F(-3, 2), [1, 0, 2], 2).to_json_dict()
     assert d == {"offset": "-3/2", "coeffs": [1, 0, 2], "truncation": 2}

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from affchar.errors import (SLOT_BUDGET, STEP_BUDGET, TruncationOverflow,
                             check_slot_budget, check_step_budget)
-from affchar.qseries import QSeries, eta_factor, geometric, one
+from affchar.qseries import QSeries, eta_factor
 from affchar.rootdata import build_root_system
 from affchar.wstruct import vacuum_graded_character
 
@@ -22,12 +22,13 @@ ROOTS = {t: build_root_system(*t) for t in TYPES}
 def dense_eta(m_start, exponent, trunc):
     """prod_{i >= m_start} (1 - q^i)^exponent by one dense series product
     per factor."""
-    acc = one(trunc)
+    acc = QSeries(0, [1], trunc)
     for i in range(m_start, trunc + 1):
         if exponent > 0:
             f = QSeries(0, [1] + [0] * (i - 1) + [-1], trunc)
         else:
-            f = geometric(i, trunc)
+            f = QSeries(0, [int(j % i == 0) for j in range(trunc + 1)],
+                        trunc)
         for _ in range(abs(exponent)):
             acc = acc * f
     return acc
