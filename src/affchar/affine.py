@@ -21,7 +21,6 @@ weights only through the dot action, folded one reflection at a time.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import DomainError
 from .rootdata import Value, exact
@@ -311,12 +310,9 @@ def integrality_progression(pair_value, k):
     if q % b != 0:
         return None
     a_mod = (-pv.numerator * (q // b)) % q
-    g = gcd(p, q)
-    if a_mod % g != 0:
-        return None
-    pp, qq, aa = p // g, q // g, a_mod // g
-    m0 = (aa * pow(pp, -1, qq)) % qq if qq > 1 else 0
-    return (m0, qq)
+    # p and q are coprime: one residue m0 of m mod q makes it integral
+    m0 = (a_mod * pow(p, -1, q)) % q if q > 1 else 0
+    return (m0, q)
 
 
 class IntegralSystem:
@@ -412,7 +408,7 @@ def orbit_and_representative(lw, length_bound):
     negative = lw.level.is_negative(rs)
     kind = "antidominant" if negative else "dominant"
     simples = simple_affine_coroots(rs)
-    seen = {lw.lam: 0}
+    seen = {lw.lam}
     order = [lw]
     frontier = [lw]
     found = []
@@ -425,7 +421,7 @@ def orbit_and_representative(lw, length_bound):
             for i in sorted(simples):
                 img = dot_reflect(w, simples[i])
                 if img.lam not in seen:
-                    seen[img.lam] = dist
+                    seen.add(img.lam)
                     order.append(img)
                     nxt.append(img)
                     c = classify_weight(img)
@@ -433,14 +429,14 @@ def orbit_and_representative(lw, length_bound):
                         found.append((img, dist))
         frontier = nxt
     rep, d = (found[0][0], found[0][1]) if found else (None, None)
-    distinct = {w.lam for w, _ in found}
     return OrbitResult(
         points=order,
         representative=rep,
         representative_kind=kind,
         distance=d,
         truncated=rep is None,
-        unique_in_ball=len(distinct) == 1 if found else False,
+        # each weight is found once, when it is new to ``seen``
+        unique_in_ball=len(found) == 1,
         walls=cls0.walls,
     )
 

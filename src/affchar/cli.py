@@ -37,15 +37,6 @@ _KNOWN_KEYS = {
     "format",
 }
 
-# convention fields and the (layer, name) of the values the library
-# accepts for them; every report echoes them, so they are checked before
-# any subcommand runs, loading the layer only when the field is given
-_CHOICES = {
-    "antispherical_param": ("hecke", "PARABOLIC_PARAMS"),
-    "multiplicities": ("characters", "MULTIPLICITY_RULES"),
-    "energy_sign": ("wstruct", "CONVENTIONS"),
-}
-
 _FORMATS = ("json", "tsv", "pretty")
 
 
@@ -153,8 +144,41 @@ def _bool(value, name):
     raise ConfigError("field %r must be a boolean" % name)
 
 
+def _one_of(layer, name):
+    """The check of a field against the values ``layer`` lists as
+    ``name``; the layer is loaded only when the field is given."""
+    def check(value, key):
+        allowed = getattr(importlib.import_module("." + layer, __package__),
+                          name)
+        if str(value) not in allowed:
+            raise ConfigError("field %r must be one of %s, not %r"
+                              % (key, ", ".join(allowed), value))
+        return str(value)
+    return check
+
+
+def _format(value, name):
+    value = str(value)
+    if value not in _FORMATS:
+        raise ConfigError("unknown format %r" % (value,))
+    return value
+
+
+# convention fields: (default, check of a given value).  Every report
+# echoes them, so ``Job`` checks them before any subcommand runs.
+_CONVENTIONS = {
+    "antispherical_param": ("q", _one_of("hecke", "PARABOLIC_PARAMS")),
+    "multiplicities": ("kl", _one_of("characters", "MULTIPLICITY_RULES")),
+    "energy_sign": ("appendix", _one_of("wstruct", "CONVENTIONS")),
+    "format": ("json", _format),
+    "w0_twist": (False, _bool),
+    "flip_flow_sign": (False, _bool),
+}
+
+
 class Job:
-    """Validated configuration for one invocation."""
+    """Validated configuration for one invocation.  Each convention field
+    of ``_CONVENTIONS`` is an attribute holding its checked value."""
 
     def __init__(self, args):
         cfg = _load_config(args.config) if args.config else {}
@@ -162,19 +186,10 @@ class Job:
             flag = getattr(args, key, None)
             if flag is not None:
                 cfg[key] = flag
-        for key, (layer, name) in _CHOICES.items():
-            if key not in cfg:
-                continue
-            allowed = getattr(importlib.import_module("." + layer, __package__),
-                              name)
-            if str(cfg[key]) not in allowed:
-                raise ConfigError("field %r must be one of %s, not %r"
-                                  % (key, ", ".join(allowed), cfg[key]))
         self.cfg = cfg
-        # checked here, so a bad format never runs the job first
-        self.format = str(self.get("format", "json"))
-        if self.format not in _FORMATS:
-            raise ConfigError("unknown format %r" % (self.format,))
+        for key, (default, check) in _CONVENTIONS.items():
+            value = self.get(key)
+            setattr(self, key, default if value is None else check(value, key))
 
     def get(self, key, default=None):
         return self.cfg.get(key, default)
@@ -201,13 +216,11 @@ class Job:
 
     def conventions(self):
         return {
-            "antispherical_param": str(self.get("antispherical_param", "q")),
-            "multiplicity_rule": str(self.get("multiplicities", "kl")),
-            "energy_sign": str(self.get("energy_sign", "appendix")),
-            "w0_twist": _bool(self.get("w0_twist", False), "w0_twist"),
-            "spectral_flow_sign": ("arakawa"
-                                   if _bool(self.get("flip_flow_sign", False),
-                                            "flip_flow_sign")
+            "antispherical_param": self.antispherical_param,
+            "multiplicity_rule": self.multiplicities,
+            "energy_sign": self.energy_sign,
+            "w0_twist": self.w0_twist,
+            "spectral_flow_sign": ("arakawa" if self.flip_flow_sign
                                    else "adolescent"),
         }
 
@@ -297,8 +310,7 @@ def _cmd_antispherical(job):
     parabolic = _word(job.require("parabolic"), "parabolic")
     w = _word(job.get("w"), "w")
     ball = query_ball(matrix, bound, (w,))
-    param = str(job.get("antispherical_param", "q"))
-    mod = ParabolicModule(ball, parabolic, param)
+    mod = ParabolicModule(ball, parabolic, job.antispherical_param)
     basis = mod.canonical_basis(ball.element_by_word(w))
     # ids are ShortLex ranks, so id order is (length, word) order
     rows = [{"y": list(ball.elements[k].word),
@@ -332,8 +344,7 @@ def _cmd_character_simple(job):
     bound = _positive_int(job.get("length_bound", 8), "length_bound")
     res = chars.ch_simple_W(lw, _word(job.get("w"), "w"), trunc,
                             length_bound=bound,
-                            multiplicities=str(job.get("multiplicities",
-                                                       "kl")))
+                            multiplicities=job.multiplicities)
     return {"simple_character": res.to_json_dict()}
 
 
@@ -361,8 +372,7 @@ def _cmd_psi_s(job):
     rs = job.root_system()
     level = job.level()
     lam = _weight(job.require("weight"), "weight", rs.rank)
-    chi = chars.psi_s(rs, kind, lam, level,
-                      w0_twist=_bool(job.get("w0_twist", False), "w0_twist"))
+    chi = chars.psi_s(rs, kind, lam, level, w0_twist=job.w0_twist)
     if chi is None:
         return {"input_kind": kind, "image": "zero"}
     return {"input_kind": kind,
@@ -382,7 +392,6 @@ def _cmd_sugawara_check(job):
     if not modes:
         # a job that checks no mode must not report a pass
         raise ConfigError("field 'modes' must name at least one mode")
-    flip = _bool(job.get("flip_flow_sign", False), "flip_flow_sign")
     # the truncated Verma modules are affine sl2's: a type or rank given
     # must name it, and a job that gives neither is sl2
     if job.get("type") is not None or job.get("rank") is not None:
@@ -395,7 +404,7 @@ def _cmd_sugawara_check(job):
     rows = []
     all_passed = True
     for n in modes:
-        rep = sug.check_dss(module, x, n, flip_sign=flip)
+        rep = sug.check_dss(module, x, n, flip_sign=job.flip_flow_sign)
         rows.append(rep.to_json_dict())
         all_passed = all_passed and rep.passed
     return {"basis_size": len(module.basis),
@@ -418,8 +427,8 @@ def _cmd_vacuum_char(job):
     n = _positive_int(job.get("n", 0), "n")
     max_u = _positive_int(job.get("max_u", 6), "max_u")
     max_q = _positive_int(job.get("max_q", 12), "max_q")
-    conv = str(job.get("energy_sign", "appendix"))
-    ch = vacuum_graded_character(rs, n, max_u, max_q, convention=conv)
+    ch = vacuum_graded_character(rs, n, max_u, max_q,
+                                 convention=job.energy_sign)
     return {"vacuum_character": ch.to_json_dict()}
 
 
@@ -450,13 +459,12 @@ def _escape(value):
 
 
 def emit_report(result, fmt="json"):
-    """The report as text.  A tsv or pretty value is kept on its line:
-    each backslash, tab and newline in it is written as \\\\, \\t or \\n."""
+    """The report as text, in a format ``Job`` has checked.  A tsv or
+    pretty value is kept on its line: each backslash, tab and newline in
+    it is written as \\\\, \\t or \\n."""
     if fmt == "json":
         return json.dumps(result, sort_keys=True, separators=(",", ": "),
                           indent=1) + "\n"
-    if fmt not in _FORMATS:
-        raise ConfigError("unknown format %r" % (fmt,))
     line = "%s\t%s\n" if fmt == "tsv" else "%-48s %s\n"
     return "".join(line % (key, _escape(value))
                    for key, value in sorted(_flatten(result)))
@@ -483,9 +491,8 @@ def _build_parser():
         description="exact affine Weyl / Kazhdan-Lusztig / W-algebra "
                     "character computations")
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--format", choices=_FORMATS, default=None)
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
-    for key in sorted(_KNOWN_KEYS - {"format"}):
+    for key in sorted(_KNOWN_KEYS):
         parser.add_argument("--%s" % key.replace("_", "-"), dest=key,
                             default=None)
     return parser

@@ -25,8 +25,6 @@ from .errors import DomainError, check_step_budget
 
 F = Fraction
 
-_LETTERS = "ABCDEFG"
-
 
 def _chain(n):
     """Tridiagonal simply-laced Cartan matrix of size n.
@@ -196,8 +194,6 @@ class RootSystem:
     and ``halfsq`` over Fraction."""
 
     def __init__(self, letter, rank):
-        if letter not in _LETTERS:
-            raise DomainError("unknown simple type %r" % (letter,))
         cartan, halfsq = _cartan_and_lengths(letter, rank)
         self.letter = letter
         self.rank = rank

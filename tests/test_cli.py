@@ -53,8 +53,11 @@ def test_determinism_byte_identical(capsys):
             "--length-bound", "6")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # the two booleans spelled false are their defaults
+    code3, out3, _ = run_cli(capsys, *args, "--w0-twist", "false",
+                             "--flip-flow-sign", "no")
+    assert code1 == code2 == code3 == 0
+    assert out1 == out2 == out3
 
 
 # one small job of every subcommand
@@ -334,18 +337,30 @@ def test_multi_line_values_survive_tsv_and_pretty(capsys):
 
 def test_bad_config_format_exits_before_the_job_runs(tmp_path, capsys,
                                                      monkeypatch):
+    # every convention the report echoes is checked before the job runs,
+    # given in a config file or as a flag: the universal rank-3 ball of
+    # length 10 is never built
     from affchar import hecke
 
     def no_ball(*args, **kwargs):
-        raise AssertionError("the job ran before its format was checked")
+        raise AssertionError("the job ran before its conventions were "
+                             "checked")
 
     monkeypatch.setattr(hecke.BruhatBall, "__init__", no_ball)
+    job = ["kl", "--coxeter-matrix",
+           "[[1,null,null],[null,1,null],[null,null,1]]",
+           "--length-bound", "10"]
     cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"format": "xml"}))
-    code, out, err = run_cli(
-        capsys, "--config", str(cfg), "kl", "--coxeter-matrix",
-        "[[1,null,null],[null,1,null],[null,null,1]]", "--length-bound", "10")
-    assert (code, out, err) == (1, "", "config error: unknown format 'xml'\n")
+    for key, value, err in [
+            ("format", "xml", "unknown format 'xml'"),
+            ("w0_twist", "nope", "field 'w0_twist' must be a boolean"),
+            ("flip_flow_sign", "nope",
+             "field 'flip_flow_sign' must be a boolean")]:
+        cfg.write_text(json.dumps({key: value}))
+        flag = ["--%s" % key.replace("_", "-"), value]
+        for argv in (["--config", str(cfg)] + job, job + flag):
+            assert run_cli(capsys, *argv) == (1, "", "config error: %s\n"
+                                              % err), argv
 
 
 def test_pretty_format(capsys):
@@ -687,11 +702,14 @@ def test_affine_report_digest(capsys, argv, sha256):
     ("character-verma --type C --rank 3 --level=-7/3 --weight=1,-1/2,2 "
      "--kind oprime --trunc 12",
      "bdf1f46221829502043dad52281297c4a2e8a2b4c5e79f766ddeddec30a97f11"),
+    ("psi-s --type A --rank 1 --level=-4 --weight=1 --kind simple",
+     "101f37603c5f3d0357166914e1ffd7fea3e58219cf7381f098dd5bf8fbafd4ee"),
 )
 def test_lattice_report_digest(capsys, argv, sha256):
     # reports that print coroot or root data: A2 walls, non-integral B2
     # and G2 walls, an A2 orbit, B3/F4/E6 root data, w0-twisted
-    # reductions and a C3 large-side Verma, pinned byte for byte
+    # reductions, a C3 large-side Verma and a simple module whose
+    # reduction is zero, pinned byte for byte
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -854,6 +872,16 @@ _HUGE = "1" * 5000
                  None, id="kl-coxeter-entry-of-5000-digits"),
     pytest.param("roots --type A --rank 1", b'\xff{"rank": 1}',
                  id="roots-config-not-utf-8"),
+    # a level that is not a rational, a negative bound, a config that is
+    # not a JSON object, a weight that is not a list, and booleans that
+    # are not booleans
+    ("classify --type A --rank 1 --level=abc --weight=-2", None),
+    ("orbit --type A --rank 1 --level=-4 --weight=-2 --length-bound=-1",
+     None),
+    ("roots --type A --rank 1", [1]),
+    ("classify --type A --rank 1 --level=-4", {"weight": 5}),
+    ("roots --type A --rank 1 --w0-twist nope", None),
+    ("roots --type A --rank 1 --flip-flow-sign 2", None),
 ])
 def test_malformed_input_exits_1(tmp_path, capsys, argv, config):
     argv = argv.split()

@@ -95,6 +95,8 @@ def test_kl_requires_order():
     s = s3.element_by_word((1,))
     with pytest.raises(DomainError):
         kl_polynomial(s3, w0, s)
+    with pytest.raises(DomainError):
+        kl_table_tsv(s3, [(w0, s)])
 
 
 def test_kl_s4_classic_value():
@@ -320,6 +322,8 @@ def test_antispherical_rejects_nonminimal():
             ball.element_by_word((1,)))
     with pytest.raises(DomainError):
         ParabolicModule(ball, [1], "bogus")
+    with pytest.raises(DomainError, match="out of range"):
+        ParabolicModule(ball, [7])
 
 
 def test_ball_exhaustion_is_loud():

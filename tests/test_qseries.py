@@ -48,6 +48,8 @@ def test_eta_negative_exponent_three_colors():
 
 def test_eta_trivial_and_inverse_pair():
     assert eta_factor(1, 0, 7) == QSeries(0, [1], 7)
+    with pytest.raises(DomainError):
+        eta_factor(0, 1, 3)
     prod = eta_factor(1, -1, 15) * eta_factor(1, 1, 15)
     assert equal_to_order(prod, QSeries(0, [1], 15), 15)
 
@@ -65,6 +67,10 @@ def test_unit_and_zero():
     assert z.is_zero
     assert (x * z).is_zero
     assert x + z == x
+    # truncation order -1 knows no coefficient; below that is refused
+    assert QSeries(0, [1], -1).is_zero
+    with pytest.raises(DomainError):
+        QSeries(0, [1], trunc=-2)
 
 
 def test_canonicalization_equality():
@@ -91,6 +97,11 @@ def test_equal_to_order_window():
     assert not equal_to_order(a, b, 3)
     with pytest.raises(DomainError):
         equal_to_order(a, b, 5)
+    # a zero operand equals only zero, whatever the offsets
+    zero = QSeries(0, [0, 0, 0, 0])
+    assert equal_to_order(zero, QSeries(F(1, 2), [0, 0, 0]), 2)
+    assert not equal_to_order(zero, a, 2)
+    assert not equal_to_order(a, zero, 2)
 
 
 def test_add_requires_integer_offset_gap():

@@ -49,8 +49,8 @@ def test_small_type_facts():
 
 
 def test_invalid_types_rejected():
-    for letter, rank in [("A", 0), ("B", 1), ("F", 3), ("G", 3), ("E", 5),
-                         ("H", 3), ("Z", 1)]:
+    for letter, rank in [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("F", 3),
+                         ("G", 3), ("E", 5), ("H", 3), ("Z", 1), (5, 1)]:
         with pytest.raises(DomainError):
             build_root_system(letter, rank)
 

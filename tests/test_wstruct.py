@@ -107,6 +107,16 @@ def test_vanishing_check_requires_kernel_convention(sl2):
         vanishing_violations(ch, 1)
 
 
+@pytest.mark.parametrize("n,max_u,max_q,convention", [
+    (-1, 4, 8, "appendix"), (1, -1, 8, "appendix"), (1, 4, -1, "appendix"),
+    (1, 4, 8, "bogus"),
+])
+def test_vacuum_character_rejects_bad_input(sl2, n, max_u, max_q,
+                                            convention):
+    with pytest.raises(DomainError):
+        vacuum_graded_character(sl2, n, max_u, max_q, convention=convention)
+
+
 def test_kernel_convention_negates(sl2):
     app = vacuum_graded_character(sl2, 1, max_u=4, max_q=8)
     ker = vacuum_graded_character(sl2, 1, max_u=4, max_q=8,
